@@ -25,6 +25,7 @@ from .cascade import cascade, decompose, sample_polydisk, verify_factor_tf
 from .factorization import (
     chain_eval,
     chain_to_germ,
+    default_degree_cap,
     factor_homogeneous,
     factor_left,
     factor_right,
@@ -191,6 +192,7 @@ def cmd_factor(ns, argv) -> tuple:
     if ns.mode == "problem2":
         outcome = solve_problem2(system, budget=ns.budget, seed=ns.seed,
                                           tol=ns.residual_tol)
+        tolerances["degree_cap"] = default_degree_cap(system)
         if outcome is None:
             report = _report(argv, mode=ns.mode, verdict="inconclusive",
                              budget=ns.budget, seed=ns.seed, tolerances=tolerances)
@@ -314,8 +316,9 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", required=True,
                    choices=["left", "right", "homogeneous", "problem2"])
     p.add_argument("--multiplicity", type=int, default=None)
-    p.add_argument("--degree-cap", type=int, default=8)
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--degree-cap", type=int, default=8,
+                   help="left, right and homogeneous modes; problem2 uses dim_x + 2")
+    p.add_argument("--budget", type=int, default=64, help="problem2: candidates to test")
     p.add_argument("--out-dir", default="factor-out")
     _add_common_tols(p)
     p.set_defaults(func=cmd_factor)

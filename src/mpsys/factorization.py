@@ -19,6 +19,7 @@ Two families of results are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -270,75 +271,67 @@ def _krylov_closure(s: MultiSystem, seed_cols: np.ndarray,
                     tol: float = 1e-9) -> Subspace:
     space = orthonormal_basis(seed_cols, tol)
     for _ in range(s.dim_x + 1):
-        cols = [space.basis]
-        for ak in s.a:
-            cols.append(ak @ space.basis)
-        grown = orthonormal_basis(np.hstack(cols), tol)
+        grown = orthonormal_basis(
+            np.hstack([space.basis] + [ak @ space.basis for ak in s.a]), tol)
         if grown.dim == space.dim:
             return grown
         space = grown
     return space
 
 
-def invariant_subspace_candidates(s: MultiSystem, budget: int = 64,
-                                  seed: int = 0) -> list:
-    """Candidate common invariant subspaces of the A-tuple.
-
-    Always includes {0}; adds Krylov closures (under all A_k) of random
-    vectors and of eigenvectors of random linear combinations of the A_k,
-    then closes the collection under pairwise sums (sums of invariant
-    subspaces are invariant), deduplicating by projector distance.  Sorted
-    by dimension, capped at ``budget`` entries.
-    """
-    validate(s)
-    dx = s.dim_x
-    candidates = [zero_space(dx)]
-    if dx == 0 or budget <= 1:
-        return candidates[:max(budget, 1)]
+def _invariant_subspaces(s: MultiSystem, seed: int):
+    """Candidates of ``invariant_subspace_candidates``, generated only as
+    the consumer asks for them; no work is done before {0} is yielded."""
+    dx, n = s.dim_x, s.n_params
+    known = [zero_space(dx)]
+    yield known[0]
+    if dx == 0:
+        return
     rng = np.random.default_rng(seed)
 
     def add(space: Subspace) -> bool:
-        for known in candidates:
-            if known.dim == space.dim and projector_distance(known, space) < 1e-8:
-                return False
-        candidates.append(space)
+        if any(k.dim == space.dim and projector_distance(k, space) < 1e-8 for k in known):
+            return False
+        known.append(space)
         return True
 
-    n = s.n_params
     for _ in range(3):
         coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        combo = combine(s.a, coeff)
-        _, vecs = np.linalg.eig(combo)
+        _, vecs = np.linalg.eig(combine(s.a, coeff))
         for i in range(vecs.shape[1]):
-            if len(candidates) >= budget:
-                break
             add(_krylov_closure(s, vecs[:, i:i + 1]))
     for _ in range(4):
-        if len(candidates) >= budget:
-            break
-        v = rng.standard_normal((dx, 1)) + 1j * rng.standard_normal((dx, 1))
-        add(_krylov_closure(s, v))
+        add(_krylov_closure(s, rng.standard_normal((dx, 1))
+                            + 1j * rng.standard_normal((dx, 1))))
+    yield from (c for c in sorted(known[1:], key=lambda c: c.dim)
+                if check_condition_i(s, c))
 
-    # close under pairwise sums within budget
     changed = True
-    while changed and len(candidates) < budget:
+    while changed:
         changed = False
-        snapshot = list(candidates)
-        for i in range(len(snapshot)):
-            for j in range(i + 1, len(snapshot)):
-                if len(candidates) >= budget:
-                    break
-                merged = subspace_sum(snapshot[i], snapshot[j])
-                if merged.dim in (snapshot[i].dim, snapshot[j].dim):
-                    continue
-                if add(merged):
-                    changed = True
-            if len(candidates) >= budget:
-                break
+        for a, b in combinations(known, 2):
+            merged = subspace_sum(a, b)
+            if merged.dim not in (a.dim, b.dim) and add(merged):
+                changed = True
+                if check_condition_i(s, merged):
+                    yield merged
 
-    kept = [c for c in candidates if check_condition_i(s, c)]
-    kept.sort(key=lambda c: c.dim)
-    return kept[:budget]
+
+def invariant_subspace_candidates(s: MultiSystem, budget: int = 64,
+                                  seed: int = 0) -> list:
+    """The first ``budget`` candidate common invariant subspaces of the A_k.
+
+    In the order ``solve_problem2`` tests them: {0}; the distinct Krylov
+    closures (under all A_k) of eigenvectors of 3 random combinations of the
+    A_k and of 4 random vectors, stably sorted by dimension; then, round by
+    round, each pairwise sum of the subspaces found so far as soon as it is
+    new.  Equal dimension and projector distance < 1e-8 count as the same
+    subspace; every candidate passes condition (i).
+    """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    validate(s)
+    return list(islice(_invariant_subspaces(s, seed), budget))
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,11 +347,14 @@ def solve_problem2(s: MultiSystem, budget: int = 64, seed: int = 0,
                    tol: float = 1e-9) -> Optional[FactorizationOutcome]:
     """Search for theta = theta2 * theta1 with both factors conservative.
 
-    Restricts to the closely-connected part, then tries invariant-subspace
-    candidates against the cascade-decomposition conditions.  Returns None
-    if the budget is exhausted; that outcome is inconclusive, not a proof
-    that no factorization exists.
+    Restricts to the closely-connected part, then tests at most ``budget``
+    candidates, built only as they are tested, in the order of
+    ``invariant_subspace_candidates`` against the cascade-decomposition
+    conditions.  Returns None if the budget is exhausted; that outcome is
+    inconclusive, not a proof that no factorization exists.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     require_conservative(s)
     m = multiplicity(s, default_degree_cap(s))
     if m is None or m <= 1:
@@ -366,7 +362,7 @@ def solve_problem2(s: MultiSystem, budget: int = 64, seed: int = 0,
             f"solve_problem2 requires multiplicity > 1, found {m}"
         )
     acc = compress_to(s, closely_connected_subspace(s))
-    for candidate in invariant_subspace_candidates(acc, budget, seed):
+    for candidate in islice(_invariant_subspaces(acc, seed), budget):
         cond2 = check_condition_ii(acc, candidate)
         if not cond2.holds:
             continue

@@ -88,7 +88,10 @@ def test_factor_problem2_on_cascade(tmp_path, capsys):
     code, stdout, _ = invoke(capsys, "factor", str(casc), "--mode", "problem2",
                              "--out-dir", str(tmp_path / "p2"))
     assert code == 0
-    assert report_body(stdout)["verdict"] == "factored"
+    body = report_body(stdout)
+    assert body["verdict"] == "factored"
+    # problem2 takes the multiplicity with the cap dim_x + 2, not --degree-cap
+    assert body["tolerances"]["degree_cap"] == ser.load_system(casc).dim_x + 2
     ser.load_system(tmp_path / "p2" / "theta2.json")
     ser.load_system(tmp_path / "p2" / "theta1.json")
 
@@ -100,6 +103,19 @@ def test_factor_problem2_rejects_multiplicity_one(tmp_path, capsys):
                           "--out-dir", str(tmp_path / "out"))
     assert code == 1
     assert "error" in err
+
+
+def test_factor_problem2_rejects_budget_below_one(tmp_path, capsys):
+    p2, p1 = tmp_path / "b2.json", tmp_path / "b1.json"
+    write_system(p2, random_conservative(1, 1, 1, 1, seed=11))
+    write_system(p1, random_conservative(1, 1, 1, 1, seed=13))
+    casc = tmp_path / "casc.json"
+    invoke(capsys, "cascade", str(p2), str(p1), "--out", str(casc))
+    code, stdout, err = invoke(capsys, "factor", str(casc), "--mode", "problem2",
+                               "--budget", "0", "--out-dir", str(tmp_path / "p2"))
+    assert code == 1
+    assert stdout == ""
+    assert "budget must be >= 1" in err
 
 
 def test_factor_left_and_right(tmp_path, capsys):

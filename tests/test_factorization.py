@@ -1,9 +1,21 @@
 """Unit tests for multiplicity and linear-factor factorizations."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from mpsys.cascade import cascade, check_condition_i, check_condition_ii, sample_polydisk
+from mpsys import factorization
+from mpsys.cascade import (
+    CascadeError,
+    cascade,
+    check_condition_i,
+    check_condition_ii,
+    decompose,
+    sample_polydisk,
+    verify_factor_tf,
+)
 from mpsys.factorization import (
     LinearFactorChain,
     MultiplicityError,
@@ -19,9 +31,12 @@ from mpsys.factorization import (
     solve_problem2,
     tail_eval,
 )
+from mpsys.subspaces import projector_distance
 from mpsys.systems import (
     MultiSystem,
     PolyGerm,
+    closely_connected_subspace,
+    compress_to,
     is_conservative,
     random_conservative,
     realize_germ,
@@ -167,6 +182,106 @@ def test_invariant_candidates_are_invariant():
     assert candidates[0].dim == 0
     for c in candidates:
         assert check_condition_i(s, c)
+
+
+def cascade_of(n, dx2, dx1, du, seed):
+    return cascade(random_conservative(n, dx2, du, du, seed=seed),
+                   random_conservative(n, dx1, du, du, seed=seed + 1))
+
+
+def counting(fn, counter):
+    def wrapped(*args, **kwargs):
+        counter.append(1)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def test_invariant_candidates_reject_budget_below_one():
+    s = random_conservative(2, 3, 2, 2, seed=51)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            invariant_subspace_candidates(s, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            solve_problem2(cascade_of(2, 1, 1, 1, seed=52), budget=budget)
+
+
+def test_invariant_candidates_with_smaller_budget_are_a_prefix():
+    for s in (cascade_of(1, 2, 2, 1, seed=60), cascade_of(2, 2, 2, 2, seed=60),
+              random_conservative(2, 5, 2, 2, seed=50)):
+        full = invariant_subspace_candidates(s, budget=64, seed=3)
+        for k in (1, 2, 3, 5, 8, 64):
+            head = invariant_subspace_candidates(s, budget=k, seed=3)
+            assert len(head) == min(k, len(full))
+            for c, d in zip(head, full):
+                assert np.array_equal(c.basis, d.basis)
+
+
+def block_diagonal_tuple(seed):
+    """A_k = diag(a_k, Q_k) with a scalar and a generic 3x3 block: the common
+    invariant subspaces are {0}, span(e_1), the Q block and the whole space."""
+    rng = np.random.default_rng(seed)
+    a = [block_diag([[0.5]], 0.3 * rng.standard_normal((3, 3))),
+         block_diag([[-0.2]], 0.3 * rng.standard_normal((3, 3)))]
+    return MultiSystem(a=a, b=[np.zeros((4, 1))] * 2, c=[np.zeros((1, 4))] * 2,
+                       d=[np.zeros((1, 1))] * 2)
+
+
+def test_invariant_candidate_stream_order_and_uniqueness(monkeypatch):
+    sums = []
+    monkeypatch.setattr(factorization, "subspace_sum",
+                        counting(factorization.subspace_sum, sums))
+    # N = 1 with distinct eigenvalues: the invariant subspaces are the spans
+    # of the 2**dim_x subsets of eigenvectors, and the stream reaches all.
+    # On the block-diagonal tuple the Q block's closure is generated before
+    # span(e_1), so only the sort puts the closures in dimension order.
+    for s, lattice in ((cascade_of(1, 2, 2, 1, seed=60), 2 ** 5),
+                       (block_diagonal_tuple(seed=0), 4)):
+        sums.clear()
+        stream = [(c, len(sums)) for c in
+                  islice(factorization._invariant_subspaces(s, seed=0), 64)]
+        candidates = [c for c, _ in stream]
+        assert len(candidates) == lattice
+        assert candidates[0].dim == 0
+        # {0} and the closures come before the first pairwise sum is formed
+        closures = [c.dim for c, n_sums in stream[1:] if n_sums == 0]
+        assert len(closures) > 1 and closures == sorted(closures)
+        assert all(n_sums > 0 for _, n_sums in stream[1 + len(closures):])
+        for i, c in enumerate(candidates):
+            assert check_condition_i(s, c)
+            for d in candidates[:i]:
+                if d.dim == c.dim:
+                    assert projector_distance(c, d) >= 1e-8
+
+
+def test_solve_problem2_builds_nothing_when_zero_space_succeeds(monkeypatch):
+    closures, sums = [], []
+    monkeypatch.setattr(factorization, "_krylov_closure",
+                        counting(factorization._krylov_closure, closures))
+    monkeypatch.setattr(factorization, "subspace_sum",
+                        counting(factorization.subspace_sum, sums))
+    outcome = solve_problem2(cascade_of(1, 2, 2, 2, seed=60), seed=0)
+    assert outcome is not None and outcome.witness_x2.dim == 0
+    assert closures == [] and sums == []
+
+
+def test_solve_problem2_witness_is_first_passing_candidate():
+    for n, seed in ((1, 60), (2, 60), (2, 62), (3, 64)):
+        s = cascade_of(n, 2, 2, 2, seed=seed)
+        outcome = solve_problem2(s, budget=16, seed=seed)
+        acc = compress_to(s, closely_connected_subspace(s))
+        expected = None
+        for c in invariant_subspace_candidates(acc, budget=16, seed=seed):
+            if not check_condition_ii(acc, c).holds:
+                continue
+            try:
+                dec = decompose(acc, c)
+            except CascadeError:
+                continue
+            if verify_factor_tf(acc, dec.alpha2, dec.alpha1) < 1e-9:
+                expected = c
+                break
+        assert outcome is not None and expected is not None
+        assert np.array_equal(outcome.witness_x2.basis, expected.basis)
 
 
 def test_solve_problem2_on_cascade():
