@@ -81,7 +81,6 @@ from .factorization import (
 from .agler import (
     AglerReport,
     ContractionTuple,
-    DivergentTailError,
     TupleInvariantError,
     agler_test,
     eval_at_tuple,

@@ -19,7 +19,7 @@ Two families of results are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -306,15 +306,20 @@ def _invariant_subspaces(s: MultiSystem, seed: int):
     yield from (c for c in sorted(known[1:], key=lambda c: c.dim)
                 if check_condition_i(s, c))
 
-    changed = True
-    while changed:
-        changed = False
-        for a, b in combinations(known, 2):
-            merged = subspace_sum(a, b)
-            if merged.dim not in (a.dim, b.dim) and add(merged):
-                changed = True
-                if check_condition_i(s, merged):
+    # Each round sums, in lexicographic order, only the pairs with a member
+    # found since the previous round: a pair summed before would only
+    # reproduce a known or rejected sum.
+    summed = 0
+    while summed < len(known):
+        size = len(known)
+        for i in range(size):
+            for j in range(max(i + 1, summed), size):
+                a, b = known[i], known[j]
+                merged = subspace_sum(a, b)
+                if (merged.dim not in (a.dim, b.dim) and add(merged)
+                        and check_condition_i(s, merged)):
                     yield merged
+        summed = size
 
 
 def invariant_subspace_candidates(s: MultiSystem, budget: int = 64,

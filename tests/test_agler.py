@@ -13,8 +13,12 @@ from mpsys.agler import (
     polydisk_sup_norm,
     validate_tuple,
 )
+from mpsys import agler
 from mpsys.systems import (
+    MultiSystem,
     PolyGerm,
+    ResolventError,
+    realize_germ,
     random_conservative,
     scale_output,
     transfer_eval,
@@ -42,15 +46,24 @@ def test_tuple_rejects_expansive():
         ContractionTuple((2.0 * np.eye(2),))
 
 
+def test_tuple_matrices_are_read_only_copies():
+    source = np.eye(2)
+    tup = ContractionTuple((source, 0.5 * np.eye(2)))
+    source[0, 0] = 5.0
+    assert tup.mats[0][0, 0] == 1.0
+    with pytest.raises(ValueError):
+        tup.mats[0][0, 0] = 5.0
+
+
 def test_scalar_tuple_reduces_to_transfer_eval():
     s = random_conservative(2, 4, 2, 2, seed=0)
     tup = gen_commuting_contractions(2, 3, "scalar", seed=1)
     scalars = np.array([m[0, 0] for m in tup.mats])
     r = 0.8
-    result = eval_at_tuple(s, tup, r, tol=1e-13)
+    result = eval_at_tuple(s, tup, r)
     expected = np.kron(transfer_eval(s, r * scalars), np.eye(3))
-    assert np.linalg.norm(result.value - expected, 2) < 1e-10
-    assert result.tail_bound < 1e-13
+    assert np.linalg.norm(result.value - expected, 2) < 1e-12
+    assert result.error_bound < 1e-13
 
 
 def test_germ_evaluation_is_exact():
@@ -62,7 +75,38 @@ def test_germ_evaluation_is_exact():
     t1, t2 = tup.mats
     expected = r * t1 + 0.5 * r * r * (t1 @ t2)
     np.testing.assert_allclose(result.value, expected, atol=1e-12)
-    assert result.tail_bound == 0.0
+    assert result.error_bound == 0.0
+
+
+def test_realized_germ_matches_germ_on_commuting_tuples():
+    # the word-indexed realization is not abelian, so agreement on
+    # non-normal commuting tuples tests the commutation argument itself
+    germ = PolyGerm(2, 2, 1, {
+        (1, 0): np.array([[0.3, -0.1]]),
+        (0, 1): np.array([[0.2j, 0.1]]),
+        (2, 0): np.array([[0.1, 0.2]]),
+        (1, 1): np.array([[-0.2, 0.1j]]),
+        (1, 2): np.array([[0.05, -0.1]]),
+    })
+    system = realize_germ(germ)
+    # ||A_T|| <= r sqrt(N) for the shift realization; r = 0.6 keeps it below 1
+    r = 0.6
+    for strategy in ("power-family", "jointly-diagonal"):
+        for seed in range(3):
+            tup = gen_commuting_contractions(2, 3, strategy, seed=seed)
+            result = eval_at_tuple(system, tup, r)
+            expected = eval_at_tuple(germ, tup, r).value
+            assert np.linalg.norm(result.value - expected, 2) < 1e-12
+            assert result.error_bound < 1e-12
+
+
+def test_eval_rejects_a_t_without_norm_below_one():
+    s = MultiSystem(a=[np.array([[1.5]])], b=[np.array([[1.0]])],
+                    c=[np.array([[1.0]])], d=[np.array([[0.0]])])
+    tup = ContractionTuple((np.eye(2),))
+    with pytest.raises(ResolventError, match="A_T"):
+        eval_at_tuple(s, tup, 0.9)
+    assert np.isfinite(eval_at_tuple(s, tup, 0.5).value).all()
 
 
 def test_eval_requires_r_in_unit_interval():
@@ -70,6 +114,18 @@ def test_eval_requires_r_in_unit_interval():
     tup = gen_commuting_contractions(2, 2, "scalar", seed=4)
     with pytest.raises(ValueError):
         eval_at_tuple(s, tup, 1.0)
+
+
+def test_agler_test_rejects_bad_trials_and_r_before_any_tuple(monkeypatch):
+    generated = []
+    monkeypatch.setattr(agler, "gen_commuting_contractions",
+                        lambda *args, **kwargs: generated.append(1))
+    s = random_conservative(2, 3, 2, 2, seed=5)
+    for kwargs in ({"trials": 0}, {"trials": -3}, {"r": 0.0}, {"r": 1.0},
+                   {"r": -0.5}):
+        with pytest.raises(ValueError):
+            agler_test(s, **kwargs)
+    assert generated == []
 
 
 def test_conservative_transfer_passes_falsifier():
@@ -85,9 +141,10 @@ def test_scaled_transfer_is_falsified_with_certified_witness():
     report = agler_test(scale_output(s, 1.5), trials=50, r=0.9, seed=10)
     assert report.falsified
     assert report.witness_norm > 1.0 + 1e-8
-    # the witness certifies itself on re-evaluation
-    check = eval_at_tuple(scale_output(s, 1.5), report.witness, 0.9, tol=1e-13)
-    assert np.linalg.norm(check.value, 2) > 1.0 + 1e-8
+    # the witness certifies itself on re-evaluation, beyond its error bound
+    check = eval_at_tuple(scale_output(s, 1.5), report.witness, 0.9)
+    assert np.linalg.norm(check.value, 2) - check.error_bound > 1.0 + 1e-8
+    assert check.error_bound < 1e-13
 
 
 def test_monotonicity_in_r_for_normal_tuples():

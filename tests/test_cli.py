@@ -150,6 +150,18 @@ def test_agler_pass_and_fail(tmp_path, capsys):
     assert body["witness_norm"] > 1.0 + 1e-8
 
 
+def test_agler_rejects_trials_below_one_and_r_outside_unit_interval(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    write_system(path, random_conservative(2, 3, 2, 2, seed=23))
+    for flag, value, message in (("--trials", "0", "trials must be >= 1"),
+                                 ("--trials", "-3", "trials must be >= 1"),
+                                 ("--r", "1.0", "r must lie in (0, 1)")):
+        code, stdout, err = invoke(capsys, "agler", str(path), flag, value)
+        assert code == 1
+        assert stdout == ""
+        assert message in err
+
+
 def test_usage_errors_exit_one(tmp_path, capsys):
     code, _, err = invoke(capsys, "check", str(tmp_path / "missing.json"),
                           "--what", "conservative")

@@ -228,8 +228,13 @@ def block_diagonal_tuple(seed):
 
 def test_invariant_candidate_stream_order_and_uniqueness(monkeypatch):
     sums = []
-    monkeypatch.setattr(factorization, "subspace_sum",
-                        counting(factorization.subspace_sum, sums))
+    subspace_sum = factorization.subspace_sum
+
+    def recording_sum(a, b):
+        sums.append(frozenset((id(a), id(b))))
+        return subspace_sum(a, b)
+
+    monkeypatch.setattr(factorization, "subspace_sum", recording_sum)
     # N = 1 with distinct eigenvalues: the invariant subspaces are the spans
     # of the 2**dim_x subsets of eigenvectors, and the stream reaches all.
     # On the block-diagonal tuple the Q block's closure is generated before
@@ -251,6 +256,8 @@ def test_invariant_candidate_stream_order_and_uniqueness(monkeypatch):
             for d in candidates[:i]:
                 if d.dim == c.dim:
                     assert projector_distance(c, d) >= 1e-8
+        # the stream is exhausted, and each pair of subspaces was summed once
+        assert len(set(sums)) == len(sums) == lattice * (lattice - 1) // 2
 
 
 def test_solve_problem2_builds_nothing_when_zero_space_succeeds(monkeypatch):
