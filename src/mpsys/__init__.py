@@ -35,7 +35,6 @@ from .systems import (
     is_closely_connected,
     is_conservative,
     is_dissipative_sampled,
-    pencil,
     pencil_blocks,
     random_conservative,
     realize_germ,

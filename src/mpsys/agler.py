@@ -24,7 +24,6 @@ from .systems import (
     germ_eval,
     haar_unitary,
     transfer_eval,
-    validate,
 )
 
 
@@ -158,7 +157,6 @@ def eval_at_tuple(f: Union[PolyGerm, MultiSystem], t: ContractionTuple,
         return TupleEvaluation(value, 0.0)
 
     s = f
-    validate(s)
     if s.n_params != t.n_params:
         raise ValueError("n_params mismatch between system and tuple")
 

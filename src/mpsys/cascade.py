@@ -40,7 +40,6 @@ from .systems import (
     pencil_blocks,
     require_conservative,
     transfer_eval,
-    validate,
 )
 
 
@@ -54,8 +53,6 @@ class TheoremViolationError(AssertionError):
 
 def cascade(alpha2: MultiSystem, alpha1: MultiSystem) -> MultiSystem:
     """Cascade connection alpha2 * alpha1 with state space X2 (+) V (+) X1."""
-    validate(alpha2)
-    validate(alpha1)
     if alpha2.n_params != alpha1.n_params:
         raise CascadeError(
             f"n_params mismatch: {alpha2.n_params} vs {alpha1.n_params}"
@@ -87,7 +84,6 @@ def cascade(alpha2: MultiSystem, alpha1: MultiSystem) -> MultiSystem:
 
 def check_condition_i(s: MultiSystem, x2: Subspace, tol: float = 1e-8) -> bool:
     """X2 invariant for every A_k."""
-    validate(s)
     if x2.ambient_dim != s.dim_x:
         raise CascadeError("x2 ambient dimension does not match dim_x")
     return all(is_invariant(s.a[k], x2, tol) for k in range(s.n_params))
@@ -202,7 +198,6 @@ def verify_factor_tf(alpha: MultiSystem, alpha2: MultiSystem, alpha1: MultiSyste
                      n_points: int = 20, radius: float = 0.5,
                      seed: int = 0) -> float:
     """Max over sampled z of ||theta_alpha(z) - theta_alpha2(z) theta_alpha1(z)||."""
-    validate(alpha)
     worst = 0.0
     for z in sample_polydisk(alpha.n_params, n_points, radius, seed):
         lhs = transfer_eval(alpha, z)

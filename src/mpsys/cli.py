@@ -266,7 +266,6 @@ def cmd_agler(ns, argv) -> tuple:
 
 
 def _add_common_tols(parser):
-    parser.add_argument("--rank-tol", type=float, default=1e-9)
     parser.add_argument("--residual-tol", type=float, default=1e-9)
     parser.add_argument("--seed", type=int, default=0)
 
@@ -293,6 +292,8 @@ def build_parser() -> _Parser:
                             "unitary-part", "multiplicity"])
     p.add_argument("--torus-samples", type=int, default=100)
     p.add_argument("--degree-cap", type=int, default=8)
+    p.add_argument("--rank-tol", type=float, default=1e-9,
+                   help="closely-connected: rank threshold of the closure")
     _add_common_tols(p)
     p.set_defaults(func=cmd_check)
 

@@ -34,6 +34,7 @@ from .cascade import (
 )
 from .subspaces import (
     Subspace,
+    invariant_closure,
     orthonormal_basis,
     projector_distance,
     subspace_intersection,
@@ -51,7 +52,6 @@ from .systems import (
     require_conservative,
     taylor_coefficients,
     transfer_eval,
-    validate,
 )
 
 
@@ -196,7 +196,6 @@ def factor_left(s: MultiSystem, m: int) -> tuple:
     (C, A, ..., A, [A B]).  The tail is col((I - zA)^(-1) zB, I_U) in both
     cases.
     """
-    validate(s)
     _check_multiplicity(s, m)
     dx, du, dy = s.dim_x, s.dim_u, s.dim_y
     n = s.n_params
@@ -243,7 +242,6 @@ def factor_homogeneous(s: MultiSystem, m: int,
     verified up to ``check_cap`` (default m + 2).  When the input system is
     conservative each factor pencil is contractive on the torus.
     """
-    validate(s)
     if m < 1:
         raise MultiplicityError("degree must be >= 1")
     cap = check_cap if check_cap is not None else m + 2
@@ -267,18 +265,6 @@ def factor_homogeneous(s: MultiSystem, m: int,
     return LinearFactorChain(spaces=spaces, factors=tuple(factors))
 
 
-def _krylov_closure(s: MultiSystem, seed_cols: np.ndarray,
-                    tol: float = 1e-9) -> Subspace:
-    space = orthonormal_basis(seed_cols, tol)
-    for _ in range(s.dim_x + 1):
-        grown = orthonormal_basis(
-            np.hstack([space.basis] + [ak @ space.basis for ak in s.a]), tol)
-        if grown.dim == space.dim:
-            return grown
-        space = grown
-    return space
-
-
 def _invariant_subspaces(s: MultiSystem, seed: int):
     """Candidates of ``invariant_subspace_candidates``, generated only as
     the consumer asks for them; no work is done before {0} is yielded."""
@@ -299,10 +285,10 @@ def _invariant_subspaces(s: MultiSystem, seed: int):
         coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         _, vecs = np.linalg.eig(combine(s.a, coeff))
         for i in range(vecs.shape[1]):
-            add(_krylov_closure(s, vecs[:, i:i + 1]))
+            add(invariant_closure(s.a, vecs[:, i:i + 1]))
     for _ in range(4):
-        add(_krylov_closure(s, rng.standard_normal((dx, 1))
-                            + 1j * rng.standard_normal((dx, 1))))
+        add(invariant_closure(s.a, rng.standard_normal((dx, 1))
+                              + 1j * rng.standard_normal((dx, 1))))
     yield from (c for c in sorted(known[1:], key=lambda c: c.dim)
                 if check_condition_i(s, c))
 
@@ -335,7 +321,6 @@ def invariant_subspace_candidates(s: MultiSystem, budget: int = 64,
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    validate(s)
     return list(islice(_invariant_subspaces(s, seed), budget))
 
 

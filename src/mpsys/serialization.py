@@ -13,7 +13,7 @@ import numpy as np
 
 from .factorization import LinearFactorChain
 from .subspaces import Subspace
-from .systems import MultiSystem, PolyGerm, validate
+from .systems import MultiSystem, PolyGerm
 
 SCHEMA_VERSION = "1"
 
@@ -41,6 +41,10 @@ def matrix_from_json(rows, shape=None) -> np.ndarray:
 
 
 def _header(payload: dict, kind: str) -> None:
+    if not isinstance(payload, dict):
+        raise FileFormatError(
+            f"expected a JSON object, found {type(payload).__name__}"
+        )
     if payload.get("schema_version") != SCHEMA_VERSION:
         raise FileFormatError(
             f"unsupported schema_version {payload.get('schema_version')!r}"
@@ -52,7 +56,6 @@ def _header(payload: dict, kind: str) -> None:
 
 
 def system_to_dict(s: MultiSystem) -> dict:
-    validate(s)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "system",
@@ -77,10 +80,10 @@ def system_from_dict(payload: dict) -> MultiSystem:
             c=[matrix_from_json(m, (dy, dx)) for m in payload["c"]],
             d=[matrix_from_json(m, (dy, du)) for m in payload["d"]],
         )
+        n_params = payload["n_params"]
     except KeyError as exc:
         raise FileFormatError(f"missing field {exc}") from exc
-    validate(s)
-    if s.n_params != payload["n_params"]:
+    if s.n_params != n_params:
         raise FileFormatError("n_params does not match the block lists")
     return s
 

@@ -88,11 +88,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def contains_vector(self, v, tol: float = 1e-8) -> bool:
-        v = np.asarray(v, dtype=complex).reshape(self.ambient_dim)
-        resid = np.linalg.norm(v - self.basis @ (self.basis.conj().T @ v))
-        return resid <= tol * (1.0 + np.linalg.norm(v))
-
     def containment_residual(self, other: "Subspace") -> float:
         """How far self is from being a subspace of other."""
         if other.ambient_dim != self.ambient_dim:
@@ -183,6 +178,23 @@ def image_subspace(m, s: Subspace, tol: float = DEFAULT_RANK_TOL) -> Subspace:
             f"operator has {m.shape[1]} columns, ambient dimension is {s.ambient_dim}"
         )
     return orthonormal_basis(m @ s.basis, tol)
+
+
+def invariant_closure(ops, seed_cols, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+    """Smallest subspace containing the columns of ``seed_cols`` and
+    invariant under every operator in ``ops``.
+
+    Grows Q to span[Q, op_1 Q, op_2 Q, ...] until the dimension stops
+    growing, which takes at most ambient_dim + 1 rounds.
+    """
+    space = orthonormal_basis(seed_cols, tol)
+    for _ in range(space.ambient_dim + 1):
+        grown = orthonormal_basis(
+            np.hstack([space.basis] + [op @ space.basis for op in ops]), tol)
+        if grown.dim == space.dim:
+            return grown
+        space = grown
+    return space
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:

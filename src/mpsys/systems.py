@@ -10,6 +10,10 @@ evaluation, Taylor (multi-index) expansion, conservativity and dissipativity
 checks, closely-connected and unitary-part subspace extraction, a generator
 of random conservative systems, and a shift realization of polynomial germs.
 
+A ``MultiSystem`` is validated once, when it is built, so no function here
+re-checks its shapes.  Both subspace extractions are invariant closures
+(``subspaces.invariant_closure``) under the adjoint-closed set {A_k, A_k*}.
+
 Conservativity ("the pencil zG is unitary for every z on the unit torus") is
 decided by finitely many matrix identities obtained by matching Fourier
 coefficients of z -> (zG)*(zG) on the torus:
@@ -31,9 +35,9 @@ from scipy.stats import qmc
 
 from .subspaces import (
     Subspace,
+    invariant_closure,
     orthonormal_basis,
     whole_space,
-    zero_space,
 )
 
 
@@ -52,11 +56,12 @@ class ConservativityError(ValueError):
 def _blocks(mats, name: str) -> tuple:
     out = []
     for i, m in enumerate(mats):
-        m = np.asarray(m, dtype=complex)
+        m = np.array(m, dtype=complex)
         if m.ndim != 2:
             raise SystemShapeError(f"{name}[{i}] is not a matrix (ndim={m.ndim})")
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
             raise SystemShapeError(f"{name}[{i}] has non-finite entries")
+        m.setflags(write=False)
         out.append(m)
     return tuple(out)
 
@@ -68,6 +73,9 @@ class MultiSystem:
     Block shapes: A_k is dim_x x dim_x, B_k is dim_x x dim_u, C_k is
     dim_y x dim_x, D_k is dim_y x dim_u.  dim_x = 0 (stateless) is legal;
     the transfer function is then zD.
+
+    Validated once, on construction; the stored blocks are read-only
+    copies, so the shapes cannot be broken afterwards.
     """
 
     a: tuple
@@ -76,10 +84,9 @@ class MultiSystem:
     d: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _blocks(self.a, "a"))
-        object.__setattr__(self, "b", _blocks(self.b, "b"))
-        object.__setattr__(self, "c", _blocks(self.c, "c"))
-        object.__setattr__(self, "d", _blocks(self.d, "d"))
+        for name in "abcd":
+            object.__setattr__(self, name, _blocks(getattr(self, name), name))
+        validate(self)
 
     @property
     def n_params(self) -> int:
@@ -137,17 +144,6 @@ def pencil_blocks(s: MultiSystem) -> list:
     ]
 
 
-def pencil(s: MultiSystem, z) -> np.ndarray:
-    """zG = sum_k z_k G_k, of shape (dim_x + dim_y) x (dim_x + dim_u)."""
-    validate(s)
-    z = _check_point(s, z)
-    gs = pencil_blocks(s)
-    out = np.zeros_like(gs[0])
-    for zk, gk in zip(z, gs):
-        out += zk * gk
-    return out
-
-
 def combine(blocks, z) -> np.ndarray:
     """sum_k z_k blocks[k] for an N-tuple of equal-shaped matrices."""
     out = np.zeros_like(blocks[0], dtype=complex)
@@ -158,7 +154,6 @@ def combine(blocks, z) -> np.ndarray:
 
 def transfer_eval(s: MultiSystem, z, cond_limit: float = 1e12) -> np.ndarray:
     """theta(z) = zD + zC (I - zA)^(-1) zB; for dim_x = 0 just zD."""
-    validate(s)
     z = _check_point(s, z)
     zd = combine(s.d, z)
     if s.dim_x == 0:
@@ -224,6 +219,11 @@ def germ_eval(g: PolyGerm, z) -> np.ndarray:
     return out
 
 
+def _unit(n: int, k: int) -> tuple:
+    """The multi-index e_k of length n."""
+    return tuple(int(i == k) for i in range(n))
+
+
 def taylor_coefficients(s: MultiSystem, max_total_degree: int,
                         drop_tol: float = 1e-12) -> PolyGerm:
     """Taylor coefficients of theta_s up to the given total degree.
@@ -234,23 +234,16 @@ def taylor_coefficients(s: MultiSystem, max_total_degree: int,
     with prefix products merged by abelianization, so the cost is polynomial
     in the degree rather than N^degree.
     """
-    validate(s)
     if max_total_degree < 1:
         raise ValueError("max_total_degree must be >= 1")
     n = s.n_params
     coeffs: dict = defaultdict(lambda: np.zeros((s.dim_y, s.dim_u), dtype=complex))
-
-    def unit(k):
-        t = [0] * n
-        t[k] = 1
-        return tuple(t)
-
     for k in range(n):
-        coeffs[unit(k)] = coeffs[unit(k)] + s.d[k]
+        coeffs[_unit(n, k)] = coeffs[_unit(n, k)] + s.d[k]
 
     if s.dim_x > 0 and max_total_degree >= 2:
         # frontier: abelianization of (k0, ..., k_i) -> sum of C_{k0} A_{k1} ... A_{k_i}
-        frontier = {unit(k): s.c[k].copy() for k in range(n)}
+        frontier = {_unit(n, k): s.c[k].copy() for k in range(n)}
         for _ in range(1, max_total_degree):
             new_frontier: dict = {}
             for t, m in frontier.items():
@@ -284,7 +277,6 @@ class ConservativityReport:
 
 def is_conservative(s: MultiSystem, tol: float = 1e-10) -> ConservativityReport:
     """Exact algebraic conservativity test (see module docstring)."""
-    validate(s)
     gs = pencil_blocks(s)
     n = s.n_params
     eye_in = np.eye(s.dim_x + s.dim_u)
@@ -354,7 +346,6 @@ def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
     A fail comes with a witness point; a pass is not a proof (the sup over
     the torus is only sampled).
     """
-    validate(s)
     gs = pencil_blocks(s)
     worst = 0.0
     witness = None
@@ -370,23 +361,13 @@ def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
 
 def closely_connected_subspace(s: MultiSystem, tol: float = 1e-9) -> Subspace:
     """Smallest subspace containing all B_k U and C_j* Y invariant under A_k, A_k*."""
-    validate(s)
-    dx = s.dim_x
-    if dx == 0:
-        return zero_space(0)
-    seed_cols = np.hstack([*(s.b[k] for k in range(s.n_params)),
-                           *(s.c[k].conj().T for k in range(s.n_params))])
-    space = orthonormal_basis(seed_cols, tol)
-    for _ in range(dx + 1):
-        cols = [space.basis]
-        for k in range(s.n_params):
-            cols.append(s.a[k] @ space.basis)
-            cols.append(s.a[k].conj().T @ space.basis)
-        grown = orthonormal_basis(np.hstack(cols), tol)
-        if grown.dim == space.dim:
-            return grown
-        space = grown
-    return space
+    seed_cols = np.hstack([*s.b, *(c.conj().T for c in s.c)])
+    return invariant_closure(_with_adjoints(s.a), seed_cols, tol)
+
+
+def _with_adjoints(ops) -> list:
+    """[A_1, A_1*, ..., A_N, A_N*]: a set closed under adjoints."""
+    return [m for op in ops for m in (op, op.conj().T)]
 
 
 def is_closely_connected(s: MultiSystem, tol: float = 1e-9) -> bool:
@@ -395,7 +376,6 @@ def is_closely_connected(s: MultiSystem, tol: float = 1e-9) -> bool:
 
 def compress_to(s: MultiSystem, sub: Subspace) -> MultiSystem:
     """Compression of the system onto a state subspace, in the subspace basis."""
-    validate(s)
     if sub.ambient_dim != s.dim_x:
         raise SystemShapeError("subspace ambient dimension does not match dim_x")
     q = sub.basis
@@ -435,16 +415,14 @@ def _restricted_kernel(op: np.ndarray, space: Subspace, tol: float) -> Subspace:
 def unitary_part(s: MultiSystem, tol: float = 1e-8) -> Subspace:
     """Maximal subspace reducing every A_k on which the pencil zA is unitary.
 
-    Iterative refinement: shrink the candidate to the joint kernel of the
+    Iterative refinement: shrink the candidate W to the joint kernel of the
     defect operators (I - sum A_k*A_k), (I - sum A_kA_k*), A_j*A_k and
-    A_jA_k* (j != k) restricted to it, then to its largest part invariant
-    under every A_k and A_k*, until a fixed point.
+    A_jA_k* (j != k) restricted to it, then to its largest part reducing
+    every A_k, until a fixed point.  Because {A_k, A_k*} is closed under
+    adjoints, that largest part is the orthogonal complement of the
+    invariant closure of W's complement.
     """
-    validate(s)
-    dx = s.dim_x
-    if dx == 0:
-        return zero_space(0)
-    n = s.n_params
+    dx, n = s.dim_x, s.n_params
     eye = np.eye(dx)
     defects = [eye - sum(a.conj().T @ a for a in s.a),
                eye - sum(a @ a.conj().T for a in s.a)]
@@ -454,23 +432,14 @@ def unitary_part(s: MultiSystem, tol: float = 1e-8) -> Subspace:
                 defects.append(s.a[j].conj().T @ s.a[k])
                 defects.append(s.a[j] @ s.a[k].conj().T)
 
+    ops = _with_adjoints(s.a)
     space = whole_space(dx)
     for _ in range(dx + 1):
         before = space.dim
         for op in defects:
             space = _restricted_kernel(op, space, tol)
-        # largest subspace of `space` invariant under every A_k and A_k*
-        for _ in range(dx + 1):
-            dim_before = space.dim
-            if space.dim == 0:
-                break
-            proj_out = np.eye(dx) - space.projector()
-            for k in range(n):
-                space = _restricted_kernel(proj_out @ s.a[k], space, tol)
-                space = _restricted_kernel(proj_out @ s.a[k].conj().T, space, tol)
-                proj_out = np.eye(dx) - space.projector()
-            if space.dim == dim_before:
-                break
+        outside = invariant_closure(ops, eye - space.projector(), tol)
+        space = orthonormal_basis(eye - outside.projector(), tol)
         if space.dim == before:
             break
     return space
@@ -523,7 +492,6 @@ def random_conservative(n_params: int, dim_x: int, dim_u: int, dim_y: int,
 
 def adjoint(s: MultiSystem) -> MultiSystem:
     """The adjoint system (A*, C*, B*, D*); its transfer is theta(conj(z))*."""
-    validate(s)
     return MultiSystem(
         a=[m.conj().T for m in s.a],
         b=[m.conj().T for m in s.c],
@@ -534,7 +502,6 @@ def adjoint(s: MultiSystem) -> MultiSystem:
 
 def scale_output(s: MultiSystem, factor: complex) -> MultiSystem:
     """System whose transfer function is factor * theta_s."""
-    validate(s)
     return MultiSystem(
         a=list(s.a),
         b=list(s.b),
@@ -566,13 +533,7 @@ def realize_germ(g: PolyGerm) -> MultiSystem:
     if any(sum(t) == 0 for t in g.coeffs):
         raise SystemShapeError("germ has a coefficient at |t| = 0; germs must vanish at 0")
     n, du, dy = g.n_params, g.dim_u, g.dim_y
-
-    def unit(k):
-        t = [0] * n
-        t[k] = 1
-        return tuple(t)
-
-    d_blocks = [g.coeffs.get(unit(k), np.zeros((dy, du), dtype=complex)) for k in range(n)]
+    d_blocks = [g.coeffs.get(_unit(n, k), np.zeros((dy, du), dtype=complex)) for k in range(n)]
     degree = g.max_total_degree()
     if degree <= 1:
         return MultiSystem(
@@ -619,7 +580,7 @@ def realize_germ(g: PolyGerm) -> MultiSystem:
 __all__ = [
     "MultiSystem", "PolyGerm", "ConservativityReport", "DissipativityVerdict",
     "SystemShapeError", "ResolventError", "ConservativityError",
-    "validate", "pencil", "pencil_blocks", "combine", "transfer_eval",
+    "validate", "pencil_blocks", "combine", "transfer_eval",
     "germ_eval", "taylor_coefficients", "is_conservative",
     "require_conservative", "is_dissipative_sampled", "sample_torus",
     "closely_connected_subspace", "is_closely_connected", "compress_to",

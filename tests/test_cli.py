@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface (exit codes and files)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mpsys
 from mpsys import serialization as ser
 from mpsys.cli import run
 from mpsys.subspaces import Subspace
@@ -170,6 +175,40 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert code == 1
     code, _, err = invoke(capsys, "frobnicate")
     assert code == 1
+
+
+def test_malformed_system_files_are_clean_errors(tmp_path):
+    # run as a process, so an uncaught exception would show as a traceback
+    no_n_params = ser.system_to_dict(random_conservative(1, 2, 2, 2, seed=0))
+    del no_n_params["n_params"]
+    env = {**os.environ, "PYTHONPATH": str(Path(mpsys.__file__).resolve().parents[1])}
+    for name, text in (("list.json", "[1, 2]\n"),
+                       ("no_n_params.json", json.dumps(no_n_params))):
+        path = tmp_path / name
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpsys.cli", "check", str(path), "--what", "conservative"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, name
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr, name
+
+
+def test_rank_tol_is_a_check_flag_only(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    write_system(path, random_conservative(2, 3, 2, 2, seed=31))
+    x2 = tmp_path / "x2.json"
+    ser.save_json(x2, ser.subspace_to_dict(Subspace(3, np.zeros((3, 0)))))
+    for argv in (["factor", str(path), "--mode", "left", "--out-dir", str(tmp_path / "f")],
+                 ["cascade", str(path), str(path), "--out", str(tmp_path / "c.json")],
+                 ["decompose", str(path), "--x2", str(x2), "--out-dir", str(tmp_path / "d")]):
+        code, stdout, err = invoke(capsys, *argv, "--rank-tol", "1e-6")
+        assert code == 1 and stdout == ""
+        assert "unrecognized arguments: --rank-tol 1e-6" in err
+    code, stdout, _ = invoke(capsys, "check", str(path), "--what", "closely-connected",
+                             "--rank-tol", "1e-6")
+    assert code == 0
+    assert report_body(stdout)["tolerances"]["rank_tol"] == 1e-6
 
 
 def test_seeded_reports_are_byte_identical(tmp_path, capsys):

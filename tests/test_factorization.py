@@ -262,8 +262,8 @@ def test_invariant_candidate_stream_order_and_uniqueness(monkeypatch):
 
 def test_solve_problem2_builds_nothing_when_zero_space_succeeds(monkeypatch):
     closures, sums = [], []
-    monkeypatch.setattr(factorization, "_krylov_closure",
-                        counting(factorization._krylov_closure, closures))
+    monkeypatch.setattr(factorization, "invariant_closure",
+                        counting(factorization.invariant_closure, closures))
     monkeypatch.setattr(factorization, "subspace_sum",
                         counting(factorization.subspace_sum, sums))
     outcome = solve_problem2(cascade_of(1, 2, 2, 2, seed=60), seed=0)

@@ -92,6 +92,20 @@ def test_malformed_matrix_entry_rejected():
         ser.system_from_dict(payload)
 
 
+def test_missing_n_params_rejected():
+    payload = ser.system_to_dict(random_conservative(1, 2, 2, 2, seed=6))
+    del payload["n_params"]
+    with pytest.raises(ser.FileFormatError, match="n_params"):
+        ser.system_from_dict(payload)
+
+
+def test_non_object_file_rejected(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(ser.FileFormatError, match="JSON object"):
+        ser.load_system(path)
+
+
 def test_non_orthonormal_subspace_rejected_on_load():
     from mpsys.subspaces import SubspaceError
     payload = {

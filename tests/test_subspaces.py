@@ -7,6 +7,7 @@ from mpsys.subspaces import (
     Subspace,
     SubspaceError,
     image_subspace,
+    invariant_closure,
     is_invariant,
     orthogonal_complement,
     orthonormal_basis,
@@ -137,6 +138,58 @@ def test_invariant_subspace_detected():
     block = orthonormal_basis(np.eye(5)[:, :3])
     assert is_invariant(m, block)
     assert is_invariant(m, zero_space(5))
+
+
+def test_invariant_closure_contains_seeds_and_is_invariant():
+    # ops = Q T_k Q* with T_k block upper-triangular: Q's first two columns
+    # span a common invariant subspace, and seeds inside it stay inside it
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        q = random_subspace(rng, 6, 6).basis
+        ops = []
+        for _ in range(2):
+            t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+            t[2:, :2] = 0.0
+            ops.append(q @ t @ q.conj().T)
+        for seeds, expected_dim in ((q[:, :2] @ rng.standard_normal((2, 1)), 2),
+                                    (rng.standard_normal((6, 2)), 6)):
+            closure = invariant_closure(ops, seeds)
+            assert closure.dim == expected_dim
+            assert orthonormal_basis(seeds).containment_residual(closure) < 1e-9
+            assert all(is_invariant(op, closure) for op in ops)
+        block = orthonormal_basis(q[:, :2])
+        assert projector_distance(invariant_closure(ops, q[:, :1]), block) < 1e-9
+
+
+def test_invariant_closure_on_block_diagonal_tuple():
+    # A_k = diag(a_k, Q_k): the closure of e_1 is span(e_1), that of a
+    # vector in the Q block is the whole Q block
+    rng = np.random.default_rng(0)
+    ops = [np.diag([0.5, 0, 0, 0]).astype(complex), np.diag([-0.2, 0, 0, 0]).astype(complex)]
+    for op in ops:
+        op[1:, 1:] = 0.3 * rng.standard_normal((3, 3))
+    e = np.eye(4, dtype=complex)
+    np.testing.assert_allclose(invariant_closure(ops, e[:, :1]).basis, e[:, :1], atol=1e-12)
+    in_q = e[:, 1:] @ (rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))
+    assert projector_distance(invariant_closure(ops, in_q), orthonormal_basis(e[:, 1:])) < 1e-9
+
+
+def test_invariant_closure_grows_one_shift_step_per_round():
+    # under the shift e_i -> e_(i+1) of C^5 the closure of e_3 is
+    # span(e_3, e_4, e_5); under the cyclic shift it is the whole space
+    shift = np.eye(5, k=-1, dtype=complex)
+    cyclic = shift.copy()
+    cyclic[0, 4] = 1.0
+    e = np.eye(5, dtype=complex)
+    np.testing.assert_allclose(invariant_closure([shift], e[:, 2:3]).basis, e[:, 2:],
+                               atol=1e-12)
+    assert invariant_closure([cyclic], e[:, :1]).dim == 5
+
+
+def test_invariant_closure_of_zero_seeds_is_zero():
+    ops = [np.eye(3), np.ones((3, 3))]
+    assert invariant_closure(ops, np.zeros((3, 2))).dim == 0
+    assert invariant_closure(ops, np.zeros((3, 0))).dim == 0
 
 
 def test_image_subspace_identity_and_zero():

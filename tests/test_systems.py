@@ -15,9 +15,9 @@ from mpsys.systems import (
     combine,
     compress_to,
     germ_eval,
+    haar_unitary,
     is_closely_connected,
     is_conservative,
-    pencil,
     pencil_blocks,
     random_conservative,
     realize_germ,
@@ -28,7 +28,6 @@ from mpsys.systems import (
     taylor_coefficients,
     transfer_eval,
     unitary_part,
-    validate,
 )
 
 
@@ -59,16 +58,25 @@ def torus_unitarity_residual(s, n_points=100, seed=0):
 
 def test_validate_catches_shape_mismatch():
     good = random_system(np.random.default_rng(0), 2, 3, 2, 2)
-    bad = MultiSystem(a=good.a, b=(good.b[0], good.b[1][:, :1]), c=good.c, d=good.d)
     with pytest.raises(SystemShapeError, match="b\\[1\\]"):
-        validate(bad)
+        MultiSystem(a=good.a, b=(good.b[0], good.b[1][:, :1]), c=good.c, d=good.d)
 
 
 def test_validate_catches_length_mismatch():
     good = random_system(np.random.default_rng(0), 2, 3, 2, 2)
-    bad = MultiSystem(a=good.a, b=good.b, c=good.c[:1], d=good.d)
     with pytest.raises(SystemShapeError, match="c-list"):
-        validate(bad)
+        MultiSystem(a=good.a, b=good.b, c=good.c[:1], d=good.d)
+
+
+def test_blocks_are_read_only_copies():
+    rng = np.random.default_rng(0)
+    a0 = rng.standard_normal((3, 3)) + 0j  # already complex: a view would share it
+    s = MultiSystem(a=[a0], b=[np.ones((3, 1))], c=[np.ones((1, 3))], d=[np.zeros((1, 1))])
+    with pytest.raises(ValueError):
+        s.a[0][0, 0] = 1.0
+    before = s.a[0].copy()
+    a0[0, 0] += 1.0
+    np.testing.assert_array_equal(s.a[0], before)
 
 
 def test_transfer_vanishes_at_origin():
@@ -111,8 +119,9 @@ def test_pencil_shape_and_linearity():
     s = random_system(rng, 3, 4, 2, 3)
     z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    assert pencil(s, z).shape == (4 + 3, 4 + 2)
-    np.testing.assert_allclose(pencil(s, z + w), pencil(s, z) + pencil(s, w))
+    gs = pencil_blocks(s)
+    assert combine(gs, z).shape == (4 + 3, 4 + 2)
+    np.testing.assert_allclose(combine(gs, z + w), combine(gs, z) + combine(gs, w))
 
 
 def test_taylor_agrees_with_transfer_eval():
@@ -220,6 +229,39 @@ def test_cc_and_unitary_part_are_complementary_for_conservative():
     assert not is_closely_connected(padded)
     assert closely_connected_subspace(padded).dim == dx
     assert unitary_part(padded).dim == dx0
+
+
+def test_unitary_part_finds_a_block_hidden_by_a_basis_change():
+    # N = 3: a 2-dimensional unitary pencil sum_k z_k P_k W (P_k a random
+    # orthogonal resolution of the identity, one P_k = 0) next to a closely
+    # connected conservative system, mixed by a Haar state-space unitary
+    inner = random_conservative(3, 3, 2, 2, seed=21)
+    assert unitary_part(inner).dim == 0
+    rng = np.random.default_rng(22)
+    w0, v0 = haar_unitary(2, rng), haar_unitary(2, rng)
+    u0 = [np.outer(v0[:, 0], v0[:, 0].conj()) @ w0,
+          np.outer(v0[:, 1], v0[:, 1].conj()) @ w0,
+          np.zeros((2, 2))]
+    q = haar_unitary(5, rng)
+    dx = inner.dim_x
+    a = [q @ np.block([[u0[k], np.zeros((2, dx))],
+                       [np.zeros((dx, 2)), inner.a[k]]]) @ q.conj().T for k in range(3)]
+    b = [q @ np.vstack([np.zeros((2, 2)), inner.b[k]]) for k in range(3)]
+    c = [np.hstack([np.zeros((2, 2)), inner.c[k]]) @ q.conj().T for k in range(3)]
+    hidden = MultiSystem(a=a, b=b, c=c, d=list(inner.d))
+    assert is_conservative(hidden).is_conservative
+    part = unitary_part(hidden)
+    assert part.dim == 2
+    np.testing.assert_allclose(part.projector(), q[:, :2] @ q[:, :2].conj().T, atol=1e-8)
+    cc = closely_connected_subspace(hidden)
+    np.testing.assert_allclose(cc.projector(), q[:, 2:] @ q[:, 2:].conj().T, atol=1e-8)
+
+
+def test_subspaces_of_a_stateless_system_are_zero():
+    for n in (1, 2, 3):
+        s = random_conservative(n, 0, 2, 2, seed=n)
+        for sub in (closely_connected_subspace(s), unitary_part(s)):
+            assert (sub.ambient_dim, sub.dim) == (0, 0)
 
 
 def test_restrict_to_cc_preserves_transfer_and_is_idempotent():
