@@ -198,12 +198,9 @@ def verify_factor_tf(alpha: MultiSystem, alpha2: MultiSystem, alpha1: MultiSyste
                      n_points: int = 20, radius: float = 0.5,
                      seed: int = 0) -> float:
     """Max over sampled z of ||theta_alpha(z) - theta_alpha2(z) theta_alpha1(z)||."""
-    worst = 0.0
-    for z in sample_polydisk(alpha.n_params, n_points, radius, seed):
-        lhs = transfer_eval(alpha, z)
-        rhs = transfer_eval(alpha2, z) @ transfer_eval(alpha1, z)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    return worst
+    z = sample_polydisk(alpha.n_params, n_points, radius, seed)
+    diff = transfer_eval(alpha, z) - transfer_eval(alpha2, z) @ transfer_eval(alpha1, z)
+    return float(np.linalg.norm(diff, 2, axis=(1, 2)).max(initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -172,15 +172,13 @@ def cmd_decompose(ns, argv) -> tuple:
 
 
 def _reconstruction_residual(system, chain, tail, right: bool, seed: int) -> float:
-    worst = 0.0
-    for z in sample_polydisk(system.n_params, 20, 0.4, seed):
-        theta = transfer_eval(system, z)
-        if right:
-            approx = tail_eval(tail, z) @ chain_eval(chain, z)
-        else:
-            approx = chain_eval(chain, z) @ tail_eval(tail, z)
-        worst = max(worst, float(np.linalg.norm(theta - approx, 2)))
-    return worst
+    z = sample_polydisk(system.n_params, 20, 0.4, seed)
+    if right:
+        approx = tail_eval(tail, z) @ chain_eval(chain, z)
+    else:
+        approx = chain_eval(chain, z) @ tail_eval(tail, z)
+    diff = transfer_eval(system, z) - approx
+    return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
 
 
 def cmd_factor(ns, argv) -> tuple:

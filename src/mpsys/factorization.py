@@ -100,9 +100,9 @@ class LinearFactorChain:
 
 
 def chain_eval(chain: LinearFactorChain, z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    out = np.eye(chain.spaces[0], dtype=complex)
-    for tup in chain.factors:
+    """The chain product at one point (N,) or at a stack of points (P, N)."""
+    out = combine(chain.factors[0], z)
+    for tup in chain.factors[1:]:
         out = out @ combine(tup, z)
     return out
 
@@ -143,6 +143,7 @@ class TailFunction:
 
 
 def tail_eval(tail: TailFunction, z) -> np.ndarray:
+    """phi at one point (N,) or at a stack of points (P, N)."""
     return tail.constant + transfer_eval(tail.vanishing_part, z)
 
 

@@ -8,6 +8,7 @@ schema_version "1" and a ``kind`` discriminator.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,6 +56,19 @@ def _header(payload: dict, kind: str) -> None:
         )
 
 
+@contextmanager
+def _fields():
+    """Report a missing or wrong-typed field as a FileFormatError."""
+    try:
+        yield
+    except FileFormatError:
+        raise
+    except KeyError as exc:
+        raise FileFormatError(f"missing field {exc}") from exc
+    except (IndexError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed field: {exc}") from exc
+
+
 def system_to_dict(s: MultiSystem) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -72,17 +86,15 @@ def system_to_dict(s: MultiSystem) -> dict:
 
 def system_from_dict(payload: dict) -> MultiSystem:
     _header(payload, "system")
-    try:
+    with _fields():
         dx, du, dy = payload["dim_x"], payload["dim_u"], payload["dim_y"]
-        s = MultiSystem(
-            a=[matrix_from_json(m, (dx, dx)) for m in payload["a"]],
-            b=[matrix_from_json(m, (dx, du)) for m in payload["b"]],
-            c=[matrix_from_json(m, (dy, dx)) for m in payload["c"]],
-            d=[matrix_from_json(m, (dy, du)) for m in payload["d"]],
-        )
+        blocks = {
+            name: [matrix_from_json(m, shape) for m in payload[name]]
+            for name, shape in (("a", (dx, dx)), ("b", (dx, du)),
+                                ("c", (dy, dx)), ("d", (dy, du)))
+        }
         n_params = payload["n_params"]
-    except KeyError as exc:
-        raise FileFormatError(f"missing field {exc}") from exc
+    s = MultiSystem(**blocks)
     if s.n_params != n_params:
         raise FileFormatError("n_params does not match the block lists")
     return s
@@ -104,15 +116,15 @@ def germ_to_dict(g: PolyGerm) -> dict:
 
 def germ_from_dict(payload: dict) -> PolyGerm:
     _header(payload, "germ")
-    try:
+    with _fields():
         dy, du = payload["dim_y"], payload["dim_u"]
         coeffs = {
-            tuple(entry["index"]): matrix_from_json(entry["matrix"], (dy, du))
+            tuple(int(x) for x in entry["index"]):
+                matrix_from_json(entry["matrix"], (dy, du))
             for entry in payload["coeffs"]
         }
-        return PolyGerm(payload["n_params"], du, dy, coeffs)
-    except KeyError as exc:
-        raise FileFormatError(f"missing field {exc}") from exc
+        n_params = payload["n_params"]
+    return PolyGerm(n_params, du, dy, coeffs)
 
 
 def subspace_to_dict(s: Subspace) -> dict:
@@ -127,12 +139,10 @@ def subspace_to_dict(s: Subspace) -> dict:
 
 def subspace_from_dict(payload: dict) -> Subspace:
     _header(payload, "subspace")
-    try:
+    with _fields():
         ambient = payload["ambient_dim"]
         basis = matrix_from_json(payload["basis"], (ambient, payload["dim"]))
-        return Subspace(ambient, basis)  # orthonormality re-verified on load
-    except KeyError as exc:
-        raise FileFormatError(f"missing field {exc}") from exc
+    return Subspace(ambient, basis)  # orthonormality re-verified on load
 
 
 def chain_to_dict(chain: LinearFactorChain) -> dict:
@@ -147,15 +157,13 @@ def chain_to_dict(chain: LinearFactorChain) -> dict:
 
 def chain_from_dict(payload: dict) -> LinearFactorChain:
     _header(payload, "chain")
-    try:
-        spaces = payload["spaces"]
+    with _fields():
+        spaces = tuple(int(x) for x in payload["spaces"])
         factors = tuple(
             tuple(matrix_from_json(m, (spaces[j], spaces[j + 1])) for m in tup)
             for j, tup in enumerate(payload["factors"])
         )
-        return LinearFactorChain(spaces=tuple(spaces), factors=factors)
-    except KeyError as exc:
-        raise FileFormatError(f"missing field {exc}") from exc
+    return LinearFactorChain(spaces=spaces, factors=factors)
 
 
 def save_json(path, payload: dict) -> None:

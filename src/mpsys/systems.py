@@ -14,6 +14,10 @@ A ``MultiSystem`` is validated once, when it is built, so no function here
 re-checks its shapes.  Both subspace extractions are invariant closures
 (``subspaces.invariant_closure``) under the adjoint-closed set {A_k, A_k*}.
 
+The evaluators (``combine``, ``transfer_eval``, ``germ_eval``) take one
+point of shape (N,) or a stack of P points of shape (P, N).  A stack is
+evaluated in one batch and gives a (P, rows, cols) array.
+
 Conservativity ("the pencil zG is unitary for every z on the unit torus") is
 decided by finitely many matrix identities obtained by matching Fourier
 coefficients of z -> (zG)*(zG) on the torus:
@@ -127,11 +131,12 @@ def validate(s: MultiSystem) -> None:
             raise SystemShapeError(f"d[{k}] has shape {s.d[k].shape}, expected {(dy, du)}")
 
 
-def _check_point(s: MultiSystem, z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != s.n_params:
+def _check_points(n_params: int, z) -> np.ndarray:
+    """One point of shape (N,) or a stack of points of shape (P, N)."""
+    z = np.asarray(z, dtype=complex)
+    if z.ndim not in (1, 2) or z.shape[-1] != n_params:
         raise SystemShapeError(
-            f"point has {z.shape[0]} coordinates, system has n_params={s.n_params}"
+            f"points have shape {z.shape}, expected ({n_params},) or (P, {n_params})"
         )
     return z
 
@@ -145,29 +150,44 @@ def pencil_blocks(s: MultiSystem) -> list:
 
 
 def combine(blocks, z) -> np.ndarray:
-    """sum_k z_k blocks[k] for an N-tuple of equal-shaped matrices."""
-    out = np.zeros_like(blocks[0], dtype=complex)
-    for zk, mk in zip(z, blocks):
-        out = out + zk * mk
+    """sum_k z_k blocks[k] for an N-tuple of equal-shaped matrices.
+
+    ``z`` is one point of shape (N,), giving one matrix, or a stack of
+    shape (P, N), giving a (P, rows, cols) array.  The sum runs over k in
+    order, so each point's matrix is the same as a call with that point.
+    """
+    z = _check_points(len(blocks), z)
+    out = z[..., 0, None, None] * blocks[0]
+    for k in range(1, len(blocks)):
+        out = out + z[..., k, None, None] * blocks[k]
     return out
 
 
-def transfer_eval(s: MultiSystem, z, cond_limit: float = 1e12) -> np.ndarray:
-    """theta(z) = zD + zC (I - zA)^(-1) zB; for dim_x = 0 just zD."""
-    z = _check_point(s, z)
+RESOLVENT_COND_LIMIT = 1e12
+"""Largest 2-norm condition number of I - zA that ``transfer_eval`` accepts."""
+
+
+def transfer_eval(s: MultiSystem, z) -> np.ndarray:
+    """theta(z) = zD + zC (I - zA)^(-1) zB; for dim_x = 0 just zD.
+
+    ``z`` is one point of shape (N,), giving one matrix, or a stack of
+    shape (P, N), giving a (P, dim_y, dim_u) array from one batched solve.
+    Raises ``ResolventError`` if I - zA is near-singular at any point.
+    """
+    z = _check_points(s.n_params, z)
     zd = combine(s.d, z)
     if s.dim_x == 0:
         return zd
-    za = combine(s.a, z)
-    resolvent_arg = np.eye(s.dim_x) - za
-    cond = np.linalg.cond(resolvent_arg)
-    if not np.isfinite(cond) or cond > cond_limit:
+    resolvent_arg = np.eye(s.dim_x) - combine(s.a, z)
+    cond = np.atleast_1d(np.linalg.cond(resolvent_arg))
+    bad = np.flatnonzero(~(cond <= RESOLVENT_COND_LIMIT))
+    if bad.size:
+        i = bad[0]
         raise ResolventError(
-            f"I - zA is near-singular (condition estimate {cond:.3e})"
+            f"I - zA is near-singular at point {i} "
+            f"(z = {np.atleast_2d(z)[i]}, condition estimate {cond[i]:.3e})"
         )
-    zb = combine(s.b, z)
-    zc = combine(s.c, z)
-    return zd + zc @ np.linalg.solve(resolvent_arg, zb)
+    return zd + combine(s.c, z) @ np.linalg.solve(resolvent_arg, combine(s.b, z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,12 +230,11 @@ class PolyGerm:
 
 
 def germ_eval(g: PolyGerm, z) -> np.ndarray:
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != g.n_params:
-        raise SystemShapeError("point length does not match n_params")
-    out = np.zeros((g.dim_y, g.dim_u), dtype=complex)
+    """The polynomial at one point (N,) or at a stack of points (P, N)."""
+    z = _check_points(g.n_params, z)
+    out = np.zeros(z.shape[:-1] + (g.dim_y, g.dim_u), dtype=complex)
     for t, m in g.coeffs.items():
-        out += m * np.prod(z ** np.array(t))
+        out += np.prod(z ** np.array(t), axis=-1)[..., None, None] * m
     return out
 
 
@@ -344,19 +363,16 @@ def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
     """Necessary-condition check: ||zG|| <= 1 + tol at sampled torus points.
 
     A fail comes with a witness point; a pass is not a proof (the sup over
-    the torus is only sampled).
+    the torus is only sampled).  The witness is the first sampled point
+    above 1 + tol, whose norm is the largest up to it.
     """
-    gs = pencil_blocks(s)
-    worst = 0.0
-    witness = None
-    for zeta in sample_torus(s.n_params, n_samples, seed):
-        norm = np.linalg.norm(combine(gs, zeta), 2)
-        if norm > worst:
-            worst = norm
-            witness = zeta
-        if norm > 1.0 + tol:
-            return DissipativityVerdict(False, worst, witness)
-    return DissipativityVerdict(True, worst, None)
+    points = sample_torus(s.n_params, n_samples, seed)
+    norms = np.linalg.norm(combine(pencil_blocks(s), points), 2, axis=(1, 2))
+    over = np.flatnonzero(norms > 1.0 + tol)
+    if over.size == 0:
+        return DissipativityVerdict(True, float(norms.max(initial=0.0)), None)
+    i = over[0]
+    return DissipativityVerdict(False, float(norms[i]), points[i])
 
 
 def closely_connected_subspace(s: MultiSystem, tol: float = 1e-9) -> Subspace:

@@ -179,11 +179,13 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 def test_malformed_system_files_are_clean_errors(tmp_path):
     # run as a process, so an uncaught exception would show as a traceback
-    no_n_params = ser.system_to_dict(random_conservative(1, 2, 2, 2, seed=0))
-    del no_n_params["n_params"]
+    good = ser.system_to_dict(random_conservative(1, 2, 2, 2, seed=0))
+    no_n_params = {k: v for k, v in good.items() if k != "n_params"}
     env = {**os.environ, "PYTHONPATH": str(Path(mpsys.__file__).resolve().parents[1])}
     for name, text in (("list.json", "[1, 2]\n"),
-                       ("no_n_params.json", json.dumps(no_n_params))):
+                       ("no_n_params.json", json.dumps(no_n_params)),
+                       ("str_dim.json", json.dumps({**good, "dim_x": "two"})),
+                       ("int_blocks.json", json.dumps({**good, "a": 3}))):
         path = tmp_path / name
         path.write_text(text)
         proc = subprocess.run(

@@ -63,6 +63,12 @@ def reconstruction_residual(s, chain, tail, right=False, n_points=20, radius=0.4
     return worst
 
 
+def assert_stack_is_per_point(evaluate, f, points):
+    """A (P, N) stack gives the per-point values, stacked along axis 0."""
+    per_point = np.stack([evaluate(f, z) for z in points])
+    np.testing.assert_allclose(evaluate(f, points), per_point, rtol=0, atol=1e-14)
+
+
 def homogeneous_conservative(n, m, du, seed):
     """Conservative system with a homogeneous degree-m transfer function,
     built as an m-fold cascade of stateless conservative systems."""
@@ -108,6 +114,9 @@ def test_factor_left_reconstructs():
         chain, tail = factor_left(s, m)
         assert chain.length == m
         assert reconstruction_residual(s, chain, tail) < 1e-9
+        points = sample_polydisk(2, 6, 0.4, seed=seed)
+        assert_stack_is_per_point(chain_eval, chain, points)
+        assert_stack_is_per_point(tail_eval, tail, points)
 
 
 def test_factor_left_on_d_zeroed_draw():
@@ -167,6 +176,9 @@ def test_factor_homogeneous_single_variable_monomial():
     chain = factor_homogeneous(s, 3)
     z = np.array([0.3 - 0.2j])
     np.testing.assert_allclose(chain_eval(chain, z), z[0] ** 3 * l, atol=1e-12)
+    points = np.array([z, -z, 2 * z])
+    assert_stack_is_per_point(chain_eval, chain, points)
+    assert_stack_is_per_point(chain_eval, chain, points[:1])
 
 
 def test_factor_homogeneous_rejects_inhomogeneous_input():

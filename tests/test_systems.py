@@ -18,6 +18,7 @@ from mpsys.systems import (
     haar_unitary,
     is_closely_connected,
     is_conservative,
+    is_dissipative_sampled,
     pencil_blocks,
     random_conservative,
     realize_germ,
@@ -56,6 +57,12 @@ def torus_unitarity_residual(s, n_points=100, seed=0):
     return worst
 
 
+def assert_stack_is_per_point(evaluate, f, points):
+    """A (P, N) stack gives the per-point values, stacked along axis 0."""
+    per_point = np.stack([evaluate(f, z) for z in points])
+    np.testing.assert_allclose(evaluate(f, points), per_point, rtol=0, atol=1e-14)
+
+
 def test_validate_catches_shape_mismatch():
     good = random_system(np.random.default_rng(0), 2, 3, 2, 2)
     with pytest.raises(SystemShapeError, match="b\\[1\\]"):
@@ -91,6 +98,7 @@ def test_stateless_transfer_is_zd():
     s = random_system(rng, 2, 0, 2, 3)
     z = np.array([0.3 + 0.1j, -0.2j])
     np.testing.assert_allclose(transfer_eval(s, z), combine(s.d, z))
+    assert_stack_is_per_point(transfer_eval, s, np.array([z, 2 * z, -z]))
 
 
 def test_transfer_matches_neumann_series():
@@ -112,6 +120,23 @@ def test_transfer_raises_on_singular_resolvent():
     s = MultiSystem(a=[np.eye(2)], b=[np.eye(2)], c=[np.eye(2)], d=[np.zeros((2, 2))])
     with pytest.raises(ResolventError):
         transfer_eval(s, [1.0])
+    # positive control for the batch: only the third point is singular
+    assert transfer_eval(s, [[0.1], [0.2], [0.3], [0.4]]).shape == (4, 2, 2)
+    with pytest.raises(ResolventError, match="at point 2 "):
+        transfer_eval(s, [[0.1], [0.2], [1.0], [0.3], [0.4]])
+
+
+def test_evaluators_reject_points_of_the_wrong_length():
+    rng = np.random.default_rng(15)
+    s = random_system(rng, 2, 3, 2, 2)
+    germ = taylor_coefficients(s, 3)
+    for points in (np.zeros(3), np.zeros((4, 3)), np.zeros((4, 1)), np.zeros((2, 4, 2))):
+        with pytest.raises(SystemShapeError):
+            transfer_eval(s, points)
+        with pytest.raises(SystemShapeError):
+            germ_eval(germ, points)
+        with pytest.raises(SystemShapeError):
+            combine(s.a, points)
 
 
 def test_pencil_shape_and_linearity():
@@ -129,9 +154,13 @@ def test_taylor_agrees_with_transfer_eval():
     for n in (1, 2, 3):
         s = random_system(rng, n, 3, 2, 2, scale=0.25)
         germ = taylor_coefficients(s, 14)
-        for z in 0.15 * sample_torus(n, 5, seed=7):
+        points = 0.15 * sample_torus(n, 5, seed=7)
+        for z in points:
             err = np.linalg.norm(germ_eval(germ, z) - transfer_eval(s, z), 2)
             assert err < 1e-8
+        for evaluate, f in ((germ_eval, germ), (transfer_eval, s)):
+            assert_stack_is_per_point(evaluate, f, points)
+            assert_stack_is_per_point(evaluate, f, points[:1])
 
 
 def test_taylor_degree_one_is_d():
@@ -159,6 +188,36 @@ def test_random_conservative_passes_algebraic_and_sampled_checks():
         assert report.is_conservative
         assert report.worst_residual < 1e-10
         assert torus_unitarity_residual(s, 50) < 1e-9
+
+
+def test_sampled_dissipativity_matches_an_early_exit_loop():
+    def reference(s, n_samples, tol, seed):
+        gs = pencil_blocks(s)
+        worst, witness = 0.0, None
+        for i, zeta in enumerate(sample_torus(s.n_params, n_samples, seed)):
+            norm = np.linalg.norm(sum(zk * gk for zk, gk in zip(zeta, gs)), 2)
+            if norm > worst:
+                worst, witness = norm, zeta
+            if norm > 1.0 + tol:
+                return False, worst, witness, i
+        return True, worst, None, None
+
+    rng = np.random.default_rng(16)
+    base = random_system(rng, 3, 4, 2, 2)
+    norms = [np.linalg.norm(combine(pencil_blocks(base), z), 2)
+             for z in sample_torus(3, 100, seed=5)]
+    c = 1.0 / np.median(norms)  # about half the samples end above 1
+    scaled = MultiSystem(*([c * m for m in blocks] for blocks in (base.a, base.b, base.c, base.d)))
+    for s in (scaled, random_conservative(3, 4, 2, 2, seed=17)):
+        passed, worst, witness, first = reference(s, 100, 1e-10, 5)
+        verdict = is_dissipative_sampled(s, 100, tol=1e-10, seed=5)
+        assert verdict.passed == passed
+        assert abs(verdict.max_norm - worst) <= 1e-14
+        if passed:
+            assert verdict.witness is None
+        else:
+            assert first > 0  # the cut is not at the first sample
+            np.testing.assert_array_equal(verdict.witness, witness)
 
 
 def test_random_conservative_requires_square_pencil():
