@@ -1,0 +1,208 @@
+"""Fingerprint the outputs that a refactor without behaviour change must keep.
+
+Records, for one source tree:
+
+* ``solve_problem2`` on the 100 pairs of acceptance criterion 09 and on the
+  pipeline benchmark items of seeds 1 and 2 (the CLI's call: budget 64,
+  the item's seed): the witness basis, ``intermediate_dim``, the residual
+  and both factors, as SHA-256 digests of the raw float bytes;
+* the JSON report bodies (``timing_s`` removed) of a fixed set of CLI
+  commands run with relative paths in a fresh directory.
+
+Usage::
+
+    python3 scripts/output_identity.py record --src SRC_DIR --out A.json
+    python3 scripts/output_identity.py record --src OTHER_SRC --out B.json
+    python3 scripts/output_identity.py compare A.json B.json
+
+``compare`` exits 0 when every digest and every report body is identical
+apart from the reports' ``tolerances`` fields, whose differences it lists.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _system_digest(s) -> str:
+    return _digest(*s.a, *s.b, *s.c, *s.d)
+
+
+def _outcome(out) -> dict:
+    if out is None:
+        return {"verdict": None}
+    return {
+        "intermediate_dim": out.intermediate_dim,
+        "witness_dim": out.witness_x2.dim,
+        "witness": _digest(out.witness_x2.basis),
+        "residual": float(out.residual).hex(),
+        "theta2": _system_digest(out.theta2),
+        "theta1": _system_digest(out.theta1),
+    }
+
+
+def problem2_outcomes() -> dict:
+    from mpsys.cascade import cascade
+    from mpsys.factorization import from_factorization, solve_problem2
+    from mpsys.systems import random_conservative
+    import workloads
+
+    results = {}
+    rng = np.random.default_rng(900)  # the pairs of acceptance criterion 09
+    for i in range(100):
+        n = 1 + i % 3
+        du = int(rng.integers(1, 4))
+        alpha2 = random_conservative(n, int(rng.integers(1, 4)), du, du, seed=900 + i)
+        alpha1 = random_conservative(n, int(rng.integers(1, 4)), du, du, seed=950 + i)
+        acc, _, _ = from_factorization(alpha2, alpha1)
+        results[f"criterion09/{i}"] = _outcome(solve_problem2(acc, seed=i))
+    pool = workloads.WORKLOADS["pipeline"].pool
+    for seed in (1, 2):
+        for j, item in enumerate(workloads.build_pipeline(seed, pool)):
+            alpha2 = random_conservative(item.n, item.dx2, item.du, item.du, seed=item.seed2)
+            alpha1 = random_conservative(item.n, item.dx1, item.du, item.du, seed=item.seed1)
+            results[f"pipeline{seed}/{j}"] = _outcome(
+                solve_problem2(cascade(alpha2, alpha1), seed=item.seed))
+    return results
+
+
+COMMANDS = [
+    ["generate", "conservative", "--n-params", "2", "--dim-x", "4", "--seed", "5",
+     "--out", "g.json"],
+    ["generate", "germ-realization", "--germ", "germ.json", "--out", "real.json"],
+    ["check", "sys.json", "--what", "conservative"],
+    ["check", "sys.json", "--what", "conservative", "--rank-tol", "7"],
+    ["check", "broken.json", "--what", "conservative"],
+    ["check", "sys.json", "--what", "dissipative", "--seed", "6"],
+    ["check", "broken.json", "--what", "dissipative"],
+    ["check", "sys.json", "--what", "closely-connected"],
+    ["check", "sys.json", "--what", "closely-connected", "--rank-tol", "1e-6"],
+    ["check", "sys.json", "--what", "unitary-part"],
+    ["check", "sys.json", "--what", "unitary-part", "--residual-tol", "5", "--rank-tol", "7"],
+    ["check", "sys.json", "--what", "multiplicity"],
+    ["cascade", "b2.json", "b1.json", "--out", "c.json", "--seed", "7"],
+    ["check", "c.json", "--what", "multiplicity", "--residual-tol", "5", "--rank-tol", "7"],
+    ["decompose", "c.json", "--x2", "x2.json", "--out-dir", "dec"],
+    ["factor", "c.json", "--mode", "problem2", "--out-dir", "p2", "--seed", "8"],
+    ["factor", "c.json", "--mode", "left", "--out-dir", "fl"],
+    ["factor", "c.json", "--mode", "right", "--out-dir", "fr"],
+    ["factor", "hom.json", "--mode", "homogeneous", "--out-dir", "fh"],
+    ["factor", "hom.json", "--mode", "homogeneous", "--out-dir", "fh5",
+     "--residual-tol", "5"],
+    ["agler", "sys.json", "--trials", "10", "--seed", "9"],
+    ["agler", "scaled.json", "--trials", "10", "--seed", "9"],
+]
+
+
+def cli_reports() -> dict:
+    from mpsys import serialization as ser
+    from mpsys.cascade import cascade
+    from mpsys.cli import run
+    from mpsys.subspaces import Subspace
+    from mpsys.systems import MultiSystem, PolyGerm, random_conservative, scale_output
+
+    def save(name, s):
+        ser.save_json(name, ser.system_to_dict(s))
+
+    s = random_conservative(2, 3, 2, 2, seed=1)
+    save("sys.json", s)
+    save("broken.json", MultiSystem(a=[s.a[0] + 1e-3, s.a[1]], b=s.b, c=s.c, d=s.d))
+    save("scaled.json", scale_output(s, 1.5))
+    save("b2.json", random_conservative(2, 2, 2, 2, seed=2))
+    save("b1.json", random_conservative(2, 2, 2, 2, seed=3))
+    hom = random_conservative(2, 0, 2, 2, seed=4)
+    for j in range(1, 3):
+        hom = cascade(random_conservative(2, 0, 2, 2, seed=4 + j), hom)
+    save("hom.json", hom)
+    ser.save_json("x2.json", ser.subspace_to_dict(Subspace(6, np.eye(6)[:, :2])))
+    ser.save_json("germ.json", ser.germ_to_dict(
+        PolyGerm(2, 1, 1, {(1, 1): np.array([[0.5]]), (2, 0): np.array([[0.25]])})))
+
+    reports = {}
+    for argv in COMMANDS:
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            code = run(argv)
+        body = json.loads(buffer.getvalue()) if buffer.getvalue() else None
+        if body is not None:
+            body.pop("timing_s")
+        reports[" ".join(argv)] = {"exit": code, "body": body}
+    return reports
+
+
+def record(src: Path, out: Path) -> None:
+    sys.path[:0] = [str(src.resolve()), str(REPO / "bench")]
+    results = {"problem2": problem2_outcomes()}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            results["cli"] = cli_reports()
+        finally:
+            os.chdir(cwd)
+    out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
+
+
+def compare(a_path: Path, b_path: Path) -> int:
+    a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
+    bad = 0
+    if a["problem2"] != b["problem2"]:
+        keys = sorted(k for k in a["problem2"] if a["problem2"][k] != b["problem2"].get(k))
+        print(f"problem2: {len(keys)} outcomes differ, first {keys[:5]}")
+        bad += 1
+    hits = sum(v.get("verdict", 1) is not None for v in a["problem2"].values())
+    print(f"problem2: {len(a['problem2'])} searches compared, {hits} factored")
+    for cmd in COMMANDS:
+        key = " ".join(cmd)
+        ra, rb = a["cli"][key], b["cli"][key]
+        tol_a = (ra["body"] or {}).pop("tolerances", None)
+        tol_b = (rb["body"] or {}).pop("tolerances", None)
+        if ra != rb:
+            print(f"cli: report differs beyond tolerances: {key}")
+            bad += 1
+        elif tol_a != tol_b:
+            print(f"cli: tolerances {tol_a} -> {tol_b}: {key}")
+    print(f"cli: {len(COMMANDS)} reports compared")
+    print("identical" if not bad else f"{bad} difference(s)")
+    return 1 if bad else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    p = sub.add_parser("record")
+    p.add_argument("--src", type=Path, default=REPO / "src")
+    p.add_argument("--out", type=Path, required=True)
+    p = sub.add_parser("compare")
+    p.add_argument("a", type=Path)
+    p.add_argument("b", type=Path)
+    ns = parser.parse_args()
+    if ns.cmd == "record":
+        record(ns.src, ns.out)
+        return 0
+    return compare(ns.a, ns.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

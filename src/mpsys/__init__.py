@@ -7,10 +7,8 @@ property-based testing of Agler-Schur class membership on the polydisk.
 """
 
 from .subspaces import (
-    DEFAULT_RANK_TOL,
     Subspace,
     SubspaceError,
-    image_subspace,
     is_invariant,
     orthogonal_complement,
     orthonormal_basis,

@@ -25,6 +25,7 @@ from .systems import (
     haar_unitary,
     transfer_eval,
 )
+from .tolerances import AGLER_TOL, COMMUTATOR_TOL, CONTRACTION_TOL
 
 
 class TupleInvariantError(ValueError):
@@ -60,8 +61,7 @@ class ContractionTuple:
         return self.mats[0].shape[0]
 
 
-def validate_tuple(t: ContractionTuple, commutator_tol: float = 1e-10,
-                   norm_tol: float = 1e-12) -> None:
+def validate_tuple(t: ContractionTuple) -> None:
     mats = t.mats
     if not mats:
         raise TupleInvariantError("empty tuple")
@@ -70,12 +70,12 @@ def validate_tuple(t: ContractionTuple, commutator_tol: float = 1e-10,
         if m.shape != (dim, dim):
             raise TupleInvariantError(f"component {k} has shape {m.shape}")
         norm = np.linalg.norm(m, 2)
-        if norm > 1.0 + norm_tol:
+        if norm > 1.0 + CONTRACTION_TOL:
             raise TupleInvariantError(f"component {k} has norm {norm:.12f} > 1")
     for j in range(len(mats)):
         for k in range(j + 1, len(mats)):
             comm = np.linalg.norm(mats[j] @ mats[k] - mats[k] @ mats[j], 2)
-            if comm > commutator_tol:
+            if comm > COMMUTATOR_TOL:
                 raise TupleInvariantError(
                     f"components {j}, {k} do not commute (residual {comm:.3e})"
                 )
@@ -109,7 +109,7 @@ def gen_commuting_contractions(n_params: int, dim: int, strategy: str,
         return ContractionTuple(tuple(mats))
     if strategy == "power-family":
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        base = z / (np.linalg.norm(z, 2) * (1.0 + 1e-12))
+        base = z / (np.linalg.norm(z, 2) * (1.0 + CONTRACTION_TOL))
         mats = []
         power = np.eye(dim, dtype=complex)
         for _ in range(n_params):
@@ -190,7 +190,7 @@ class AglerReport:
 
 
 def agler_test(f: Union[PolyGerm, MultiSystem], trials: int = 50,
-               r: float = 0.9, tol: float = 1e-8, seed: int = 0) -> AglerReport:
+               r: float = 0.9, tol: float = AGLER_TOL, seed: int = 0) -> AglerReport:
     """Try to falsify ||theta(rT)|| <= 1 over generated tuples.
 
     A tuple is reported as a certified witness once its norm, less the

@@ -41,6 +41,7 @@ from .systems import (
     require_conservative,
     transfer_eval,
 )
+from .tolerances import SUBSPACE_TOL
 
 
 class CascadeError(ValueError):
@@ -82,11 +83,11 @@ def cascade(alpha2: MultiSystem, alpha1: MultiSystem) -> MultiSystem:
     return MultiSystem(a=a, b=b, c=c, d=d)
 
 
-def check_condition_i(s: MultiSystem, x2: Subspace, tol: float = 1e-8) -> bool:
+def check_condition_i(s: MultiSystem, x2: Subspace) -> bool:
     """X2 invariant for every A_k."""
     if x2.ambient_dim != s.dim_x:
         raise CascadeError("x2 ambient dimension does not match dim_x")
-    return all(is_invariant(s.a[k], x2, tol) for k in range(s.n_params))
+    return all(is_invariant(s.a[k], x2) for k in range(s.n_params))
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,7 @@ class ConditionIIResult:
     dim_expected: int
 
 
-def check_condition_ii(s: MultiSystem, x2: Subspace,
-                       tol: float = 1e-9) -> ConditionIIResult:
+def check_condition_ii(s: MultiSystem, x2: Subspace) -> ConditionIIResult:
     """Decide whether the defect spaces V_z coincide for all torus points z.
 
     Rank criterion: M = sum_k G_k*(X2 (+) Y) must have dimension
@@ -114,16 +114,16 @@ def check_condition_ii(s: MultiSystem, x2: Subspace,
     target[dx:, x2.dim:] = np.eye(dy)
     gs = pencil_blocks(s)
     cols = np.hstack([g.conj().T @ target for g in gs])
-    m_space = orthonormal_basis(cols, tol)
+    m_space = orthonormal_basis(cols)
     expected = x2.dim + dy
     if m_space.dim != expected:
         return ConditionIIResult(False, None, m_space.dim, expected)
     x2_embedded = Subspace(
         dx + du, np.vstack([x2.basis, np.zeros((du, x2.dim), dtype=complex)])
     )
-    if x2_embedded.containment_residual(m_space) > 1e-8:
+    if x2_embedded.containment_residual(m_space) > SUBSPACE_TOL:
         return ConditionIIResult(False, None, m_space.dim, expected)
-    v = orthogonal_complement(x2_embedded, within=m_space, tol=tol)
+    v = orthogonal_complement(x2_embedded, within=m_space)
     return ConditionIIResult(True, v, m_space.dim, expected)
 
 
@@ -141,7 +141,7 @@ class CascadeDecomposition:
         return np.hstack([self.x2.basis, self.intermediate.basis, self.x1.basis])
 
 
-def decompose(s: MultiSystem, x2: Subspace, tol: float = 1e-9) -> CascadeDecomposition:
+def decompose(s: MultiSystem, x2: Subspace) -> CascadeDecomposition:
     """Split a conservative system along an invariant subspace X2.
 
     Requires conditions (i) and (ii); additionally the defect space V must
@@ -149,8 +149,7 @@ def decompose(s: MultiSystem, x2: Subspace, tol: float = 1e-9) -> CascadeDecompo
     cascades, where D = 0), otherwise the three-block state layout does not
     exist and a CascadeError is raised.
     """
-    require_conservative(s)
-    cond2 = check_condition_ii(s, x2, tol)
+    cond2 = check_condition_ii(s, x2)
     if not cond2.holds:
         raise CascadeError(
             f"condition (ii) fails: dim M = {cond2.dim_m}, expected {cond2.dim_expected}"
@@ -158,15 +157,15 @@ def decompose(s: MultiSystem, x2: Subspace, tol: float = 1e-9) -> CascadeDecompo
     dx, du = s.dim_x, s.dim_u
     v_raw = cond2.intermediate
     spill = np.linalg.norm(v_raw.basis[dx:, :]) if v_raw.dim else 0.0
-    if spill > 1e-8:
+    if spill > SUBSPACE_TOL:
         raise CascadeError(
             f"intermediate space is not contained in the state space "
             f"(input-component norm {spill:.3e})"
         )
-    v = orthonormal_basis(v_raw.basis[:dx, :], tol)
-    x2pv = subspace_sum(x2, v, tol)
+    v = orthonormal_basis(v_raw.basis[:dx, :])
+    x2pv = subspace_sum(x2, v)
     eye = np.eye(dx, dtype=complex)
-    x1 = orthonormal_basis(eye - x2pv.projector(), tol)
+    x1 = orthonormal_basis(eye - x2pv.projector())
 
     q2, qv, q1 = x2.basis, v.basis, x1.basis
     n = s.n_params

@@ -43,6 +43,8 @@ from .systems import (
     transfer_eval,
     unitary_part,
 )
+from .tolerances import (AGLER_TOL, COEFF_TOL, CONSERVATIVE_TOL, RANK_TOL, RESIDUAL_TOL,
+                         TAYLOR_DROP_TOL, UNITARY_RANK_TOL)
 from . import serialization as ser
 
 PASS, ERROR, FAIL = 0, 1, 2
@@ -93,7 +95,7 @@ def cmd_generate(ns, argv) -> tuple:
               "dim_u": system.dim_u, "dim_y": system.dim_y},
         conservative=conservativity.is_conservative,
         conservativity_residual=conservativity.worst_residual,
-        tolerances={"conservativity_tol": 1e-10},
+        tolerances={"conservativity_tol": CONSERVATIVE_TOL},
         **report_fields,
     )
     return report, PASS
@@ -101,7 +103,8 @@ def cmd_generate(ns, argv) -> tuple:
 
 def cmd_check(ns, argv) -> tuple:
     system = ser.load_system(ns.path)
-    tolerances = {"residual_tol": ns.residual_tol, "rank_tol": ns.rank_tol}
+    # each report echoes only the thresholds its verdict used
+    tolerances = {"residual_tol": ns.residual_tol}
     if ns.what == "conservative":
         rep = is_conservative(system, ns.residual_tol)
         report = _report(argv, what=ns.what, verdict=rep.is_conservative,
@@ -122,21 +125,21 @@ def cmd_check(ns, argv) -> tuple:
     if ns.what == "closely-connected":
         sub = closely_connected_subspace(system, ns.rank_tol)
         verdict = sub.dim == system.dim_x
-        report = _report(argv, what=ns.what, verdict=verdict,
-                         cc_dim=sub.dim, dim_x=system.dim_x, tolerances=tolerances)
+        report = _report(argv, what=ns.what, verdict=verdict, cc_dim=sub.dim,
+                         dim_x=system.dim_x, tolerances={"rank_tol": ns.rank_tol})
         return report, PASS if verdict else FAIL
     if ns.what == "unitary-part":
         part = unitary_part(system)
         verdict = part.dim == 0  # pass = pencil is completely non-unitary
         report = _report(argv, what=ns.what, verdict=verdict,
                          unitary_part_dim=part.dim, dim_x=system.dim_x,
-                         tolerances=tolerances)
+                         tolerances={"rank_tol": UNITARY_RANK_TOL})
         return report, PASS if verdict else FAIL
     # multiplicity
     m = multiplicity(system, ns.degree_cap)
     report = _report(argv, what=ns.what,
                      multiplicity=m if m is not None else "zero-function-up-to-cap",
-                     degree_cap=ns.degree_cap, tolerances=tolerances)
+                     degree_cap=ns.degree_cap, tolerances={"taylor_drop_tol": TAYLOR_DROP_TOL})
     return report, PASS if m is not None else FAIL
 
 
@@ -227,8 +230,9 @@ def cmd_factor(ns, argv) -> tuple:
         )
         report = _report(argv, mode=ns.mode, degree=m, out_dir=str(out_dir),
                          coefficient_residual=float(residual),
-                         tolerances=tolerances)
-        return report, PASS if residual < 1e-10 else FAIL
+                         tolerances={"coefficient_tol": COEFF_TOL,
+                                     "degree_cap": ns.degree_cap})
+        return report, PASS if residual < COEFF_TOL else FAIL
 
     right = ns.mode == "right"
     if right:
@@ -264,7 +268,7 @@ def cmd_agler(ns, argv) -> tuple:
 
 
 def _add_common_tols(parser):
-    parser.add_argument("--residual-tol", type=float, default=1e-9)
+    parser.add_argument("--residual-tol", type=float, default=RESIDUAL_TOL)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -290,7 +294,7 @@ def build_parser() -> _Parser:
                             "unitary-part", "multiplicity"])
     p.add_argument("--torus-samples", type=int, default=100)
     p.add_argument("--degree-cap", type=int, default=8)
-    p.add_argument("--rank-tol", type=float, default=1e-9,
+    p.add_argument("--rank-tol", type=float, default=RANK_TOL,
                    help="closely-connected: rank threshold of the closure")
     _add_common_tols(p)
     p.set_defaults(func=cmd_check)
@@ -326,7 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("path")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--r", type=float, default=0.9)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=AGLER_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_agler)
 

@@ -50,9 +50,11 @@ from .systems import (
     combine,
     compress_to,
     require_conservative,
+    restrict_to_cc,
     taylor_coefficients,
     transfer_eval,
 )
+from .tolerances import CHAIN_DROP_TOL, COEFF_TOL, RESIDUAL_TOL, SUBSPACE_TOL
 
 
 class MultiplicityError(ValueError):
@@ -107,7 +109,7 @@ def chain_eval(chain: LinearFactorChain, z) -> np.ndarray:
     return out
 
 
-def chain_to_germ(chain: LinearFactorChain, drop_tol: float = 1e-14) -> PolyGerm:
+def chain_to_germ(chain: LinearFactorChain) -> PolyGerm:
     """Coefficientwise expansion of the chain product (all terms homogeneous)."""
     n = chain.n_params
     frontier = {(0,) * n: np.eye(chain.spaces[0], dtype=complex)}
@@ -124,7 +126,7 @@ def chain_to_germ(chain: LinearFactorChain, drop_tol: float = 1e-14) -> PolyGerm
                 else:
                     new[t_k] = prod
         frontier = new
-    kept = {t: m for t, m in frontier.items() if np.linalg.norm(m) > drop_tol}
+    kept = {t: m for t, m in frontier.items() if np.linalg.norm(m) > CHAIN_DROP_TOL}
     return PolyGerm(n, chain.spaces[-1], chain.spaces[0], kept)
 
 
@@ -160,12 +162,12 @@ def default_degree_cap(s: MultiSystem) -> int:
     return s.dim_x + 2
 
 
-def _check_multiplicity(s: MultiSystem, m: int, tol: float = 1e-10) -> None:
+def _check_multiplicity(s: MultiSystem, m: int) -> None:
     if m < 1:
         raise MultiplicityError("multiplicity must be >= 1")
     if m > 1:
         worst_d = max(np.linalg.norm(dk) for dk in s.d)
-        if worst_d > tol:
+        if worst_d > COEFF_TOL:
             raise MultiplicityError(
                 f"multiplicity {m} > 1 requires D = 0, but ||D|| = {worst_d:.3e}"
             )
@@ -258,7 +260,6 @@ def factor_homogeneous(s: MultiSystem, m: int,
     dx, du, dy = s.dim_x, s.dim_u, s.dim_y
     if m == 1:
         return LinearFactorChain(spaces=(dy, du), factors=(tuple(s.d),))
-    _check_multiplicity(s, m)
     factors = [tuple(s.c)]
     factors.extend(tuple(s.a) for _ in range(m - 2))
     factors.append(tuple(s.b))
@@ -277,7 +278,8 @@ def _invariant_subspaces(s: MultiSystem, seed: int):
     rng = np.random.default_rng(seed)
 
     def add(space: Subspace) -> bool:
-        if any(k.dim == space.dim and projector_distance(k, space) < 1e-8 for k in known):
+        if any(k.dim == space.dim and projector_distance(k, space) < SUBSPACE_TOL
+               for k in known):
             return False
         known.append(space)
         return True
@@ -317,8 +319,8 @@ def invariant_subspace_candidates(s: MultiSystem, budget: int = 64,
     closures (under all A_k) of eigenvectors of 3 random combinations of the
     A_k and of 4 random vectors, stably sorted by dimension; then, round by
     round, each pairwise sum of the subspaces found so far as soon as it is
-    new.  Equal dimension and projector distance < 1e-8 count as the same
-    subspace; every candidate passes condition (i).
+    new.  Equal dimension and projector distance < ``SUBSPACE_TOL`` count as
+    the same subspace; every candidate passes condition (i).
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -335,7 +337,7 @@ class FactorizationOutcome:
 
 
 def solve_problem2(s: MultiSystem, budget: int = 64, seed: int = 0,
-                   tol: float = 1e-9) -> Optional[FactorizationOutcome]:
+                   tol: float = RESIDUAL_TOL) -> Optional[FactorizationOutcome]:
     """Search for theta = theta2 * theta1 with both factors conservative.
 
     Restricts to the closely-connected part, then tests at most ``budget``
@@ -346,13 +348,12 @@ def solve_problem2(s: MultiSystem, budget: int = 64, seed: int = 0,
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    require_conservative(s)
+    acc = restrict_to_cc(s)  # first: a ConservativityError precedes a MultiplicityError
     m = multiplicity(s, default_degree_cap(s))
     if m is None or m <= 1:
         raise MultiplicityError(
             f"solve_problem2 requires multiplicity > 1, found {m}"
         )
-    acc = compress_to(s, closely_connected_subspace(s))
     for candidate in islice(_invariant_subspaces(acc, seed), budget):
         cond2 = check_condition_ii(acc, candidate)
         if not cond2.holds:

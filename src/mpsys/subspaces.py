@@ -2,8 +2,8 @@
 
 Subspaces are stored by orthonormal bases (columns of a complex matrix),
 which keeps dimensions explicit and composition cheap; orthoprojectors are
-derived on demand.  All rank decisions go through a single relative
-threshold, ``DEFAULT_RANK_TOL``.
+derived on demand.  Rank decisions keep the singular values above
+tol * (1 + the largest), with tol = ``tolerances.RANK_TOL`` by default.
 
 Every constructor canonicalizes the returned basis (pivoted QR of the
 orthoprojector plus a phase fix), so equal subspaces get the same basis
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-DEFAULT_RANK_TOL = 1e-9
+from .tolerances import GRAM_TOL, RANK_TOL, SUBSPACE_TOL
 
 
 class SubspaceError(ValueError):
@@ -77,7 +77,7 @@ class Subspace:
         gram_err = np.linalg.norm(
             basis.conj().T @ basis - np.eye(basis.shape[1]), 2
         ) if basis.shape[1] else 0.0
-        if gram_err > 1e-10:
+        if gram_err > GRAM_TOL:
             raise SubspaceError(f"basis not orthonormal (Gram residual {gram_err:.3e})")
         object.__setattr__(self, "basis", basis)
 
@@ -105,7 +105,7 @@ def whole_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
 
-def orthonormal_basis(vectors, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+def orthonormal_basis(vectors, tol: float = RANK_TOL) -> Subspace:
     """Orthonormal basis of the column span of ``vectors``.
 
     Columns whose residual against the retained span falls below
@@ -121,43 +121,41 @@ def orthonormal_basis(vectors, tol: float = DEFAULT_RANK_TOL) -> Subspace:
     return Subspace(ambient, _canonicalize(u[:, :rank]))
 
 
-def subspace_sum(a: Subspace, b: Subspace, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Span of the union of two subspaces (the finite-dimensional closed span)."""
     if a.ambient_dim != b.ambient_dim:
         raise SubspaceError("ambient dimension mismatch")
-    return orthonormal_basis(np.hstack([a.basis, b.basis]), tol)
+    return orthonormal_basis(np.hstack([a.basis, b.basis]))
 
 
-def subspace_intersection(a: Subspace, b: Subspace, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """Intersection, computed as the complement of the sum of complements."""
     if a.ambient_dim != b.ambient_dim:
         raise SubspaceError("ambient dimension mismatch")
     n = a.ambient_dim
     eye = np.eye(n, dtype=complex)
-    comp_a = orthonormal_basis(eye - a.projector(), tol)
-    comp_b = orthonormal_basis(eye - b.projector(), tol)
-    comp_sum = subspace_sum(comp_a, comp_b, tol)
-    return orthonormal_basis(eye - comp_sum.projector(), tol)
+    comp_a = orthonormal_basis(eye - a.projector())
+    comp_b = orthonormal_basis(eye - b.projector())
+    comp_sum = subspace_sum(comp_a, comp_b)
+    return orthonormal_basis(eye - comp_sum.projector())
 
 
-def orthogonal_complement(a: Subspace, within: Subspace,
-                          tol: float = DEFAULT_RANK_TOL,
-                          containment_tol: float = 1e-8) -> Subspace:
+def orthogonal_complement(a: Subspace, within: Subspace) -> Subspace:
     """Complement of ``a`` inside ``within``, i.e. b with a + b = within, a _|_ b."""
     if a.ambient_dim != within.ambient_dim:
         raise SubspaceError("ambient dimension mismatch")
     resid = a.containment_residual(within)
-    if resid > containment_tol:
+    if resid > SUBSPACE_TOL:
         raise SubspaceError(
             f"subspace not contained in the enclosing space (residual {resid:.3e})"
         )
     n = a.ambient_dim
     reduced = (np.eye(n, dtype=complex) - a.projector()) @ within.basis
-    return orthonormal_basis(reduced, tol)
+    return orthonormal_basis(reduced)
 
 
-def is_invariant(m, s: Subspace, tol: float = 1e-8) -> bool:
-    """True iff m maps s into s: ||(I - P_s) m basis_s|| < tol."""
+def is_invariant(m, s: Subspace) -> bool:
+    """True iff m maps s into s: ||(I - P_s) m basis_s|| < SUBSPACE_TOL."""
     m = _as_complex(m)
     if m.shape != (s.ambient_dim, s.ambient_dim):
         raise SubspaceError(
@@ -167,20 +165,10 @@ def is_invariant(m, s: Subspace, tol: float = 1e-8) -> bool:
         return True
     image = m @ s.basis
     resid = np.linalg.norm(image - s.projector() @ image, 2)
-    return resid < tol
+    return resid < SUBSPACE_TOL
 
 
-def image_subspace(m, s: Subspace, tol: float = DEFAULT_RANK_TOL) -> Subspace:
-    """Orthonormal basis of m * s."""
-    m = _as_complex(m)
-    if m.shape[1] != s.ambient_dim:
-        raise SubspaceError(
-            f"operator has {m.shape[1]} columns, ambient dimension is {s.ambient_dim}"
-        )
-    return orthonormal_basis(m @ s.basis, tol)
-
-
-def invariant_closure(ops, seed_cols, tol: float = DEFAULT_RANK_TOL) -> Subspace:
+def invariant_closure(ops, seed_cols, tol: float = RANK_TOL) -> Subspace:
     """Smallest subspace containing the columns of ``seed_cols`` and
     invariant under every operator in ``ops``.
 

@@ -43,6 +43,8 @@ from .subspaces import (
     orthonormal_basis,
     whole_space,
 )
+from .tolerances import (CONSERVATIVE_TOL, RANK_TOL, REQUIRED_CONSERVATIVE_TOL,
+                         RESOLVENT_COND_LIMIT, TAYLOR_DROP_TOL, UNITARY_RANK_TOL)
 
 
 class SystemShapeError(ValueError):
@@ -163,10 +165,6 @@ def combine(blocks, z) -> np.ndarray:
     return out
 
 
-RESOLVENT_COND_LIMIT = 1e12
-"""Largest 2-norm condition number of I - zA that ``transfer_eval`` accepts."""
-
-
 def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     """theta(z) = zD + zC (I - zA)^(-1) zB; for dim_x = 0 just zD.
 
@@ -243,8 +241,7 @@ def _unit(n: int, k: int) -> tuple:
     return tuple(int(i == k) for i in range(n))
 
 
-def taylor_coefficients(s: MultiSystem, max_total_degree: int,
-                        drop_tol: float = 1e-12) -> PolyGerm:
+def taylor_coefficients(s: MultiSystem, max_total_degree: int) -> PolyGerm:
     """Taylor coefficients of theta_s up to the given total degree.
 
     The coefficient at multi-index t with |t| = j >= 2 is the sum of
@@ -278,7 +275,7 @@ def taylor_coefficients(s: MultiSystem, max_total_degree: int,
                             new_frontier[t_k] = m @ s.a[k]
             frontier = new_frontier
 
-    kept = {t: m for t, m in coeffs.items() if np.linalg.norm(m) > drop_tol}
+    kept = {t: m for t, m in coeffs.items() if np.linalg.norm(m) > TAYLOR_DROP_TOL}
     return PolyGerm(n, s.dim_u, s.dim_y, kept)
 
 
@@ -294,7 +291,7 @@ class ConservativityReport:
         return self.is_isometric_family and self.is_coisometric_family
 
 
-def is_conservative(s: MultiSystem, tol: float = 1e-10) -> ConservativityReport:
+def is_conservative(s: MultiSystem, tol: float = CONSERVATIVE_TOL) -> ConservativityReport:
     """Exact algebraic conservativity test (see module docstring)."""
     gs = pencil_blocks(s)
     n = s.n_params
@@ -335,8 +332,8 @@ def is_conservative(s: MultiSystem, tol: float = 1e-10) -> ConservativityReport:
     return ConservativityReport(iso_ok, coiso_ok, worst, failing)
 
 
-def require_conservative(s: MultiSystem, tol: float = 1e-8) -> ConservativityReport:
-    report = is_conservative(s, tol)
+def require_conservative(s: MultiSystem) -> ConservativityReport:
+    report = is_conservative(s, REQUIRED_CONSERVATIVE_TOL)
     if not report.is_conservative:
         raise ConservativityError(
             f"system is not conservative (worst residual {report.worst_residual:.3e})"
@@ -359,7 +356,8 @@ class DissipativityVerdict:
 
 
 def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
-                           tol: float = 1e-10, seed: int = 0) -> DissipativityVerdict:
+                           tol: float = CONSERVATIVE_TOL,
+                           seed: int = 0) -> DissipativityVerdict:
     """Necessary-condition check: ||zG|| <= 1 + tol at sampled torus points.
 
     A fail comes with a witness point; a pass is not a proof (the sup over
@@ -375,7 +373,7 @@ def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
     return DissipativityVerdict(False, float(norms[i]), points[i])
 
 
-def closely_connected_subspace(s: MultiSystem, tol: float = 1e-9) -> Subspace:
+def closely_connected_subspace(s: MultiSystem, tol: float = RANK_TOL) -> Subspace:
     """Smallest subspace containing all B_k U and C_j* Y invariant under A_k, A_k*."""
     seed_cols = np.hstack([*s.b, *(c.conj().T for c in s.c)])
     return invariant_closure(_with_adjoints(s.a), seed_cols, tol)
@@ -386,8 +384,8 @@ def _with_adjoints(ops) -> list:
     return [m for op in ops for m in (op, op.conj().T)]
 
 
-def is_closely_connected(s: MultiSystem, tol: float = 1e-9) -> bool:
-    return closely_connected_subspace(s, tol).dim == s.dim_x
+def is_closely_connected(s: MultiSystem) -> bool:
+    return closely_connected_subspace(s).dim == s.dim_x
 
 
 def compress_to(s: MultiSystem, sub: Subspace) -> MultiSystem:
@@ -404,16 +402,15 @@ def compress_to(s: MultiSystem, sub: Subspace) -> MultiSystem:
     )
 
 
-def restrict_to_cc(s: MultiSystem, tol: float = 1e-8) -> MultiSystem:
+def restrict_to_cc(s: MultiSystem) -> MultiSystem:
     """Restriction of a conservative system to its closely-connected subspace.
 
     The closely-connected subspace reduces every A_k and carries all of
     B_k U and C_k* Y, so the compression is again conservative and has the
     same transfer function.
     """
-    require_conservative(s, tol)
-    sub = closely_connected_subspace(s)
-    return compress_to(s, sub)
+    require_conservative(s)
+    return compress_to(s, closely_connected_subspace(s))
 
 
 def _restricted_kernel(op: np.ndarray, space: Subspace, tol: float) -> Subspace:
@@ -428,7 +425,7 @@ def _restricted_kernel(op: np.ndarray, space: Subspace, tol: float) -> Subspace:
     return orthonormal_basis(space.basis @ null_cols)
 
 
-def unitary_part(s: MultiSystem, tol: float = 1e-8) -> Subspace:
+def unitary_part(s: MultiSystem) -> Subspace:
     """Maximal subspace reducing every A_k on which the pencil zA is unitary.
 
     Iterative refinement: shrink the candidate W to the joint kernel of the
@@ -453,9 +450,9 @@ def unitary_part(s: MultiSystem, tol: float = 1e-8) -> Subspace:
     for _ in range(dx + 1):
         before = space.dim
         for op in defects:
-            space = _restricted_kernel(op, space, tol)
-        outside = invariant_closure(ops, eye - space.projector(), tol)
-        space = orthonormal_basis(eye - outside.projector(), tol)
+            space = _restricted_kernel(op, space, UNITARY_RANK_TOL)
+        outside = invariant_closure(ops, eye - space.projector(), UNITARY_RANK_TOL)
+        space = orthonormal_basis(eye - outside.projector(), UNITARY_RANK_TOL)
         if space.dim == before:
             break
     return space

@@ -11,6 +11,8 @@ import pytest
 
 import mpsys
 from mpsys import serialization as ser
+from mpsys import tolerances
+from mpsys.cascade import cascade
 from mpsys.cli import run
 from mpsys.subspaces import Subspace
 from mpsys.systems import MultiSystem, random_conservative
@@ -211,6 +213,30 @@ def test_rank_tol_is_a_check_flag_only(tmp_path, capsys):
                              "--rank-tol", "1e-6")
     assert code == 0
     assert report_body(stdout)["tolerances"]["rank_tol"] == 1e-6
+
+
+def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    write_system(path, random_conservative(2, 3, 2, 2, seed=31))
+    hom = tmp_path / "hom.json"  # theta is homogeneous of degree 2
+    write_system(hom, cascade(random_conservative(2, 0, 2, 2, seed=5),
+                              random_conservative(2, 0, 2, 2, seed=4)))
+    unread = ("--residual-tol", "5", "--rank-tol", "7")
+    cases = [
+        (("check", path, "--what", "conservative", "--rank-tol", "7"),
+         {"residual_tol": tolerances.RESIDUAL_TOL}),
+        (("check", path, "--what", "unitary-part", *unread),
+         {"rank_tol": tolerances.UNITARY_RANK_TOL}),
+        (("check", path, "--what", "multiplicity", *unread),
+         {"taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
+        (("factor", hom, "--mode", "homogeneous", "--residual-tol", "5",
+          "--out-dir", tmp_path / "h"),
+         {"coefficient_tol": tolerances.COEFF_TOL, "degree_cap": 8}),
+    ]
+    for argv, applied in cases:
+        code, stdout, _ = invoke(capsys, *map(str, argv))
+        assert code == 0, argv
+        assert report_body(stdout)["tolerances"] == applied, argv
 
 
 def test_seeded_reports_are_byte_identical(tmp_path, capsys):

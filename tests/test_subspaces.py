@@ -6,7 +6,6 @@ import pytest
 from mpsys.subspaces import (
     Subspace,
     SubspaceError,
-    image_subspace,
     invariant_closure,
     is_invariant,
     orthogonal_complement,
@@ -190,18 +189,3 @@ def test_invariant_closure_of_zero_seeds_is_zero():
     ops = [np.eye(3), np.ones((3, 3))]
     assert invariant_closure(ops, np.zeros((3, 2))).dim == 0
     assert invariant_closure(ops, np.zeros((3, 0))).dim == 0
-
-
-def test_image_subspace_identity_and_zero():
-    rng = np.random.default_rng(8)
-    s = random_subspace(rng, 5, 2)
-    assert projector_distance(image_subspace(np.eye(5), s), s) < 1e-10
-    assert image_subspace(np.zeros((5, 5)), s).dim == 0
-
-
-def test_image_under_unitary_preserves_dimension():
-    rng = np.random.default_rng(9)
-    s = random_subspace(rng, 6, 3)
-    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    q, _ = np.linalg.qr(z)
-    assert image_subspace(q, s).dim == 3
