@@ -5,7 +5,8 @@ Records, for one source tree:
 * ``solve_problem2`` on the 100 pairs of acceptance criterion 09 and on the
   pipeline benchmark items of seeds 1 and 2 (the CLI's call: budget 64,
   the item's seed): the witness basis, ``intermediate_dim``, the residual
-  and both factors, as SHA-256 digests of the raw float bytes;
+  and both factors, as SHA-256 digests of the raw float bytes, together with
+  the witness projector and the closely-connected projector of the cascade;
 * the JSON report bodies (``timing_s`` removed) of a fixed set of CLI
   commands run with relative paths in a fresh directory.
 
@@ -15,8 +16,13 @@ Usage::
     python3 scripts/output_identity.py record --src OTHER_SRC --out B.json
     python3 scripts/output_identity.py compare A.json B.json
 
-``compare`` exits 0 when every digest and every report body is identical
-apart from the reports' ``tolerances`` fields, whose differences it lists.
+``compare`` checks that verdicts, dimensions, exit codes and the
+non-numeric report fields are equal.  Where digests differ it reports the
+largest entrywise difference of the witness and closely-connected
+projectors; over the report bodies it reports the largest difference of a
+float.  It exits 0 when all of that holds and both differences are at most
+``TOL``.  Differences in the reports' ``tolerances`` fields are listed, not
+counted.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
+TOL = 1e-12
 
 
 def _digest(*arrays) -> str:
@@ -49,23 +56,33 @@ def _system_digest(s) -> str:
     return _digest(*s.a, *s.b, *s.c, *s.d)
 
 
-def _outcome(out) -> dict:
+def _matrix(m) -> dict:
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def _outcome(out, cc) -> dict:
+    """The search's outcome; ``cc`` is the closely-connected subspace of the
+    cascade it came from."""
+    record = {"cc_dim": cc.dim, "cc_projector": _matrix(cc.projector())}
     if out is None:
-        return {"verdict": None}
+        return {"verdict": None, **record}
     return {
         "intermediate_dim": out.intermediate_dim,
         "witness_dim": out.witness_x2.dim,
         "witness": _digest(out.witness_x2.basis),
+        "witness_projector": _matrix(out.witness_x2.projector()),
         "residual": float(out.residual).hex(),
         "theta2": _system_digest(out.theta2),
         "theta1": _system_digest(out.theta1),
+        **record,
     }
 
 
 def problem2_outcomes() -> dict:
     from mpsys.cascade import cascade
-    from mpsys.factorization import from_factorization, solve_problem2
-    from mpsys.systems import random_conservative
+    from mpsys.factorization import solve_problem2
+    from mpsys.systems import closely_connected_subspace, random_conservative
+    from pairs import from_factorization
     import workloads
 
     results = {}
@@ -76,14 +93,16 @@ def problem2_outcomes() -> dict:
         alpha2 = random_conservative(n, int(rng.integers(1, 4)), du, du, seed=900 + i)
         alpha1 = random_conservative(n, int(rng.integers(1, 4)), du, du, seed=950 + i)
         acc, _, _ = from_factorization(alpha2, alpha1)
-        results[f"criterion09/{i}"] = _outcome(solve_problem2(acc, seed=i))
+        cc = closely_connected_subspace(cascade(alpha2, alpha1))
+        results[f"criterion09/{i}"] = _outcome(solve_problem2(acc, seed=i), cc)
     pool = workloads.WORKLOADS["pipeline"].pool
     for seed in (1, 2):
         for j, item in enumerate(workloads.build_pipeline(seed, pool)):
             alpha2 = random_conservative(item.n, item.dx2, item.du, item.du, seed=item.seed2)
             alpha1 = random_conservative(item.n, item.dx1, item.du, item.du, seed=item.seed1)
+            combined = cascade(alpha2, alpha1)
             results[f"pipeline{seed}/{j}"] = _outcome(
-                solve_problem2(cascade(alpha2, alpha1), seed=item.seed))
+                solve_problem2(combined, seed=item.seed), closely_connected_subspace(combined))
     return results
 
 
@@ -106,6 +125,8 @@ COMMANDS = [
     ["decompose", "c.json", "--x2", "x2.json", "--out-dir", "dec"],
     ["factor", "c.json", "--mode", "problem2", "--out-dir", "p2", "--seed", "8"],
     ["factor", "c.json", "--mode", "left", "--out-dir", "fl"],
+    ["factor", "c.json", "--mode", "left", "--multiplicity", "2", "--degree-cap", "9",
+     "--out-dir", "flm"],
     ["factor", "c.json", "--mode", "right", "--out-dir", "fr"],
     ["factor", "hom.json", "--mode", "homogeneous", "--out-dir", "fh"],
     ["factor", "hom.json", "--mode", "homogeneous", "--out-dir", "fh5",
@@ -152,7 +173,7 @@ def cli_reports() -> dict:
 
 
 def record(src: Path, out: Path) -> None:
-    sys.path[:0] = [str(src.resolve()), str(REPO / "bench")]
+    sys.path[:0] = [str(src.resolve()), str(REPO / "bench"), str(REPO / "tests")]
     results = {"problem2": problem2_outcomes()}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -164,27 +185,73 @@ def record(src: Path, out: Path) -> None:
     out.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n")
 
 
+def _projector_gap(a: dict, b: dict) -> float:
+    pa, pb = (np.array(m["re"]) + 1j * np.array(m["im"]) for m in (a, b))
+    return float(np.abs(pa - pb).max(initial=0.0))
+
+
+def _float_gap(a, b, where: str, mismatches: list) -> float:
+    """Largest difference of two floats at the same place in two JSON values;
+    anything else that differs is appended to ``mismatches``."""
+    number = (int, float)
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return max((_float_gap(a[k], b[k], f"{where}.{k}", mismatches) for k in a),
+                   default=0.0)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return max((_float_gap(x, y, f"{where}[{i}]", mismatches)
+                    for i, (x, y) in enumerate(zip(a, b))), default=0.0)
+    if (isinstance(a, float) or isinstance(b, float)) and all(
+            isinstance(x, number) and not isinstance(x, bool) for x in (a, b)):
+        return abs(a - b)
+    if a != b:
+        mismatches.append(where)
+    return 0.0
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
-    bad = 0
-    if a["problem2"] != b["problem2"]:
-        keys = sorted(k for k in a["problem2"] if a["problem2"][k] != b["problem2"].get(k))
-        print(f"problem2: {len(keys)} outcomes differ, first {keys[:5]}")
-        bad += 1
-    hits = sum(v.get("verdict", 1) is not None for v in a["problem2"].values())
-    print(f"problem2: {len(a['problem2'])} searches compared, {hits} factored")
+    bad = []
+    exact = ("verdict", "intermediate_dim", "witness_dim", "cc_dim")
+    witness_gap = cc_gap = residual_gap = 0.0
+    digests_differ = 0
+    for key, ra in a["problem2"].items():
+        rb = b["problem2"][key]
+        if any(ra.get(f) != rb.get(f) for f in exact):
+            bad.append(f"problem2 {key}: verdict or dimension differs")
+            continue
+        cc_gap = max(cc_gap, _projector_gap(ra["cc_projector"], rb["cc_projector"]))
+        if "witness" not in ra:
+            continue
+        if any(ra[f] != rb[f] for f in ("witness", "theta2", "theta1")):
+            digests_differ += 1
+            witness_gap = max(witness_gap, _projector_gap(ra["witness_projector"],
+                                                          rb["witness_projector"]))
+        residual_gap = max(residual_gap, abs(float.fromhex(ra["residual"])
+                                             - float.fromhex(rb["residual"])))
+    hits = sum("witness" in v for v in a["problem2"].values())
+    print(f"problem2: {len(a['problem2'])} searches compared, {hits} factored, "
+          f"{digests_differ} with a witness or factor not bit-identical")
+    print(f"problem2: largest witness projector difference {witness_gap:.3e}, "
+          f"closely-connected projector {cc_gap:.3e}, residual {residual_gap:.3e}")
+
+    report_gap = 0.0
     for cmd in COMMANDS:
         key = " ".join(cmd)
         ra, rb = a["cli"][key], b["cli"][key]
         tol_a = (ra["body"] or {}).pop("tolerances", None)
         tol_b = (rb["body"] or {}).pop("tolerances", None)
-        if ra != rb:
-            print(f"cli: report differs beyond tolerances: {key}")
-            bad += 1
-        elif tol_a != tol_b:
+        mismatches = []
+        report_gap = max(report_gap, _float_gap(ra, rb, "report", mismatches))
+        if mismatches:
+            bad.append(f"cli {key}: {', '.join(mismatches)} differ")
+        if tol_a != tol_b:
             print(f"cli: tolerances {tol_a} -> {tol_b}: {key}")
-    print(f"cli: {len(COMMANDS)} reports compared")
-    print("identical" if not bad else f"{bad} difference(s)")
+    print(f"cli: {len(COMMANDS)} reports compared, largest float difference {report_gap:.3e}")
+    if max(witness_gap, cc_gap, report_gap) > TOL:
+        bad.append(f"a difference exceeds {TOL:.0e}")
+    for line in bad:
+        print(line)
+    print(f"agree to {TOL:.0e}" if not bad else f"{len(bad)} difference(s)")
     return 1 if bad else 0
 
 

@@ -69,7 +69,6 @@ from .factorization import (
     factor_homogeneous,
     factor_left,
     factor_right,
-    from_factorization,
     invariant_subspace_candidates,
     multiplicity,
     solve_problem2,

@@ -13,6 +13,7 @@ environment variable can override them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -48,6 +49,7 @@ from .tolerances import (AGLER_TOL, COEFF_TOL, CONSERVATIVE_TOL, RANK_TOL, RESID
 from . import serialization as ser
 
 PASS, ERROR, FAIL = 0, 1, 2
+DEGREE_CAP = 8  # --degree-cap default of check and of factor's left, right, homogeneous
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,14 +187,17 @@ def _reconstruction_residual(system, chain, tail, right: bool, seed: int) -> flo
 
 
 def cmd_factor(ns, argv) -> tuple:
+    if ns.mode == "problem2" and ns.degree_cap is not None:
+        raise CliError("--degree-cap does not apply to --mode problem2, "
+                       "which takes the multiplicity up to degree dim_x + 2")
     system = ser.load_system(ns.path)
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tolerances = {"residual_tol": ns.residual_tol, "degree_cap": ns.degree_cap}
+    tolerances = {"residual_tol": ns.residual_tol}
 
     if ns.mode == "problem2":
         outcome = solve_problem2(system, budget=ns.budget, seed=ns.seed,
-                                          tol=ns.residual_tol)
+                                 tol=ns.residual_tol)
         tolerances["degree_cap"] = default_degree_cap(system)
         if outcome is None:
             report = _report(argv, mode=ns.mode, verdict="inconclusive",
@@ -210,16 +215,18 @@ def cmd_factor(ns, argv) -> tuple:
                          budget=ns.budget, seed=ns.seed, tolerances=tolerances)
         return report, PASS
 
+    cap = ns.degree_cap if ns.degree_cap is not None else DEGREE_CAP
     m = ns.multiplicity
     if m is None:
-        m = multiplicity(system, ns.degree_cap)
+        tolerances["degree_cap"] = cap
+        m = multiplicity(system, cap)
         if m is None:
             raise CliError(
                 "transfer function vanishes up to the degree cap; pass --multiplicity"
             )
 
     if ns.mode == "homogeneous":
-        chain = factor_homogeneous(system, m, check_cap=ns.degree_cap)
+        chain = factor_homogeneous(system, m, check_cap=cap)
         ser.save_json(out_dir / "chain.json", ser.chain_to_dict(chain))
         produced = chain_to_germ(chain)
         target = taylor_coefficients(system, m)
@@ -230,8 +237,7 @@ def cmd_factor(ns, argv) -> tuple:
         )
         report = _report(argv, mode=ns.mode, degree=m, out_dir=str(out_dir),
                          coefficient_residual=float(residual),
-                         tolerances={"coefficient_tol": COEFF_TOL,
-                                     "degree_cap": ns.degree_cap})
+                         tolerances={"coefficient_tol": COEFF_TOL, "degree_cap": cap})
         return report, PASS if residual < COEFF_TOL else FAIL
 
     right = ns.mode == "right"
@@ -272,7 +278,9 @@ def _add_common_tols(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every ``run``."""
     parser = _Parser(prog="mpsys", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -285,7 +293,6 @@ def build_parser() -> _Parser:
     p.add_argument("--germ", help="germ file for germ-realization")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("check", help="check a property of a system file")
     p.add_argument("path")
@@ -293,18 +300,16 @@ def build_parser() -> _Parser:
                    choices=["conservative", "dissipative", "closely-connected",
                             "unitary-part", "multiplicity"])
     p.add_argument("--torus-samples", type=int, default=100)
-    p.add_argument("--degree-cap", type=int, default=8)
+    p.add_argument("--degree-cap", type=int, default=DEGREE_CAP)
     p.add_argument("--rank-tol", type=float, default=RANK_TOL,
                    help="closely-connected: rank threshold of the closure")
     _add_common_tols(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("cascade", help="cascade connection of two system files")
     p.add_argument("path2", help="the outer system (applied second)")
     p.add_argument("path1", help="the inner system (applied first)")
     p.add_argument("--out", required=True)
     _add_common_tols(p)
-    p.set_defaults(func=cmd_cascade)
 
     p = sub.add_parser("decompose",
                        help="cascade decomposition along an invariant subspace")
@@ -312,19 +317,18 @@ def build_parser() -> _Parser:
     p.add_argument("--x2", required=True, help="subspace file for X2")
     p.add_argument("--out-dir", required=True)
     _add_common_tols(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("factor", help="factor a transfer function")
     p.add_argument("path")
     p.add_argument("--mode", required=True,
                    choices=["left", "right", "homogeneous", "problem2"])
     p.add_argument("--multiplicity", type=int, default=None)
-    p.add_argument("--degree-cap", type=int, default=8,
-                   help="left, right and homogeneous modes; problem2 uses dim_x + 2")
+    p.add_argument("--degree-cap", type=int, default=None,
+                   help="left and right modes without --multiplicity, and homogeneous "
+                        f"mode (default {DEGREE_CAP}); problem2 rejects it and uses dim_x + 2")
     p.add_argument("--budget", type=int, default=64, help="problem2: candidates to test")
     p.add_argument("--out-dir", default="factor-out")
     _add_common_tols(p)
-    p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("agler", help="try to falsify Agler-Schur membership")
     p.add_argument("path")
@@ -332,17 +336,17 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=float, default=0.9)
     p.add_argument("--tol", type=float, default=AGLER_TOL)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_agler)
 
     return parser
 
 
 def run(argv) -> int:
     started = time.perf_counter()
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        report, code = ns.func(ns, argv)
+        ns = build_parser().parse_args(argv)
+        # the handler is looked up on each call, not stored in the shared
+        # parser, so a rebinding of cmd_<name> (a wrapper, a patch) is seen
+        report, code = globals()[f"cmd_{ns.cmd}"](ns, argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR

@@ -26,7 +26,6 @@ import numpy as np
 
 from .cascade import (
     CascadeError,
-    cascade,
     check_condition_i,
     check_condition_ii,
     decompose,
@@ -35,9 +34,7 @@ from .cascade import (
 from .subspaces import (
     Subspace,
     invariant_closure,
-    orthonormal_basis,
     projector_distance,
-    subspace_intersection,
     subspace_sum,
     zero_space,
 )
@@ -46,10 +43,7 @@ from .systems import (
     PolyGerm,
     SystemShapeError,
     adjoint,
-    closely_connected_subspace,
     combine,
-    compress_to,
-    require_conservative,
     restrict_to_cc,
     taylor_coefficients,
     transfer_eval,
@@ -375,33 +369,9 @@ def solve_problem2(s: MultiSystem, budget: int = 64, seed: int = 0,
     return None
 
 
-def from_factorization(alpha2: MultiSystem, alpha1: MultiSystem) -> tuple:
-    """Rebuild the closely-connected cascade and its candidate subspaces.
-
-    Returns (alpha_cc, p_closure_candidate, intersection_candidate): the
-    closely-connected restriction of cascade(alpha2, alpha1) together with
-    the two subspaces P_{X_cc} X2 and X_cc intersect X2 (both expressed in
-    the coordinates of alpha_cc); each satisfies the cascade-decomposition
-    conditions (i) and (ii).
-    """
-    require_conservative(alpha2)
-    require_conservative(alpha1)
-    combined = cascade(alpha2, alpha1)
-    cc = closely_connected_subspace(combined)
-    acc = compress_to(combined, cc)
-    dx2 = alpha2.dim_x
-    x2_block = np.zeros((combined.dim_x, dx2), dtype=complex)
-    x2_block[:dx2, :dx2] = np.eye(dx2)
-    p_closure = orthonormal_basis(cc.basis.conj().T @ x2_block)
-    inter = subspace_intersection(cc, Subspace(combined.dim_x, x2_block))
-    inter_cc = orthonormal_basis(cc.basis.conj().T @ inter.basis)
-    return acc, p_closure, inter_cc
-
-
 __all__ = [
     "MultiplicityError", "LinearFactorChain", "TailFunction",
     "FactorizationOutcome", "chain_eval", "chain_to_germ", "tail_eval",
     "multiplicity", "default_degree_cap", "factor_left", "factor_right",
     "factor_homogeneous", "invariant_subspace_candidates", "solve_problem2",
-    "from_factorization",
 ]

@@ -2,14 +2,16 @@
 
 Subspaces are stored by orthonormal bases (columns of a complex matrix),
 which keeps dimensions explicit and composition cheap; orthoprojectors are
-derived on demand.  Rank decisions keep the singular values above
+derived on demand.  Every rank decision here is one rule, in one place
+(``_range_basis``): an SVD keeps the singular values above
 tol * (1 + the largest), with tol = ``tolerances.RANK_TOL`` by default.
 
 Every constructor canonicalizes the returned basis (pivoted QR of the
 orthoprojector plus a phase fix), so equal subspaces get the same basis
 up to rounding regardless of the path that produced them.  In particular
 the span of coordinate vectors comes back as those coordinate vectors, in
-index order.
+index order.  ``invariant_closure`` iterates on raw SVD bases and
+canonicalizes once, on exit.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ def _canonicalize(q: np.ndarray) -> np.ndarray:
 class Subspace:
     """A subspace of C^ambient_dim given by an orthonormal basis.
 
-    ``basis`` has shape (ambient_dim, dim) with orthonormal columns.
+    ``basis`` has shape (ambient_dim, dim) with orthonormal columns: the
+    Frobenius norm of Q*Q - I is at most ``GRAM_TOL``.
     """
 
     ambient_dim: int
@@ -74,9 +77,7 @@ class Subspace:
             )
         if basis.shape[1] > self.ambient_dim:
             raise SubspaceError("more basis vectors than ambient dimension")
-        gram_err = np.linalg.norm(
-            basis.conj().T @ basis - np.eye(basis.shape[1]), 2
-        ) if basis.shape[1] else 0.0
+        gram_err = np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1]))
         if gram_err > GRAM_TOL:
             raise SubspaceError(f"basis not orthonormal (Gram residual {gram_err:.3e})")
         object.__setattr__(self, "basis", basis)
@@ -105,20 +106,20 @@ def whole_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
 
-def orthonormal_basis(vectors, tol: float = RANK_TOL) -> Subspace:
-    """Orthonormal basis of the column span of ``vectors``.
-
-    Columns whose residual against the retained span falls below
-    ``tol * (1 + leading singular value)`` are discarded.
-    """
-    m = _as_complex(vectors)
-    ambient = m.shape[0]
+def _range_basis(m: np.ndarray, tol: float) -> np.ndarray:
+    """Left singular vectors of m whose singular values exceed
+    ``tol * (1 + leading singular value)``: the rank rule of this module."""
     if m.shape[1] == 0 or not np.any(m):
-        return zero_space(ambient)
+        return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    cutoff = tol * (1.0 + s[0])
-    rank = int(np.count_nonzero(s > cutoff))
-    return Subspace(ambient, _canonicalize(u[:, :rank]))
+    return u[:, :int(np.count_nonzero(s > tol * (1.0 + s[0])))]
+
+
+def orthonormal_basis(vectors, tol: float = RANK_TOL) -> Subspace:
+    """Orthonormal basis of the column span of ``vectors``, by the rank rule
+    of ``_range_basis``."""
+    m = _as_complex(vectors)
+    return Subspace(m.shape[0], _canonicalize(_range_basis(m, tol)))
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -173,16 +174,19 @@ def invariant_closure(ops, seed_cols, tol: float = RANK_TOL) -> Subspace:
     invariant under every operator in ``ops``.
 
     Grows Q to span[Q, op_1 Q, op_2 Q, ...] until the dimension stops
-    growing, which takes at most ambient_dim + 1 rounds.
+    growing, which takes at most ambient_dim + 1 rounds.  Q is the raw SVD
+    basis of each round: a unitary change of Q leaves the singular values of
+    [Q, op_1 Q, ...] unchanged, so every rank decision is that of the
+    canonical bases, and the basis is canonicalized once, on exit.
     """
-    space = orthonormal_basis(seed_cols, tol)
-    for _ in range(space.ambient_dim + 1):
-        grown = orthonormal_basis(
-            np.hstack([space.basis] + [op @ space.basis for op in ops]), tol)
-        if grown.dim == space.dim:
-            return grown
-        space = grown
-    return space
+    ops = [_as_complex(op) for op in ops]
+    q = _range_basis(_as_complex(seed_cols), tol)
+    for _ in range(q.shape[0] + 1):
+        grown = _range_basis(np.hstack([q] + [op @ q for op in ops]), tol)
+        if grown.shape[1] == q.shape[1]:
+            break
+        q = grown
+    return Subspace(q.shape[0], _canonicalize(grown))
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:

@@ -295,40 +295,23 @@ def is_conservative(s: MultiSystem, tol: float = CONSERVATIVE_TOL) -> Conservati
     """Exact algebraic conservativity test (see module docstring)."""
     gs = pencil_blocks(s)
     n = s.n_params
-    eye_in = np.eye(s.dim_x + s.dim_u)
-    eye_out = np.eye(s.dim_x + s.dim_y)
-
-    worst = 0.0
-    failing = None
-    iso_ok = True
-    coiso_ok = True
-
-    iso_sum = sum(g.conj().T @ g for g in gs) - eye_in
-    r = np.linalg.norm(iso_sum, 2)
-    if r > worst:
-        worst, failing = r, None
-    if r > tol:
-        iso_ok = False
-    coiso_sum = sum(g @ g.conj().T for g in gs) - eye_out
-    r = np.linalg.norm(coiso_sum, 2)
-    if r > worst:
-        worst, failing = r, None
-    if r > tol:
-        coiso_ok = False
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                continue
-            r = np.linalg.norm(gs[j].conj().T @ gs[k], 2)
-            if r > worst:
-                worst, failing = r, (j, k)
-            if r > tol:
-                iso_ok = False
-            r = np.linalg.norm(gs[j] @ gs[k].conj().T, 2)
-            if r > worst:
-                worst, failing = r, (j, k)
-            if r > tol:
-                coiso_ok = False
+    pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
+    # row 0: the sum minus I; row 1 + i: the cross term of pairs[i]
+    iso = [sum(g.conj().T @ g for g in gs) - np.eye(s.dim_x + s.dim_u)]
+    coiso = [sum(g @ g.conj().T for g in gs) - np.eye(s.dim_x + s.dim_y)]
+    for j, k in pairs:
+        iso.append(gs[j].conj().T @ gs[k])
+        coiso.append(gs[j] @ gs[k].conj().T)
+    iso_r = np.linalg.norm(np.stack(iso), 2, axis=(1, 2))
+    coiso_r = np.linalg.norm(np.stack(coiso), 2, axis=(1, 2))
+    # the first largest residual in the order: both sums, then each pair's
+    # isometric and coisometric cross terms
+    residuals = np.column_stack([iso_r, coiso_r]).ravel()
+    first = int(np.argmax(residuals))
+    worst = float(residuals[first])
+    failing = pairs[first // 2 - 1] if first >= 2 else None
+    iso_ok = not np.any(iso_r > tol)
+    coiso_ok = not np.any(coiso_r > tol)
     return ConservativityReport(iso_ok, coiso_ok, worst, failing)
 
 

@@ -2,7 +2,7 @@
 
 RANK_TOL = 1e-9  # singular values orthonormal_basis drops, relative to 1 + the largest
 UNITARY_RANK_TOL = 1e-8  # rank decisions inside unitary_part
-GRAM_TOL = 1e-10  # 2-norm of Q*Q - I a Subspace basis may show
+GRAM_TOL = 1e-10  # Frobenius norm of Q*Q - I a Subspace basis may show
 SUBSPACE_TOL = 1e-8  # invariance, containment, spill and same-subspace distances
 CONSERVATIVE_TOL = 1e-10  # how far the pencil may miss unitarity / contractivity
 REQUIRED_CONSERVATIVE_TOL = 1e-8  # residual require_conservative allows (decompose, search)

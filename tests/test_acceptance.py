@@ -28,7 +28,6 @@ from mpsys.factorization import (
     factor_homogeneous,
     factor_left,
     factor_right,
-    from_factorization,
     invariant_subspace_candidates,
     solve_problem2,
     tail_eval,
@@ -53,6 +52,8 @@ from mpsys.systems import (
     taylor_coefficients,
     transfer_eval,
 )
+
+from pairs import from_factorization
 
 
 # ---------------------------------------------------------------- helpers

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mpsys
+from mpsys import cli
 from mpsys import serialization as ser
 from mpsys import tolerances
 from mpsys.cascade import cascade
@@ -179,11 +180,39 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+def process_env():
+    return {**os.environ, "PYTHONPATH": str(Path(mpsys.__file__).resolve().parents[1])}
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    # a usage error, then a valid run in the same process: the report body
+    # equals the one of a fresh process
+    path = tmp_path / "sys.json"
+    write_system(path, random_conservative(2, 3, 2, 2, seed=29))
+    argv = ["check", str(path), "--what", "dissipative", "--seed", "4"]
+    code, stdout, err = invoke(capsys, "check", str(path), "--what", "bogus", "--seed", "9")
+    assert code == 1 and stdout == "" and "invalid choice" in err
+    code, stdout, _ = invoke(capsys, *argv)
+    assert code == 0
+    fresh = subprocess.run([sys.executable, "-m", "mpsys.cli", *argv], capture_output=True,
+                           text=True, env=process_env(), timeout=120)
+    assert fresh.returncode == 0
+
+    def body(text):
+        return [ln for ln in text.splitlines() if "timing_s" not in ln]
+
+    assert body(stdout) == body(fresh.stdout)
+
+
 def test_malformed_system_files_are_clean_errors(tmp_path):
     # run as a process, so an uncaught exception would show as a traceback
     good = ser.system_to_dict(random_conservative(1, 2, 2, 2, seed=0))
     no_n_params = {k: v for k, v in good.items() if k != "n_params"}
-    env = {**os.environ, "PYTHONPATH": str(Path(mpsys.__file__).resolve().parents[1])}
+    env = process_env()
     for name, text in (("list.json", "[1, 2]\n"),
                        ("no_n_params.json", json.dumps(no_n_params)),
                        ("str_dim.json", json.dumps({**good, "dim_x": "two"})),
@@ -237,6 +266,35 @@ def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
         code, stdout, _ = invoke(capsys, *map(str, argv))
         assert code == 0, argv
         assert report_body(stdout)["tolerances"] == applied, argv
+
+
+def test_degree_cap_is_echoed_only_where_it_is_read(tmp_path, capsys):
+    s = random_conservative(2, 4, 2, 2, seed=19)
+    path = tmp_path / "z.json"  # D = 0: multiplicity 2
+    write_system(path, MultiSystem(a=s.a, b=s.b, c=s.c, d=[np.zeros_like(d) for d in s.d]))
+    base = {"residual_tol": tolerances.RESIDUAL_TOL}
+    for mode in ("left", "right"):
+        out = ("--out-dir", str(tmp_path / mode))
+        for extra, applied in ((("--multiplicity", "2", "--degree-cap", "99"), base),
+                               ((), {**base, "degree_cap": 8}),
+                               (("--degree-cap", "99"), {**base, "degree_cap": 99})):
+            code, stdout, _ = invoke(capsys, "factor", str(path), "--mode", mode, *out, *extra)
+            assert code == 0, (mode, extra)
+            assert report_body(stdout)["tolerances"] == applied, (mode, extra)
+
+
+def test_factor_problem2_rejects_degree_cap(tmp_path, capsys):
+    p2, p1 = tmp_path / "b2.json", tmp_path / "b1.json"
+    write_system(p2, random_conservative(2, 2, 2, 2, seed=11))
+    write_system(p1, random_conservative(2, 2, 2, 2, seed=13))
+    casc = tmp_path / "casc.json"
+    invoke(capsys, "cascade", str(p2), str(p1), "--out", str(casc))
+    code, stdout, err = invoke(capsys, "factor", str(casc), "--mode", "problem2",
+                               "--degree-cap", "99", "--out-dir", str(tmp_path / "p2"))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error:") and "--degree-cap" in err
+    assert not (tmp_path / "p2").exists()
 
 
 def test_seeded_reports_are_byte_identical(tmp_path, capsys):

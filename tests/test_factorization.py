@@ -25,7 +25,6 @@ from mpsys.factorization import (
     factor_homogeneous,
     factor_left,
     factor_right,
-    from_factorization,
     invariant_subspace_candidates,
     multiplicity,
     solve_problem2,
@@ -44,6 +43,8 @@ from mpsys.systems import (
     taylor_coefficients,
     transfer_eval,
 )
+
+from pairs import from_factorization
 
 
 def zero_d(s):

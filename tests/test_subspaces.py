@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mpsys.tolerances import GRAM_TOL
 from mpsys.subspaces import (
     Subspace,
     SubspaceError,
@@ -26,6 +27,18 @@ def random_subspace(rng, ambient, dim):
 def test_constructor_rejects_non_orthonormal():
     with pytest.raises(SubspaceError):
         Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_gram_check_uses_the_frobenius_norm():
+    # positive control: Q*Q - I = e I_4 has 2-norm e but Frobenius norm 2e,
+    # so with GRAM_TOL / 2 < e < GRAM_TOL only the Frobenius check rejects it
+    e = 0.6 * GRAM_TOL
+    basis = np.sqrt(1.0 + e) * np.eye(4)
+    residual = basis.T @ basis - np.eye(4)
+    assert np.linalg.norm(residual, 2) < GRAM_TOL < np.linalg.norm(residual)
+    with pytest.raises(SubspaceError, match="not orthonormal"):
+        Subspace(4, basis)
+    Subspace(4, np.sqrt(1.0 + 0.4 * GRAM_TOL) * np.eye(4))
 
 
 def test_constructor_rejects_wrong_row_count():
@@ -183,6 +196,26 @@ def test_invariant_closure_grows_one_shift_step_per_round():
     np.testing.assert_allclose(invariant_closure([shift], e[:, 2:3]).basis, e[:, 2:],
                                atol=1e-12)
     assert invariant_closure([cyclic], e[:, :1]).dim == 5
+
+
+def test_invariant_closure_returns_the_canonical_basis():
+    # the closure iterates on raw SVD bases; its result must be the basis
+    # orthonormal_basis gives for the same span
+    rng = np.random.default_rng(11)
+    for i in range(20):
+        n = int(rng.integers(2, 8))
+        k = n // 2  # ops are block upper-triangular: the first k coordinates are invariant
+        ops = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+               for _ in range(2)]
+        for op in ops:
+            op[k:, :k] = 0.0
+        seeds = rng.standard_normal((n, 1))
+        if i % 2:
+            seeds[k:] = 0.0
+        closure = invariant_closure(ops, seeds)
+        assert closure.dim == (k if i % 2 else n)
+        np.testing.assert_allclose(orthonormal_basis(closure.basis).basis, closure.basis,
+                                   rtol=0, atol=1e-14)
 
 
 def test_invariant_closure_of_zero_seeds_is_zero():

@@ -220,6 +220,46 @@ def test_sampled_dissipativity_matches_an_early_exit_loop():
             np.testing.assert_array_equal(verdict.witness, witness)
 
 
+def test_conservativity_matches_the_pairwise_loop_bit_for_bit():
+    # the per-pair 2-norms in the order the report is defined by; the
+    # batched norms must give the same report exactly
+    def reference(s, tol):
+        gs = pencil_blocks(s)
+        worst, failing, iso_ok, coiso_ok = 0.0, None, True, True
+        terms = [(sum(g.conj().T @ g for g in gs) - np.eye(s.dim_x + s.dim_u), None, 0),
+                 (sum(g @ g.conj().T for g in gs) - np.eye(s.dim_x + s.dim_y), None, 1)]
+        for j in range(s.n_params):
+            for k in range(s.n_params):
+                if j != k:
+                    terms += [(gs[j].conj().T @ gs[k], (j, k), 0),
+                              (gs[j] @ gs[k].conj().T, (j, k), 1)]
+        for m, pair, side in terms:
+            r = np.linalg.norm(m, 2)
+            if r > worst:
+                worst, failing = r, pair
+            if r > tol:
+                iso_ok, coiso_ok = (False, coiso_ok) if side == 0 else (iso_ok, False)
+        return iso_ok, coiso_ok, worst, failing
+
+    rng = np.random.default_rng(21)
+    for i in range(60):
+        n, dx, du, dy = 1 + i % 3, int(rng.integers(0, 5)), 1 + i % 2, 1 + i % 3
+        if i % 2:
+            s = random_system(rng, n, dx, du, dy)
+        else:
+            base = random_conservative(n, dx, du, du, seed=i)
+            eps = (0.0, 1e-11, 1e-6)[i % 3]
+            s = MultiSystem(a=[m + eps * rng.standard_normal(m.shape) for m in base.a],
+                            b=base.b, c=base.c, d=base.d)
+        for tol in (1e-10, 1e-8):
+            report = is_conservative(s, tol)
+            iso_ok, coiso_ok, worst, failing = reference(s, tol)
+            assert report.is_isometric_family == iso_ok
+            assert report.is_coisometric_family == coiso_ok
+            assert report.worst_residual == worst
+            assert report.failing_pair == failing
+
+
 def test_random_conservative_requires_square_pencil():
     with pytest.raises(SystemShapeError):
         random_conservative(2, 3, 2, 3)
