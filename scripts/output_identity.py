@@ -7,6 +7,10 @@ Records, for one source tree:
   the item's seed): the witness basis, ``intermediate_dim``, the residual
   and both factors, as SHA-256 digests of the raw float bytes, together with
   the witness projector and the closely-connected projector of the cascade;
+* ``agler_test`` on the agler benchmark items of seeds 1 and 2, on each
+  system and on its 1.5x scaling, with the workload's call (50 trials,
+  r = 0.9, tol = 1e-8): ``max_norm`` and ``witness_norm`` as hex, the
+  number of trials and a SHA-256 digest of the witness matrices;
 * the JSON report bodies (``timing_s`` removed) of a fixed set of CLI
   commands run with relative paths in a fresh directory.
 
@@ -17,7 +21,8 @@ Usage::
     python3 scripts/output_identity.py compare A.json B.json
 
 ``compare`` checks that verdicts, dimensions, exit codes and the
-non-numeric report fields are equal.  Where digests differ it reports the
+non-numeric report fields are equal, and that every ``agler_test`` record
+is bit-identical.  Where the problem-2 digests differ it reports the
 largest entrywise difference of the witness and closely-connected
 projectors; over the report bodies it reports the largest difference of a
 float.  It exits 0 when all of that holds and both differences are at most
@@ -106,6 +111,28 @@ def problem2_outcomes() -> dict:
     return results
 
 
+def _agler_record(report) -> dict:
+    return {
+        "max_norm": float(report.max_norm).hex(),
+        "witness_norm": float(report.witness_norm).hex(),
+        "trials": report.trials,
+        "witness": _digest(*report.witness.mats) if report.falsified else None,
+    }
+
+
+def agler_outcomes() -> dict:
+    import workloads
+
+    pool = workloads.WORKLOADS["agler"].pool
+    results = {}
+    for seed in (1, 2):
+        for j, item in enumerate(workloads.build_agler(seed, pool)):
+            passed, falsified = workloads.run_agler(item, None)
+            results[f"agler{seed}/{j}"] = _agler_record(passed)
+            results[f"agler{seed}/{j}/scaled"] = _agler_record(falsified)
+    return results
+
+
 COMMANDS = [
     ["generate", "conservative", "--n-params", "2", "--dim-x", "4", "--seed", "5",
      "--out", "g.json"],
@@ -174,7 +201,7 @@ def cli_reports() -> dict:
 
 def record(src: Path, out: Path) -> None:
     sys.path[:0] = [str(src.resolve()), str(REPO / "bench"), str(REPO / "tests")]
-    results = {"problem2": problem2_outcomes()}
+    results = {"problem2": problem2_outcomes(), "agler": agler_outcomes()}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -233,6 +260,12 @@ def compare(a_path: Path, b_path: Path) -> int:
           f"{digests_differ} with a witness or factor not bit-identical")
     print(f"problem2: largest witness projector difference {witness_gap:.3e}, "
           f"closely-connected projector {cc_gap:.3e}, residual {residual_gap:.3e}")
+
+    changed = [key for key, ra in a["agler"].items() if b["agler"].get(key) != ra]
+    bad += [f"agler {key}: record differs" for key in changed]
+    witnesses = sum(v["witness"] is not None for v in a["agler"].values())
+    print(f"agler: {len(a['agler'])} agler_test calls compared, {witnesses} with a witness, "
+          f"{len(changed)} not bit-identical")
 
     report_gap = 0.0
     for cmd in COMMANDS:

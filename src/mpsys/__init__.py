@@ -47,13 +47,10 @@ from .systems import (
 from .cascade import (
     CascadeDecomposition,
     CascadeError,
-    CloseConnectednessReport,
     ConditionIIResult,
-    TheoremViolationError,
     cascade,
     check_condition_i,
     check_condition_ii,
-    closcon_property_check,
     decompose,
     sample_polydisk,
     verify_factor_tf,

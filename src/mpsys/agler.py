@@ -4,7 +4,8 @@ Membership quantifies over all commuting contraction tuples on all
 separable Hilbert spaces, which cannot be enumerated; this module is
 therefore strictly one-sided.  It evaluates theta(rT) exactly on generated
 finite commuting contraction tuples, by one resolvent solve of the
-tensorized realization, and samples polydisk sup-norms: a norm that
+tensorized realization (each of its sums of Kronecker products formed in
+one broadcast), and samples polydisk sup-norms: a norm that
 exceeds 1 by more than its recomputed error bound is a certified
 NON-membership witness, a pass is only a failure to falsify.
 """
@@ -62,6 +63,10 @@ class ContractionTuple:
 
 
 def validate_tuple(t: ContractionTuple) -> None:
+    """Raise TupleInvariantError for the first offender: a component of the
+    wrong shape, then a component of norm above 1 (by k), then a
+    non-commuting pair (j, k) in lexicographic order.  All the 2-norms come
+    from one batched SVD."""
     mats = t.mats
     if not mats:
         raise TupleInvariantError("empty tuple")
@@ -69,16 +74,23 @@ def validate_tuple(t: ContractionTuple) -> None:
     for k, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise TupleInvariantError(f"component {k} has shape {m.shape}")
-        norm = np.linalg.norm(m, 2)
+    pairs = list(itertools.combinations(range(len(mats)), 2))
+    norms = _spectral_norms(np.array(
+        [*mats, *(mats[j] @ mats[k] - mats[k] @ mats[j] for j, k in pairs)]))
+    for k, norm in enumerate(norms[:len(mats)]):
         if norm > 1.0 + CONTRACTION_TOL:
             raise TupleInvariantError(f"component {k} has norm {norm:.12f} > 1")
-    for j in range(len(mats)):
-        for k in range(j + 1, len(mats)):
-            comm = np.linalg.norm(mats[j] @ mats[k] - mats[k] @ mats[j], 2)
-            if comm > COMMUTATOR_TOL:
-                raise TupleInvariantError(
-                    f"components {j}, {k} do not commute (residual {comm:.3e})"
-                )
+    for (j, k), comm in zip(pairs, norms[len(mats):]):
+        if comm > COMMUTATOR_TOL:
+            raise TupleInvariantError(
+                f"components {j}, {k} do not commute (residual {comm:.3e})"
+            )
+
+
+def _spectral_norms(x: np.ndarray) -> np.ndarray:
+    """||x||_2 of a matrix, or of each matrix of a stack, as the largest
+    singular value from one LAPACK call; 0 for an empty matrix."""
+    return np.linalg.svd(x, compute_uv=False).max(-1, initial=0.0)
 
 
 def gen_commuting_contractions(n_params: int, dim: int, strategy: str,
@@ -128,6 +140,20 @@ class TupleEvaluation:
     error_bound: float
 
 
+def _tensor(blocks: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_k blocks[k] (x) mats[k] for stacks of shape (K, p, q) and (K, h, h).
+
+    One broadcast forms the products np.kron forms.  They are added from
+    zero in the order k = 0, 1, ..., as ``sum`` over np.kron did, so the
+    result is bit-identical to it; ``ndarray.sum(0)`` would regroup the
+    terms when p = q = h = 1.
+    """
+    _, p, q = blocks.shape
+    h = mats.shape[1]
+    products = blocks[:, :, None, :, None] * mats[:, None, :, None, :]
+    return sum(products, np.zeros((p, h, q, h), dtype=complex)).reshape(p * h, q * h)
+
+
 def eval_at_tuple(f: Union[PolyGerm, MultiSystem], t: ContractionTuple,
                   r: float) -> TupleEvaluation:
     """Evaluate theta(rT) exactly.
@@ -135,8 +161,9 @@ def eval_at_tuple(f: Union[PolyGerm, MultiSystem], t: ContractionTuple,
     Germ input: the finite sum of coeff_t (x) (rT)^t over the stored
     coefficients; ``error_bound`` is 0.  System input: the tensorized
     realization D_T + C_T (I - A_T)^(-1) B_T with X_T = sum_k X_k (x) rT_k,
-    exact because the T_k commute.  ResolventError is raised unless
-    ||A_T||_2 < 1; then ``error_bound`` is the forward bound
+    exact because the T_k commute.  Each sum of Kronecker products is one
+    broadcast over the stacked blocks (``_tensor``).  ResolventError is
+    raised unless ||A_T||_2 < 1; then ``error_bound`` is the forward bound
     ||C_T||_F ||B_T - (I - A_T) X||_F / (1 - ||A_T||_2) on the value, from
     the residual of the computed solve X.  For a conservative system
     ||A_T||_2 <= r.
@@ -147,27 +174,27 @@ def eval_at_tuple(f: Union[PolyGerm, MultiSystem], t: ContractionTuple,
         if f.n_params != t.n_params:
             raise ValueError("n_params mismatch between germ and tuple")
         h = t.dim
-        value = np.zeros((f.dim_y * h, f.dim_u * h), dtype=complex)
-        for idx, coeff in f.coeffs.items():
+        factors = []
+        for idx in f.coeffs:
             factor = np.eye(h, dtype=complex) * (r ** sum(idx))
             for k, power in enumerate(idx):
                 for _ in range(power):
                     factor = factor @ t.mats[k]
-            value += np.kron(coeff, factor)
+            factors.append(factor)
+        count = len(factors)
+        coeffs = np.array(list(f.coeffs.values())).reshape(count, f.dim_y, f.dim_u)
+        value = _tensor(coeffs, np.array(factors).reshape(count, h, h))
         return TupleEvaluation(value, 0.0)
 
     s = f
     if s.n_params != t.n_params:
         raise ValueError("n_params mismatch between system and tuple")
-
-    def tensor(blocks):
-        return sum(np.kron(blocks[k], r * t.mats[k]) for k in range(s.n_params))
-
-    d_t = tensor(s.d)
+    rt = r * np.array(t.mats)
+    d_t = _tensor(np.array(s.d), rt)
     if s.dim_x == 0:
         return TupleEvaluation(d_t, 0.0)
-    a_t, b_t, c_t = tensor(s.a), tensor(s.b), tensor(s.c)
-    a_norm = float(np.linalg.norm(a_t, 2))
+    a_t, b_t, c_t = (_tensor(np.array(blocks), rt) for blocks in (s.a, s.b, s.c))
+    a_norm = float(_spectral_norms(a_t))
     if not a_norm < 1.0:
         raise ResolventError(f"||A_T||_2 = {a_norm:.6f} is not below 1")
     lhs = np.eye(a_t.shape[0]) - a_t
@@ -210,7 +237,7 @@ def agler_test(f: Union[PolyGerm, MultiSystem], trials: int = 50,
             n_params, next(dims), next(strategies), seed=seed * 10007 + trial
         )
         result = eval_at_tuple(f, tup, r)
-        norm = float(np.linalg.norm(result.value, 2))
+        norm = float(_spectral_norms(result.value))
         max_norm = max(max_norm, norm)
         if norm - result.error_bound > 1.0 + tol:
             return AglerReport(max_norm=max_norm, trials=trial + 1,

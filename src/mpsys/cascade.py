@@ -36,7 +36,6 @@ from .subspaces import (
 )
 from .systems import (
     MultiSystem,
-    is_closely_connected,
     pencil_blocks,
     require_conservative,
     transfer_eval,
@@ -46,10 +45,6 @@ from .tolerances import SUBSPACE_TOL
 
 class CascadeError(ValueError):
     """Raised on incompatible spaces or failed decomposition conditions."""
-
-
-class TheoremViolationError(AssertionError):
-    """A property that holds by theorem failed numerically; treated as a bug."""
 
 
 def cascade(alpha2: MultiSystem, alpha1: MultiSystem) -> MultiSystem:
@@ -202,40 +197,8 @@ def verify_factor_tf(alpha: MultiSystem, alpha2: MultiSystem, alpha1: MultiSyste
     return float(np.linalg.norm(diff, 2, axis=(1, 2)).max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class CloseConnectednessReport:
-    cascade_closely_connected: bool
-    alpha2_closely_connected: bool
-    alpha1_closely_connected: bool
-
-
-def closcon_property_check(alpha2: MultiSystem,
-                           alpha1: MultiSystem) -> CloseConnectednessReport:
-    """Executable form of: cascade closely connected => both factors are.
-
-    An implication violation would falsify the underlying theorem and is
-    raised as a TheoremViolationError.
-    """
-    require_conservative(alpha2)
-    require_conservative(alpha1)
-    combined = cascade(alpha2, alpha1)
-    report = CloseConnectednessReport(
-        cascade_closely_connected=is_closely_connected(combined),
-        alpha2_closely_connected=is_closely_connected(alpha2),
-        alpha1_closely_connected=is_closely_connected(alpha1),
-    )
-    if report.cascade_closely_connected and not (
-        report.alpha2_closely_connected and report.alpha1_closely_connected
-    ):
-        raise TheoremViolationError(
-            f"cascade is closely connected but a factor is not: {report}"
-        )
-    return report
-
-
 __all__ = [
-    "CascadeError", "TheoremViolationError", "ConditionIIResult",
-    "CascadeDecomposition", "CloseConnectednessReport",
+    "CascadeError", "ConditionIIResult", "CascadeDecomposition",
     "cascade", "check_condition_i", "check_condition_ii", "decompose",
-    "verify_factor_tf", "closcon_property_check", "sample_polydisk",
+    "verify_factor_tf", "sample_polydisk",
 ]

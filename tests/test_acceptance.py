@@ -16,7 +16,6 @@ from mpsys.cascade import (
     cascade,
     check_condition_i,
     check_condition_ii,
-    closcon_property_check,
     decompose,
     sample_polydisk,
     verify_factor_tf,
@@ -53,7 +52,7 @@ from mpsys.systems import (
     transfer_eval,
 )
 
-from pairs import from_factorization
+from pairs import closcon_property_check, from_factorization
 
 
 # ---------------------------------------------------------------- helpers

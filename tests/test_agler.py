@@ -55,6 +55,84 @@ def test_tuple_matrices_are_read_only_copies():
         tup.mats[0][0, 0] = 5.0
 
 
+def test_validate_tuple_reports_the_first_offender_in_order():
+    half = 0.5 * np.eye(2)
+    raising = np.array([[0.0, 1.0], [0.0, 0.0]])
+    lowering = raising.T
+    # norms by component k first, then pairs (j, k) in lexicographic order
+    cases = [
+        ((half, raising, lowering), r"^components 1, 2 do not commute"),
+        ((raising, lowering, 2.0 * np.eye(2)), r"^component 2 has norm 2\.0+ > 1$"),
+        ((half, 1.5 * np.eye(2), 2.0 * np.eye(2)), r"^component 1 has norm 1\.50+ > 1$"),
+        ((raising, raising, lowering), r"^components 0, 2 do not commute"),
+    ]
+    for mats, message in cases:
+        with pytest.raises(TupleInvariantError, match=message):
+            ContractionTuple(mats)
+
+
+def _kron_sum(blocks, mats):
+    return sum(np.kron(blocks[k], mats[k]) for k in range(len(blocks)))
+
+
+def _kron_reference(f, t, r):
+    """eval_at_tuple as sums of np.kron, kept as the reference."""
+    if isinstance(f, PolyGerm):
+        value = np.zeros((f.dim_y * t.dim, f.dim_u * t.dim), dtype=complex)
+        for idx, coeff in f.coeffs.items():
+            factor = np.eye(t.dim, dtype=complex) * (r ** sum(idx))
+            for k, power in enumerate(idx):
+                for _ in range(power):
+                    factor = factor @ t.mats[k]
+            value += np.kron(coeff, factor)
+        return value
+    rt = [r * m for m in t.mats]
+    d_t = _kron_sum(f.d, rt)
+    if f.dim_x == 0:
+        return d_t
+    a_t, b_t, c_t = _kron_sum(f.a, rt), _kron_sum(f.b, rt), _kron_sum(f.c, rt)
+    return d_t + c_t @ np.linalg.solve(np.eye(a_t.shape[0]) - a_t, b_t)
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_tensorized_evaluation_matches_the_kron_loop_bit_for_bit():
+    r = 0.9
+    germs = [
+        PolyGerm(3, 1, 1, {(1, 0, 0): np.array([[0.3]]), (0, 1, 0): np.array([[0.2j]]),
+                           (0, 0, 1): np.array([[-0.1]]), (1, 1, 0): np.array([[0.15]]),
+                           (2, 0, 1): np.array([[0.05 - 0.1j]])}),
+        PolyGerm(2, 2, 1, {(1, 0): np.array([[0.3, -0.1]]),
+                           (1, 2): np.array([[0.05j, 0.2]])}),
+        PolyGerm(1, 1, 1, {}),
+    ]
+    order_matters = False
+    for n in (1, 2, 3):
+        systems = [random_conservative(n, dx, du, du, seed=10 * n + dx)
+                   for dx, du in ((0, 2), (1, 1), (3, 2))]
+        for dim in (1, 2, 3):
+            for strategy in STRATEGIES:
+                tup = gen_commuting_contractions(n, dim, strategy, seed=dim)
+                rt = [r * m for m in tup.mats]
+                for s in systems:
+                    for blocks in (s.a, s.b, s.c, s.d):
+                        expected = _kron_sum(blocks, rt)
+                        assert _same_bits(agler._tensor(np.array(blocks), np.array(rt)),
+                                          expected)
+                        order_matters |= not np.array_equal(
+                            _kron_sum(blocks[::-1], rt[::-1]), expected)
+                    assert _same_bits(eval_at_tuple(s, tup, r).value,
+                                      _kron_reference(s, tup, r))
+                for germ in germs:
+                    if germ.n_params == n:
+                        assert _same_bits(eval_at_tuple(germ, tup, r).value,
+                                          _kron_reference(germ, tup, r))
+    # the cases above tell the k-sum order apart, so a reversed sum fails
+    assert order_matters
+
+
 def test_scalar_tuple_reduces_to_transfer_eval():
     s = random_conservative(2, 4, 2, 2, seed=0)
     tup = gen_commuting_contractions(2, 3, "scalar", seed=1)

@@ -8,7 +8,6 @@ from mpsys.cascade import (
     cascade,
     check_condition_i,
     check_condition_ii,
-    closcon_property_check,
     decompose,
     sample_polydisk,
     verify_factor_tf,
@@ -28,6 +27,7 @@ from mpsys.systems import (
     sample_torus,
     transfer_eval,
 )
+from pairs import closcon_property_check
 
 
 def coordinate_block(ambient, count, offset=0):
