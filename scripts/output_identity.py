@@ -11,6 +11,10 @@ Records, for one source tree:
   system and on its 1.5x scaling, with the workload's call (50 trials,
   r = 0.9, tol = 1e-8): ``max_norm`` and ``witness_norm`` as hex, the
   number of trials and a SHA-256 digest of the witness matrices;
+* ``run_eval`` on the eval benchmark items of seeds 1 and 2: the floats it
+  reports (the cascade's transfer-function residual, the left, right and
+  germ reconstruction residuals, and the sampled dissipativity
+  ``max_norm``) as hex;
 * the JSON report bodies (``timing_s`` removed) of a fixed set of CLI
   commands run with relative paths in a fresh directory.
 
@@ -21,11 +25,11 @@ Usage::
     python3 scripts/output_identity.py compare A.json B.json
 
 ``compare`` checks that verdicts, dimensions, exit codes and the
-non-numeric report fields are equal, and that every ``agler_test`` record
-is bit-identical.  Where the problem-2 digests differ it reports the
-largest entrywise difference of the witness and closely-connected
-projectors; over the report bodies it reports the largest difference of a
-float.  It exits 0 when all of that holds and both differences are at most
+non-numeric report fields are equal, and that every ``agler_test`` and
+``run_eval`` record is bit-identical.  Where the problem-2 digests differ
+it reports the largest entrywise difference of the witness and
+closely-connected projectors; over the report bodies it reports the
+largest difference of a float.  It exits 0 when all of that holds and both differences are at most
 ``TOL``.  Differences in the reports' ``tolerances`` fields are listed, not
 counted.
 """
@@ -133,6 +137,23 @@ def agler_outcomes() -> dict:
     return results
 
 
+EVAL_RESIDUALS = ("tf_residual", "left_residual", "right_residual", "germ_residual")
+
+
+def eval_outcomes() -> dict:
+    import workloads
+
+    pool = workloads.WORKLOADS["eval"].pool
+    results = {}
+    for seed in (1, 2):
+        for j, item in enumerate(workloads.build_eval(seed, pool)):
+            out = workloads.run_eval(item, None)
+            record = {key: float(out[key]).hex() for key in EVAL_RESIDUALS}
+            record["max_norm"] = float(out["dissipative"].max_norm).hex()
+            results[f"eval{seed}/{j}"] = record
+    return results
+
+
 COMMANDS = [
     ["generate", "conservative", "--n-params", "2", "--dim-x", "4", "--seed", "5",
      "--out", "g.json"],
@@ -201,7 +222,8 @@ def cli_reports() -> dict:
 
 def record(src: Path, out: Path) -> None:
     sys.path[:0] = [str(src.resolve()), str(REPO / "bench"), str(REPO / "tests")]
-    results = {"problem2": problem2_outcomes(), "agler": agler_outcomes()}
+    results = {"problem2": problem2_outcomes(), "agler": agler_outcomes(),
+               "eval": eval_outcomes()}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -266,6 +288,10 @@ def compare(a_path: Path, b_path: Path) -> int:
     witnesses = sum(v["witness"] is not None for v in a["agler"].values())
     print(f"agler: {len(a['agler'])} agler_test calls compared, {witnesses} with a witness, "
           f"{len(changed)} not bit-identical")
+
+    changed = [key for key, ra in a["eval"].items() if b["eval"].get(key) != ra]
+    bad += [f"eval {key}: record differs" for key in changed]
+    print(f"eval: {len(a['eval'])} run_eval items compared, {len(changed)} not bit-identical")
 
     report_gap = 0.0
     for cmd in COMMANDS:

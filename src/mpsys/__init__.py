@@ -78,7 +78,6 @@ from .agler import (
     agler_test,
     eval_at_tuple,
     gen_commuting_contractions,
-    polydisk_sup_norm,
     validate_tuple,
 )
 

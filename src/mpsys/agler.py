@@ -5,9 +5,9 @@ separable Hilbert spaces, which cannot be enumerated; this module is
 therefore strictly one-sided.  It evaluates theta(rT) exactly on generated
 finite commuting contraction tuples, by one resolvent solve of the
 tensorized realization (each of its sums of Kronecker products formed in
-one broadcast), and samples polydisk sup-norms: a norm that
-exceeds 1 by more than its recomputed error bound is a certified
-NON-membership witness, a pass is only a failure to falsify.
+one broadcast): a norm that exceeds 1 by more than its recomputed error
+bound is a certified NON-membership witness, a pass is only a failure to
+falsify.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .systems import (
     MultiSystem,
     PolyGerm,
     ResolventError,
-    germ_eval,
     haar_unitary,
-    transfer_eval,
 )
 from .tolerances import AGLER_TOL, COMMUTATOR_TOL, CONTRACTION_TOL
 
@@ -245,27 +243,9 @@ def agler_test(f: Union[PolyGerm, MultiSystem], trials: int = 50,
     return AglerReport(max_norm=max_norm, trials=trials)
 
 
-def polydisk_sup_norm(f: Union[PolyGerm, MultiSystem], grid_per_axis: int = 12,
-                      radius: float = 0.95) -> float:
-    """Max of ||theta(z)|| over a torus-scaled grid {radius * zeta}.
-
-    For N = 1 this samples the Schur-norm criterion directly; for N >= 2
-    a small value is only a necessary condition for class membership.
-    All grid_per_axis**N points are evaluated in one batch.
-    """
-    if not 0.0 < radius < 1.0:
-        raise ValueError("radius must lie in (0, 1)")
-    n = f.n_params
-    angles = 2.0 * np.pi * np.arange(grid_per_axis) / grid_per_axis
-    ring = radius * np.exp(1j * angles)
-    evaluate = germ_eval if isinstance(f, PolyGerm) else transfer_eval
-    grid = np.array(list(itertools.product(ring, repeat=n)))
-    return float(np.linalg.norm(evaluate(f, grid), 2, axis=(1, 2)).max())
-
-
 __all__ = [
     "ContractionTuple", "TupleEvaluation", "AglerReport",
     "TupleInvariantError", "STRATEGIES",
     "validate_tuple", "gen_commuting_contractions", "eval_at_tuple",
-    "agler_test", "polydisk_sup_norm",
+    "agler_test",
 ]

@@ -167,9 +167,10 @@ def chain_from_dict(payload: dict) -> LinearFactorChain:
 
 
 def save_json(path, payload: dict) -> None:
+    """One line of sorted-key JSON and a newline; compact output lets
+    ``json`` use its C encoder."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_json(path) -> dict:

@@ -16,7 +16,10 @@ re-checks its shapes.  Both subspace extractions are invariant closures
 
 The evaluators (``combine``, ``transfer_eval``, ``germ_eval``) take one
 point of shape (N,) or a stack of P points of shape (P, N).  A stack is
-evaluated in one batch and gives a (P, rows, cols) array.
+evaluated in one batch and gives a (P, rows, cols) array.  The resolvent
+guard of ``transfer_eval`` is certified in two steps: a batched Cholesky
+screen proves the whole stack well conditioned, and the SVD condition
+number decides every stack the screen leaves.
 
 Conservativity ("the pencil zG is unitary for every z on the unit torus") is
 decided by finitely many matrix identities obtained by matching Fourier
@@ -44,7 +47,8 @@ from .subspaces import (
     whole_space,
 )
 from .tolerances import (CONSERVATIVE_TOL, RANK_TOL, REQUIRED_CONSERVATIVE_TOL,
-                         RESOLVENT_COND_LIMIT, TAYLOR_DROP_TOL, UNITARY_RANK_TOL)
+                         RESOLVENT_COND_LIMIT, RESOLVENT_SCREEN, TAYLOR_DROP_TOL,
+                         UNITARY_RANK_TOL)
 
 
 class SystemShapeError(ValueError):
@@ -165,26 +169,68 @@ def combine(blocks, z) -> np.ndarray:
     return out
 
 
+def _certified_well_conditioned(m: np.ndarray) -> bool:
+    """True only if every matrix M (n x n) of the stack ``m`` provably has
+    cond_2(M) <= 1.2 / RESOLVENT_SCREEN; one batched Cholesky decides.
+
+    With tau = RESOLVENT_SCREEN and f^2 = trace(M*M) = ||M||_F^2 it factors
+    H = M*M - tau^2 f^2 I.  A floating-point Cholesky of H that runs to the
+    end proves H + E positive definite with ||E||_2 about (n + 1) u f^2, u
+    the unit roundoff (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.3); forming M*M and the shift add about as
+    much.  delta = 4 (n + 1)^2 eps / tau^2 bounds both with room, so
+    sigma_min(M)^2 >= tau^2 f^2 (1 - delta), while sigma_max(M) <= f.  The
+    screen runs only while delta <= 1/4 and every shift is finite and at
+    least tiny / eps (no underflow), so a success gives cond_2(M) <=
+    1 / (tau sqrt(3/4)).  This is the classical certificate of positive
+    definiteness (Rump, Verification of positive definiteness, BIT 46, 2006).
+    """
+    n = m.shape[-1]
+    eps = np.finfo(float).eps
+    if 16 * (n + 1) ** 2 * eps > RESOLVENT_SCREEN ** 2:
+        return False
+    h = m.conj().swapaxes(-1, -2) @ m
+    diagonal = np.einsum("...ii->...i", h)  # a writeable view
+    shift = RESOLVENT_SCREEN ** 2 * diagonal.real.sum(-1)
+    if not ((shift >= np.finfo(float).tiny / eps) & (shift <= np.finfo(float).max)).all():
+        return False
+    diagonal -= shift[..., None]
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     """theta(z) = zD + zC (I - zA)^(-1) zB; for dim_x = 0 just zD.
 
     ``z`` is one point of shape (N,), giving one matrix, or a stack of
     shape (P, N), giving a (P, dim_y, dim_u) array from one batched solve.
-    Raises ``ResolventError`` if I - zA is near-singular at any point.
+    Raises ``ResolventError`` at the first point where I - zA is not finite
+    or its 2-norm condition exceeds RESOLVENT_COND_LIMIT.  The guard is
+    certified in two steps: ``_certified_well_conditioned`` proves the whole
+    stack far below the limit, or else the SVD condition of every point
+    decides, so the points rejected are those of the SVD guard alone.
     """
     z = _check_points(s.n_params, z)
     zd = combine(s.d, z)
     if s.dim_x == 0:
         return zd
     resolvent_arg = np.eye(s.dim_x) - combine(s.a, z)
-    cond = np.atleast_1d(np.linalg.cond(resolvent_arg))
-    bad = np.flatnonzero(~(cond <= RESOLVENT_COND_LIMIT))
-    if bad.size:
-        i = bad[0]
-        raise ResolventError(
-            f"I - zA is near-singular at point {i} "
-            f"(z = {np.atleast_2d(z)[i]}, condition estimate {cond[i]:.3e})"
-        )
+    if not _certified_well_conditioned(resolvent_arg):
+        # a non-finite matrix gets condition nan: the SVD would not converge
+        stack = resolvent_arg.reshape(-1, s.dim_x, s.dim_x)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        cond = np.full(len(stack), np.nan)
+        cond[finite] = np.linalg.cond(stack[finite])
+        bad = np.flatnonzero(~(cond <= RESOLVENT_COND_LIMIT))
+        if bad.size:
+            i = bad[0]
+            raise ResolventError(
+                f"I - zA is near-singular at point {i} "
+                f"(z = {np.atleast_2d(z)[i]}, condition estimate {cond[i]:.3e})"
+            )
     return zd + combine(s.c, z) @ np.linalg.solve(resolvent_arg, combine(s.b, z))
 
 

@@ -12,5 +12,6 @@ CHAIN_DROP_TOL = 1e-14  # norm below which a chain-product coefficient is droppe
 COMMUTATOR_TOL = 1e-10  # ||T_j T_k - T_k T_j|| a commuting tuple may show
 CONTRACTION_TOL = 1e-12  # norm excess over 1 of a contraction; power-family margin
 RESOLVENT_COND_LIMIT = 1e12  # largest 2-norm condition of I - zA transfer_eval accepts
+RESOLVENT_SCREEN = 1e-4  # sigma_min / ||.||_F the Cholesky screen certifies (condition <= ~1e4)
 RESIDUAL_TOL = 1e-9  # transfer-function product residual (solve_problem2, --residual-tol)
 AGLER_TOL = 1e-8  # excess over 1 of ||theta(rT)|| that falsifies (agler_test, --tol)

@@ -1,9 +1,11 @@
 """Test helpers on pairs of conservative systems: the closely-connected
 cascade and the two candidate subspaces the paper builds from its factors,
-and the executable form of "a closely connected cascade has closely
-connected factors"."""
+the executable form of "a closely connected cascade has closely connected
+factors", and a grid oracle for the sup-norm of a function on the polydisk."""
 
+import itertools
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -11,10 +13,13 @@ from mpsys.cascade import cascade
 from mpsys.subspaces import Subspace, orthonormal_basis, subspace_intersection
 from mpsys.systems import (
     MultiSystem,
+    PolyGerm,
     closely_connected_subspace,
     compress_to,
+    germ_eval,
     is_closely_connected,
     require_conservative,
+    transfer_eval,
 )
 
 
@@ -74,3 +79,21 @@ def closcon_property_check(alpha2: MultiSystem,
             f"cascade is closely connected but a factor is not: {report}"
         )
     return report
+
+
+def polydisk_sup_norm(f: Union[PolyGerm, MultiSystem], grid_per_axis: int = 12,
+                      radius: float = 0.95) -> float:
+    """Max of ||theta(z)|| over a torus-scaled grid {radius * zeta}.
+
+    For N = 1 this samples the Schur-norm criterion directly; for N >= 2
+    a small value is only a necessary condition for class membership.
+    All grid_per_axis**N points are evaluated in one batch.
+    """
+    if not 0.0 < radius < 1.0:
+        raise ValueError("radius must lie in (0, 1)")
+    n = f.n_params
+    angles = 2.0 * np.pi * np.arange(grid_per_axis) / grid_per_axis
+    ring = radius * np.exp(1j * angles)
+    evaluate = germ_eval if isinstance(f, PolyGerm) else transfer_eval
+    grid = np.array(list(itertools.product(ring, repeat=n)))
+    return float(np.linalg.norm(evaluate(f, grid), 2, axis=(1, 2)).max())

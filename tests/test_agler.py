@@ -10,7 +10,6 @@ from mpsys.agler import (
     agler_test,
     eval_at_tuple,
     gen_commuting_contractions,
-    polydisk_sup_norm,
     validate_tuple,
 )
 from mpsys import agler
@@ -23,6 +22,7 @@ from mpsys.systems import (
     scale_output,
     transfer_eval,
 )
+from pairs import polydisk_sup_norm
 
 
 def test_generated_tuples_satisfy_invariants():

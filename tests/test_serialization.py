@@ -1,5 +1,7 @@
 """Round-trip and error-path tests for the JSON file formats."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,22 @@ def test_system_round_trip(tmp_path):
         np.testing.assert_array_equal(loaded.b[k], s.b[k])
         np.testing.assert_array_equal(loaded.c[k], s.c[k])
         np.testing.assert_array_equal(loaded.d[k], s.d[k])
+
+
+def test_saved_system_is_one_sorted_line_that_round_trips_bit_exactly(tmp_path):
+    s = random_conservative(3, 5, 2, 2, seed=4)
+    payload = ser.system_to_dict(s)
+    path = tmp_path / "sys.json"
+    ser.save_json(path, payload)
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+    assert ser.load_json(path) == payload
+    loaded = ser.load_system(path)
+    for name in "abcd":
+        for saved, read in zip(getattr(s, name), getattr(loaded, name)):
+            assert read.shape == saved.shape
+            assert read.tobytes() == saved.tobytes()
 
 
 def test_stateless_system_round_trip(tmp_path):

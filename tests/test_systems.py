@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mpsys import systems
 from mpsys.subspaces import orthonormal_basis
 from mpsys.systems import (
     ConservativityError,
@@ -30,6 +31,7 @@ from mpsys.systems import (
     transfer_eval,
     unitary_part,
 )
+from mpsys.tolerances import RESOLVENT_COND_LIMIT, RESOLVENT_SCREEN
 
 
 def random_system(rng, n, dx, du, dy, scale=0.4):
@@ -122,8 +124,122 @@ def test_transfer_raises_on_singular_resolvent():
         transfer_eval(s, [1.0])
     # positive control for the batch: only the third point is singular
     assert transfer_eval(s, [[0.1], [0.2], [0.3], [0.4]]).shape == (4, 2, 2)
-    with pytest.raises(ResolventError, match="at point 2 "):
+    with pytest.raises(ResolventError, match=r"at point 2 .*condition estimate inf"):
         transfer_eval(s, [[0.1], [0.2], [1.0], [0.3], [0.4]])
+    # a non-finite point is reported at its index as well
+    with pytest.raises(ResolventError, match=r"at point 1 .*condition estimate nan"):
+        transfer_eval(s, [[0.1], [np.nan], [0.3], [1.0]])
+    with pytest.raises(ResolventError, match=r"at point 0 .*condition estimate nan"):
+        transfer_eval(s, [np.nan])
+
+
+def reference_transfer_eval(s, z):
+    """transfer_eval guarded by the SVD condition number of every point alone."""
+    z = np.asarray(z, dtype=complex)
+    zd = combine(s.d, z)
+    if s.dim_x == 0:
+        return zd
+    resolvent_arg = np.eye(s.dim_x) - combine(s.a, z)
+    cond = np.atleast_1d(np.linalg.cond(resolvent_arg))
+    bad = np.flatnonzero(~(cond <= RESOLVENT_COND_LIMIT))
+    if bad.size:
+        i = bad[0]
+        raise ResolventError(
+            f"I - zA is near-singular at point {i} "
+            f"(z = {np.atleast_2d(z)[i]}, condition estimate {cond[i]:.3e})"
+        )
+    return zd + combine(s.c, z) @ np.linalg.solve(resolvent_arg, combine(s.b, z))
+
+
+def evaluation_outcome(evaluate, s, z):
+    """The value's bytes, or the ResolventError message."""
+    try:
+        value = evaluate(s, z)
+    except ResolventError as exc:
+        return "raised", str(exc)
+    return value.shape, value.tobytes()
+
+
+def matrix_with_singular_values(rng, sv):
+    n = len(sv)
+    return (haar_unitary(n, rng) * sv) @ haar_unitary(n, rng).conj().T
+
+
+def test_resolvent_screen_certifies_only_well_conditioned_matrices():
+    # Property: a certified matrix has 2-norm condition at most about
+    # 1 / RESOLVENT_SCREEN.  Every third matrix sits on the screen's boundary
+    # sigma_min = RESOLVENT_SCREEN * ||M||_F (singular values 1, s, ..., s).
+    # Positive control: a matrix with cond * sqrt(n) <= 0.99 / RESOLVENT_SCREEN
+    # has sigma_min >= ||M||_F * RESOLVENT_SCREEN / 0.99, so it is certified.
+    rng = np.random.default_rng(29)
+    tau = RESOLVENT_SCREEN
+    certified = boundary_certified = boundary_refused = 0
+    for i in range(3000):
+        n = int(rng.integers(1, 30))
+        if i % 3 == 0:
+            s = tau / np.sqrt(1.0 - (n - 1) * tau ** 2) * (1.0 + rng.uniform(-1e-5, 1e-5))
+            sv = np.array([1.0] + [s] * (n - 1))
+        else:
+            log_kappa = rng.uniform(0.0, 17.0)
+            inner = rng.uniform(-log_kappa, 0.0, max(n - 2, 0))
+            sv = 10.0 ** np.concatenate([[0.0, -log_kappa], inner])[:n]
+        m = 10.0 ** rng.uniform(-8.0, 8.0) * matrix_with_singular_values(rng, sv)
+        cond = np.linalg.cond(m)
+        ok = systems._certified_well_conditioned(m)
+        assert not ok or cond <= (1.0 + 1e-6) / tau, (n, cond)
+        assert ok or cond * np.sqrt(n) * tau > 0.99, (n, cond)
+        certified += ok
+        if i % 3 == 0 and n > 1:
+            boundary_certified += ok
+            boundary_refused += not ok
+    assert certified > 1000 and boundary_certified > 100 and boundary_refused > 100
+
+
+def test_transfer_eval_matches_the_svd_guard_bit_for_bit():
+    # Random systems and points, some placed on or next to the singular set
+    # of I - zA: values and ResolventError messages must be those of the
+    # SVD guard alone.  Each path (screen, SVD fallback accepting, SVD
+    # rejecting) must be taken.
+    rng = np.random.default_rng(41)
+    paths = {"stateless": 0, "screened": 0, "fallback": 0, "rejected": 0}
+    for trial in range(120):
+        n, dx = int(rng.integers(1, 4)), int(rng.integers(0, 25))
+        s = random_system(rng, n, dx, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                          scale=rng.uniform(0.05, 0.5))
+        p = int(rng.integers(1, 9))
+        z = rng.uniform(0.0, 1.0, (p, n)) * np.exp(2j * np.pi * rng.uniform(size=(p, n)))
+        if dx and trial % 2:
+            # eigenvalue 1 of zA at one point, shifted by 0 (singular) or by
+            # a small amount (ill conditioned, still accepted)
+            lam = np.linalg.eigvals(combine(s.a, z[0]))
+            lam = lam[np.argmax(np.abs(lam))]
+            z[int(rng.integers(p))] = z[0] / lam * (1.0 + rng.choice([0.0, 1e-6, 1e-9]))
+        if trial % 5 == 0:
+            z = z[0]
+        expected = evaluation_outcome(reference_transfer_eval, s, z)
+        assert evaluation_outcome(transfer_eval, s, z) == expected
+        if dx == 0:
+            paths["stateless"] += 1
+        elif systems._certified_well_conditioned(np.eye(dx) - combine(s.a, z)):
+            paths["screened"] += 1
+        else:
+            paths["rejected" if expected[0] == "raised" else "fallback"] += 1
+    assert min(paths.values()) > 0, paths
+
+
+def test_an_ill_conditioned_point_falls_back_to_the_svd_with_the_same_values():
+    # I - zA at z = 1 has condition about 1e8: the screen refuses the batch,
+    # the SVD accepts it, and the values are those of the SVD guard alone.
+    rng = np.random.default_rng(31)
+    m = matrix_with_singular_values(rng, np.geomspace(1.0, 1e-8, 6))
+    s = MultiSystem(a=[np.eye(6) - m], b=[rng.standard_normal((6, 2))],
+                    c=[rng.standard_normal((2, 6))], d=[np.zeros((2, 2))])
+    points = np.array([[0.1], [0.5j], [1.0], [-0.3]])
+    stack = np.eye(6) - combine(s.a, points)
+    assert 1e7 < np.linalg.cond(stack[2]) < 1e9
+    assert systems._certified_well_conditioned(np.delete(stack, 2, axis=0))
+    assert not systems._certified_well_conditioned(stack)
+    assert transfer_eval(s, points).tobytes() == reference_transfer_eval(s, points).tobytes()
 
 
 def test_evaluators_reject_points_of_the_wrong_length():
