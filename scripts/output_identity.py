@@ -2,11 +2,13 @@
 
 Records, for one source tree:
 
-* ``solve_problem2`` on the 100 pairs of acceptance criterion 09 and on the
-  pipeline benchmark items of seeds 1 and 2 (the CLI's call: budget 64,
-  the item's seed): the witness basis, ``intermediate_dim``, the residual
-  and both factors, as SHA-256 digests of the raw float bytes, together with
-  the witness projector and the closely-connected projector of the cascade;
+* ``solve_problem2`` on the 100 pairs of acceptance criterion 09, on the
+  pipeline benchmark items of seeds 1 and 2 (the CLI's call, with the
+  item's seed) and on ``pairs.irreducible_realization`` for dim_x 2-5 and
+  seeds 0-4, where dim_x >= 3 has no cascade decomposition: the witness
+  basis, ``intermediate_dim``, the residual and both factors, as SHA-256
+  digests of the raw float bytes, together with the witness projector and
+  the closely-connected projector of the system;
 * ``agler_test`` on the agler benchmark items of seeds 1 and 2, on each
   system and on its 1.5x scaling, with the workload's call (50 trials,
   r = 0.9, tol = 1e-8): ``max_norm`` and ``witness_norm`` as hex, the
@@ -91,7 +93,7 @@ def problem2_outcomes() -> dict:
     from mpsys.cascade import cascade
     from mpsys.factorization import solve_problem2
     from mpsys.systems import closely_connected_subspace, random_conservative
-    from pairs import from_factorization
+    from pairs import from_factorization, irreducible_realization
     import workloads
 
     results = {}
@@ -112,6 +114,11 @@ def problem2_outcomes() -> dict:
             combined = cascade(alpha2, alpha1)
             results[f"pipeline{seed}/{j}"] = _outcome(
                 solve_problem2(combined, seed=item.seed), closely_connected_subspace(combined))
+    for dx in range(2, 6):
+        for seed in range(5):
+            s = irreducible_realization(dx, seed)
+            results[f"irreducible{dx}/{seed}"] = _outcome(
+                solve_problem2(s, seed=seed), closely_connected_subspace(s))
     return results
 
 

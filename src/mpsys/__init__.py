@@ -13,7 +13,6 @@ from .subspaces import (
     orthogonal_complement,
     orthonormal_basis,
     projector_distance,
-    subspace_intersection,
     subspace_sum,
     whole_space,
     zero_space,
@@ -30,7 +29,6 @@ from .systems import (
     closely_connected_subspace,
     compress_to,
     germ_eval,
-    is_closely_connected,
     is_conservative,
     is_dissipative_sampled,
     pencil_blocks,

@@ -30,6 +30,7 @@ from .factorization import (
     factor_homogeneous,
     factor_left,
     factor_right,
+    invariant_subspace_candidates,
     multiplicity,
     solve_problem2,
     tail_eval,
@@ -40,6 +41,7 @@ from .systems import (
     is_dissipative_sampled,
     random_conservative,
     realize_germ,
+    restrict_to_cc,
     taylor_coefficients,
     transfer_eval,
     unitary_part,
@@ -196,12 +198,15 @@ def cmd_factor(ns, argv) -> tuple:
     tolerances = {"residual_tol": ns.residual_tol}
 
     if ns.mode == "problem2":
-        outcome = solve_problem2(system, budget=ns.budget, seed=ns.seed,
-                                 tol=ns.residual_tol)
+        outcome = solve_problem2(system, seed=ns.seed, tol=ns.residual_tol)
         tolerances["degree_cap"] = default_degree_cap(system)
         if outcome is None:
-            report = _report(argv, mode=ns.mode, verdict="inconclusive",
-                             budget=ns.budget, seed=ns.seed, tolerances=tolerances)
+            # exact for this closely-connected realization, not for all of theta's
+            acc = restrict_to_cc(system)
+            least = invariant_subspace_candidates(acc)[-1]
+            report = _report(argv, mode=ns.mode, verdict="no-cascade-decomposition",
+                             cc_dim=acc.dim_x, least_x2_dim=least.dim,
+                             seed=ns.seed, tolerances=tolerances)
             return report, FAIL
         ser.save_json(out_dir / "theta2.json", ser.system_to_dict(outcome.theta2))
         ser.save_json(out_dir / "theta1.json", ser.system_to_dict(outcome.theta1))
@@ -212,7 +217,7 @@ def cmd_factor(ns, argv) -> tuple:
                          intermediate_dim=outcome.intermediate_dim,
                          witness_x2_dim=outcome.witness_x2.dim,
                          reconstruction_residual=outcome.residual,
-                         budget=ns.budget, seed=ns.seed, tolerances=tolerances)
+                         seed=ns.seed, tolerances=tolerances)
         return report, PASS
 
     cap = ns.degree_cap if ns.degree_cap is not None else DEGREE_CAP
@@ -326,7 +331,6 @@ def build_parser() -> _Parser:
     p.add_argument("--degree-cap", type=int, default=None,
                    help="left and right modes without --multiplicity, and homogeneous "
                         f"mode (default {DEGREE_CAP}); problem2 rejects it and uses dim_x + 2")
-    p.add_argument("--budget", type=int, default=64, help="problem2: candidates to test")
     p.add_argument("--out-dir", default="factor-out")
     _add_common_tols(p)
 

@@ -129,18 +129,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return orthonormal_basis(np.hstack([a.basis, b.basis]))
 
 
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection, computed as the complement of the sum of complements."""
-    if a.ambient_dim != b.ambient_dim:
-        raise SubspaceError("ambient dimension mismatch")
-    n = a.ambient_dim
-    eye = np.eye(n, dtype=complex)
-    comp_a = orthonormal_basis(eye - a.projector())
-    comp_b = orthonormal_basis(eye - b.projector())
-    comp_sum = subspace_sum(comp_a, comp_b)
-    return orthonormal_basis(eye - comp_sum.projector())
-
-
 def orthogonal_complement(a: Subspace, within: Subspace) -> Subspace:
     """Complement of ``a`` inside ``within``, i.e. b with a + b = within, a _|_ b."""
     if a.ambient_dim != within.ambient_dim:

@@ -413,10 +413,6 @@ def _with_adjoints(ops) -> list:
     return [m for op in ops for m in (op, op.conj().T)]
 
 
-def is_closely_connected(s: MultiSystem) -> bool:
-    return closely_connected_subspace(s).dim == s.dim_x
-
-
 def compress_to(s: MultiSystem, sub: Subspace) -> MultiSystem:
     """Compression of the system onto a state subspace, in the subspace basis."""
     if sub.ambient_dim != s.dim_x:
@@ -625,7 +621,7 @@ __all__ = [
     "validate", "pencil_blocks", "combine", "transfer_eval",
     "germ_eval", "taylor_coefficients", "is_conservative",
     "require_conservative", "is_dissipative_sampled", "sample_torus",
-    "closely_connected_subspace", "is_closely_connected", "compress_to",
+    "closely_connected_subspace", "compress_to",
     "restrict_to_cc", "unitary_part", "haar_unitary", "random_conservative",
     "adjoint", "scale_output", "realize_germ",
 ]

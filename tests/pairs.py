@@ -1,7 +1,10 @@
 """Test helpers on pairs of conservative systems: the closely-connected
 cascade and the two candidate subspaces the paper builds from its factors,
 the executable form of "a closely connected cascade has closely connected
-factors", and a grid oracle for the sup-norm of a function on the polydisk."""
+factors", a grid oracle for the sup-norm of a function on the polydisk, a
+randomized invariant-subspace search (the oracle the lattice fixed point of
+``invariant_subspace_candidates`` is checked against), and a conservative
+realization that has no cascade decomposition."""
 
 import itertools
 from dataclasses import dataclass
@@ -9,18 +12,43 @@ from typing import Union
 
 import numpy as np
 
-from mpsys.cascade import cascade
-from mpsys.subspaces import Subspace, orthonormal_basis, subspace_intersection
+from mpsys.cascade import cascade, check_condition_i
+from mpsys.subspaces import (
+    Subspace,
+    SubspaceError,
+    invariant_closure,
+    orthonormal_basis,
+    projector_distance,
+    subspace_sum,
+    zero_space,
+)
 from mpsys.systems import (
     MultiSystem,
     PolyGerm,
     closely_connected_subspace,
+    combine,
     compress_to,
     germ_eval,
-    is_closely_connected,
+    haar_unitary,
     require_conservative,
     transfer_eval,
 )
+from mpsys.tolerances import SUBSPACE_TOL
+
+
+def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
+    """Intersection, computed as the complement of the sum of complements."""
+    if a.ambient_dim != b.ambient_dim:
+        raise SubspaceError("ambient dimension mismatch")
+    eye = np.eye(a.ambient_dim, dtype=complex)
+    comp_a = orthonormal_basis(eye - a.projector())
+    comp_b = orthonormal_basis(eye - b.projector())
+    comp_sum = subspace_sum(comp_a, comp_b)
+    return orthonormal_basis(eye - comp_sum.projector())
+
+
+def is_closely_connected(s: MultiSystem) -> bool:
+    return closely_connected_subspace(s).dim == s.dim_x
 
 
 class TheoremViolationError(AssertionError):
@@ -97,3 +125,87 @@ def polydisk_sup_norm(f: Union[PolyGerm, MultiSystem], grid_per_axis: int = 12,
     evaluate = germ_eval if isinstance(f, PolyGerm) else transfer_eval
     grid = np.array(list(itertools.product(ring, repeat=n)))
     return float(np.linalg.norm(evaluate(f, grid), 2, axis=(1, 2)).max())
+
+
+def search_stream(s: MultiSystem, seed: int):
+    """The randomized candidate stream, generated only as it is consumed.
+
+    {0}; the distinct Krylov closures (under all A_k) of eigenvectors of 3
+    random combinations of the A_k and of 4 random vectors, stably sorted by
+    dimension; then, round by round, each pairwise sum of the subspaces found
+    so far as soon as it is new.  Equal dimension and projector distance
+    < ``SUBSPACE_TOL`` count as the same subspace; every candidate passes
+    condition (i).
+    """
+    dx, n = s.dim_x, s.n_params
+    known = [zero_space(dx)]
+    yield known[0]
+    if dx == 0:
+        return
+    rng = np.random.default_rng(seed)
+
+    def add(space: Subspace) -> bool:
+        if any(k.dim == space.dim and projector_distance(k, space) < SUBSPACE_TOL
+               for k in known):
+            return False
+        known.append(space)
+        return True
+
+    for _ in range(3):
+        coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        _, vecs = np.linalg.eig(combine(s.a, coeff))
+        for i in range(vecs.shape[1]):
+            add(invariant_closure(s.a, vecs[:, i:i + 1]))
+    for _ in range(4):
+        add(invariant_closure(s.a, rng.standard_normal((dx, 1))
+                              + 1j * rng.standard_normal((dx, 1))))
+    yield from (c for c in sorted(known[1:], key=lambda c: c.dim)
+                if check_condition_i(s, c))
+
+    # Each round sums, in lexicographic order, only the pairs with a member
+    # found since the previous round: a pair summed before would only
+    # reproduce a known or rejected sum.
+    summed = 0
+    while summed < len(known):
+        size = len(known)
+        for i in range(size):
+            for j in range(max(i + 1, summed), size):
+                a, b = known[i], known[j]
+                merged = subspace_sum(a, b)
+                if (merged.dim not in (a.dim, b.dim) and add(merged)
+                        and check_condition_i(s, merged)):
+                    yield merged
+        summed = size
+
+
+def search_candidates(s: MultiSystem, budget: int, seed: int) -> list:
+    """The first ``budget`` candidates of ``search_stream``."""
+    return list(itertools.islice(search_stream(s, seed), budget))
+
+
+def irreducible_realization(dim_x: int, seed: int) -> MultiSystem:
+    """A conservative N = 2 system with dim_u = dim_y = 1 and D = 0.
+
+    G_k = P_k W on C^(dim_x + 1), where P_1 projects onto a Haar-random
+    2-plane, P_2 = I - P_1, and W is unitary with W e_u orthogonal to e_y
+    and to P_1 e_y (e_u = e_y is the last coordinate), which makes both
+    D_k = 0.  For dim_x >= 3 (checked for seeds 0-4) the least fixed point
+    of ``invariant_subspace_candidates`` is the whole state space and
+    spills into the input space, so the realization has no cascade
+    decomposition; for dim_x = 2 it has one.
+    """
+    n = dim_x + 1
+    rng = np.random.default_rng(seed)
+    plane = haar_unitary(n, rng)[:, :2]
+    p1 = plane @ plane.conj().T
+    e_y = np.eye(n)[:, -1]
+    avoid = orthonormal_basis(np.column_stack([e_y, p1 @ e_y]))
+    w = haar_unitary(n, rng)
+    last = w[:, -1] - avoid.projector() @ w[:, -1]
+    q, _ = np.linalg.qr(np.column_stack([last, w[:, :-1]]))  # q[:, 0] spans last
+    w = np.roll(q, -1, axis=1)
+    blocks = [p1 @ w, (np.eye(n) - p1) @ w]
+    return MultiSystem(a=[g[:dim_x, :dim_x] for g in blocks],
+                       b=[g[:dim_x, dim_x:] for g in blocks],
+                       c=[g[dim_x:, :dim_x] for g in blocks],
+                       d=[g[dim_x:, dim_x:] for g in blocks])

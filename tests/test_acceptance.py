@@ -27,7 +27,6 @@ from mpsys.factorization import (
     factor_homogeneous,
     factor_left,
     factor_right,
-    invariant_subspace_candidates,
     solve_problem2,
     tail_eval,
 )
@@ -52,7 +51,7 @@ from mpsys.systems import (
     transfer_eval,
 )
 
-from pairs import closcon_property_check, from_factorization
+from pairs import closcon_property_check, from_factorization, search_candidates
 
 
 # ---------------------------------------------------------------- helpers
@@ -225,7 +224,7 @@ def test_criterion_04_condition_ii_reduction():
     # invariant-subspace candidates of cascades (mixed outcomes)
     for i, (alpha2, alpha1) in enumerate(conservative_pairs(20, 470)):
         combined = cascade(alpha2, alpha1)
-        for cand in invariant_subspace_candidates(combined, budget=3, seed=i):
+        for cand in search_candidates(combined, budget=3, seed=i):
             instances.append((combined, cand))
     instances = instances[:200]
     assert len(instances) == 200

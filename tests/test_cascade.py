@@ -20,14 +20,13 @@ from mpsys.subspaces import (
 from mpsys.systems import (
     MultiSystem,
     combine,
-    is_closely_connected,
     is_conservative,
     pencil_blocks,
     random_conservative,
     sample_torus,
     transfer_eval,
 )
-from pairs import closcon_property_check
+from pairs import closcon_property_check, is_closely_connected
 
 
 def coordinate_block(ambient, count, offset=0):

@@ -18,6 +18,8 @@ from mpsys.cli import run
 from mpsys.subspaces import Subspace
 from mpsys.systems import MultiSystem, random_conservative
 
+from pairs import irreducible_realization
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -113,17 +115,35 @@ def test_factor_problem2_rejects_multiplicity_one(tmp_path, capsys):
     assert "error" in err
 
 
-def test_factor_problem2_rejects_budget_below_one(tmp_path, capsys):
+def test_factor_problem2_exact_no_and_its_errors(tmp_path, capsys):
+    path = tmp_path / "irreducible.json"
+    write_system(path, irreducible_realization(4, seed=0))
+    code, stdout, _ = invoke(capsys, "factor", str(path), "--mode", "problem2",
+                             "--out-dir", str(tmp_path / "no"), "--seed", "3")
+    assert code == 2
+    body = report_body(stdout)
+    assert body["verdict"] == "no-cascade-decomposition"
+    assert body["least_x2_dim"] == body["cc_dim"] == 4
+    assert body["seed"] == 3 and "budget" not in body
+    assert not (tmp_path / "no" / "theta2.json").exists()
+
     p2, p1 = tmp_path / "b2.json", tmp_path / "b1.json"
     write_system(p2, random_conservative(1, 1, 1, 1, seed=11))
     write_system(p1, random_conservative(1, 1, 1, 1, seed=13))
     casc = tmp_path / "casc.json"
     invoke(capsys, "cascade", str(p2), str(p1), "--out", str(casc))
     code, stdout, err = invoke(capsys, "factor", str(casc), "--mode", "problem2",
-                               "--budget", "0", "--out-dir", str(tmp_path / "p2"))
-    assert code == 1
-    assert stdout == ""
-    assert "budget must be >= 1" in err
+                               "--budget", "8", "--out-dir", str(tmp_path / "p2"))
+    assert code == 1 and stdout == "" and "--budget" in err
+    code, stdout, err = invoke(capsys, "factor", str(casc), "--mode", "problem2",
+                               "--residual-tol", "1e-30", "--out-dir", str(tmp_path / "p2"))
+    assert code == 1 and stdout == ""
+    assert "CascadeError" in err and "residual" in err
+    # the benchmark pipeline's call
+    code, stdout, _ = invoke(capsys, "factor", str(casc), "--mode", "problem2",
+                             "--out-dir", str(tmp_path / "p2"), "--seed", "5")
+    assert code == 0
+    assert report_body(stdout)["verdict"] == "factored"
 
 
 def test_factor_left_and_right(tmp_path, capsys):

@@ -1,20 +1,21 @@
 """Unit tests for multiplicity and linear-factor factorizations."""
 
+import importlib
 from itertools import islice
 
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from mpsys import factorization
+from mpsys import factorization, subspaces
 from mpsys.cascade import (
     CascadeError,
+    ConditionIIResult,
     cascade,
     check_condition_i,
     check_condition_ii,
     decompose,
     sample_polydisk,
-    verify_factor_tf,
 )
 from mpsys.factorization import (
     LinearFactorChain,
@@ -43,8 +44,10 @@ from mpsys.systems import (
     taylor_coefficients,
     transfer_eval,
 )
+from mpsys.tolerances import SUBSPACE_TOL
 
-from pairs import from_factorization
+import pairs
+from pairs import from_factorization, irreducible_realization, is_closely_connected
 
 
 def zero_d(s):
@@ -188,18 +191,20 @@ def test_factor_homogeneous_rejects_inhomogeneous_input():
         factor_homogeneous(s, 2)
 
 
-def test_invariant_candidates_are_invariant():
-    s = random_conservative(2, 5, 2, 2, seed=50)
-    candidates = invariant_subspace_candidates(s, budget=16, seed=0)
-    assert candidates, "candidate list must at least contain the zero space"
-    assert candidates[0].dim == 0
-    for c in candidates:
-        assert check_condition_i(s, c)
-
-
 def cascade_of(n, dx2, dx1, du, seed):
     return cascade(random_conservative(n, dx2, du, du, seed=seed),
                    random_conservative(n, dx1, du, du, seed=seed + 1))
+
+
+def test_invariant_candidates_are_invariant():
+    for s in (random_conservative(2, 5, 2, 2, seed=50), cascade_of(2, 2, 2, 2, seed=60),
+              irreducible_realization(4, seed=0)):
+        candidates = invariant_subspace_candidates(s)
+        assert candidates[0].dim == 0
+        for c, d in zip(candidates, candidates[1:]):
+            assert d.dim > c.dim and c.containment_residual(d) < 1e-8
+        for c in candidates:
+            assert check_condition_i(s, c)
 
 
 def counting(fn, counter):
@@ -207,26 +212,6 @@ def counting(fn, counter):
         counter.append(1)
         return fn(*args, **kwargs)
     return wrapped
-
-
-def test_invariant_candidates_reject_budget_below_one():
-    s = random_conservative(2, 3, 2, 2, seed=51)
-    for budget in (0, -5):
-        with pytest.raises(ValueError, match="budget"):
-            invariant_subspace_candidates(s, budget=budget)
-        with pytest.raises(ValueError, match="budget"):
-            solve_problem2(cascade_of(2, 1, 1, 1, seed=52), budget=budget)
-
-
-def test_invariant_candidates_with_smaller_budget_are_a_prefix():
-    for s in (cascade_of(1, 2, 2, 1, seed=60), cascade_of(2, 2, 2, 2, seed=60),
-              random_conservative(2, 5, 2, 2, seed=50)):
-        full = invariant_subspace_candidates(s, budget=64, seed=3)
-        for k in (1, 2, 3, 5, 8, 64):
-            head = invariant_subspace_candidates(s, budget=k, seed=3)
-            assert len(head) == min(k, len(full))
-            for c, d in zip(head, full):
-                assert np.array_equal(c.basis, d.basis)
 
 
 def block_diagonal_tuple(seed):
@@ -241,13 +226,13 @@ def block_diagonal_tuple(seed):
 
 def test_invariant_candidate_stream_order_and_uniqueness(monkeypatch):
     sums = []
-    subspace_sum = factorization.subspace_sum
+    subspace_sum = pairs.subspace_sum
 
     def recording_sum(a, b):
         sums.append(frozenset((id(a), id(b))))
         return subspace_sum(a, b)
 
-    monkeypatch.setattr(factorization, "subspace_sum", recording_sum)
+    monkeypatch.setattr(pairs, "subspace_sum", recording_sum)
     # N = 1 with distinct eigenvalues: the invariant subspaces are the spans
     # of the 2**dim_x subsets of eigenvectors, and the stream reaches all.
     # On the block-diagonal tuple the Q block's closure is generated before
@@ -255,8 +240,7 @@ def test_invariant_candidate_stream_order_and_uniqueness(monkeypatch):
     for s, lattice in ((cascade_of(1, 2, 2, 1, seed=60), 2 ** 5),
                        (block_diagonal_tuple(seed=0), 4)):
         sums.clear()
-        stream = [(c, len(sums)) for c in
-                  islice(factorization._invariant_subspaces(s, seed=0), 64)]
+        stream = [(c, len(sums)) for c in islice(pairs.search_stream(s, seed=0), 64)]
         candidates = [c for c, _ in stream]
         assert len(candidates) == lattice
         assert candidates[0].dim == 0
@@ -274,34 +258,84 @@ def test_invariant_candidate_stream_order_and_uniqueness(monkeypatch):
 
 
 def test_solve_problem2_builds_nothing_when_zero_space_succeeds(monkeypatch):
-    closures, sums = [], []
+    # N = 1: Q_1 = G G* = I, so {0} (+) Y already reduces Q_1 in one round
+    closures, rounds, sums = [], [], []
     monkeypatch.setattr(factorization, "invariant_closure",
                         counting(factorization.invariant_closure, closures))
-    monkeypatch.setattr(factorization, "subspace_sum",
-                        counting(factorization.subspace_sum, sums))
-    outcome = solve_problem2(cascade_of(1, 2, 2, 2, seed=60), seed=0)
+    monkeypatch.setattr(factorization, "orthonormal_basis",
+                        counting(factorization.orthonormal_basis, rounds))
+    # the package rebinds the name ``mpsys.cascade`` to the function
+    for module in (subspaces, importlib.import_module("mpsys.cascade")):
+        monkeypatch.setattr(module, "subspace_sum", counting(module.subspace_sum, sums))
+    s = cascade_of(1, 2, 2, 2, seed=60)
+    assert [c.dim for c in invariant_subspace_candidates(s)] == [0]
+    assert closures == [] and len(rounds) == 1 and sums == []
+    rounds.clear()
+    outcome = solve_problem2(s, seed=0)
     assert outcome is not None and outcome.witness_x2.dim == 0
-    assert closures == [] and sums == []
+    assert closures == [] and len(rounds) == 1
 
 
-def test_solve_problem2_witness_is_first_passing_candidate():
-    for n, seed in ((1, 60), (2, 60), (2, 62), (3, 64)):
-        s = cascade_of(n, 2, 2, 2, seed=seed)
-        outcome = solve_problem2(s, budget=16, seed=seed)
+def passes_cascade_conditions(s, x2):
+    if not check_condition_ii(s, x2).holds:
+        return False
+    try:
+        decompose(s, x2)
+    except CascadeError:
+        return False
+    return True
+
+
+def test_solve_problem2_witness_is_least_passing_candidate():
+    """Every candidate of the randomized oracle search that passes condition
+    (ii) and the spill test contains the least fixed point X*, which is the
+    witness; where X* spills, no candidate passes."""
+    systems = [cascade_of(n, 2, 2, 2, seed=seed)
+               for n, seed in ((1, 60), (2, 60), (2, 62), (3, 64), (2, 66))]
+    systems += [cascade_of(2, 1, 2, 1, seed=68), cascade_of(3, 2, 1, 1, seed=70)]
+    passing = 0
+    for seed, s in enumerate(systems):
+        outcome = solve_problem2(s, seed=seed)
         acc = compress_to(s, closely_connected_subspace(s))
-        expected = None
-        for c in invariant_subspace_candidates(acc, budget=16, seed=seed):
-            if not check_condition_ii(acc, c).holds:
-                continue
-            try:
-                dec = decompose(acc, c)
-            except CascadeError:
-                continue
-            if verify_factor_tf(acc, dec.alpha2, dec.alpha1) < 1e-9:
-                expected = c
-                break
-        assert outcome is not None and expected is not None
-        assert np.array_equal(outcome.witness_x2.basis, expected.basis)
+        least = invariant_subspace_candidates(acc)[-1]
+        assert outcome is not None
+        assert projector_distance(outcome.witness_x2, least) < 1e-12
+        for c in pairs.search_candidates(acc, budget=64, seed=seed):
+            if passes_cascade_conditions(acc, c):
+                passing += 1
+                assert least.containment_residual(c) <= SUBSPACE_TOL
+    assert passing > len(systems)
+    for dx in (3, 4):
+        s = irreducible_realization(dx, seed=dx)
+        assert solve_problem2(s) is None
+        assert not any(passes_cascade_conditions(s, c)
+                       for c in pairs.search_candidates(s, budget=64, seed=0))
+
+
+def test_solve_problem2_exact_no_on_the_irreducible_realization():
+    for seed in range(3):
+        for dx in (3, 4, 5):
+            s = irreducible_realization(dx, seed)
+            assert is_closely_connected(s)
+            assert [c.dim for c in invariant_subspace_candidates(s)] == [0, dx]
+            assert solve_problem2(s, seed=seed) is None
+        outcome = solve_problem2(irreducible_realization(2, seed), seed=seed)
+        assert outcome is not None and outcome.witness_x2.dim == 1
+        assert outcome.residual < 1e-9
+
+
+def test_solve_problem2_raises_on_numerical_breakdown(monkeypatch):
+    s = cascade_of(2, 2, 2, 2, seed=60)
+    with pytest.raises(CascadeError, match="residual"):
+        solve_problem2(s, tol=1e-30)
+    # the seed picks the residual's sample points
+    residuals = {solve_problem2(s, seed=seed).residual for seed in range(4)}
+    assert len(residuals) > 1
+    # (ii) holds at X* in exact arithmetic, so a failure there is an error
+    monkeypatch.setattr(factorization, "check_condition_ii",
+                        lambda acc, x2: ConditionIIResult(False, None, 0, 1))
+    with pytest.raises(CascadeError, match=r"condition \(ii\)"):
+        solve_problem2(s)
 
 
 def test_solve_problem2_on_cascade():

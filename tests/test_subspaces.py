@@ -12,11 +12,12 @@ from mpsys.subspaces import (
     orthogonal_complement,
     orthonormal_basis,
     projector_distance,
-    subspace_intersection,
     subspace_sum,
     whole_space,
     zero_space,
 )
+
+from pairs import subspace_intersection
 
 
 def random_subspace(rng, ambient, dim):

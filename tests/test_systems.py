@@ -17,7 +17,6 @@ from mpsys.systems import (
     compress_to,
     germ_eval,
     haar_unitary,
-    is_closely_connected,
     is_conservative,
     is_dissipative_sampled,
     pencil_blocks,
@@ -32,6 +31,8 @@ from mpsys.systems import (
     unitary_part,
 )
 from mpsys.tolerances import RESOLVENT_COND_LIMIT, RESOLVENT_SCREEN
+
+from pairs import is_closely_connected
 
 
 def random_system(rng, n, dx, du, dy, scale=0.4):
