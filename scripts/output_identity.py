@@ -12,13 +12,15 @@ Records, for one source tree:
 * ``agler_test`` on the agler benchmark items of seeds 1 and 2, on each
   system and on its 1.5x scaling, with the workload's call (50 trials,
   r = 0.9, tol = 1e-8): ``max_norm`` and ``witness_norm`` as hex, the
-  number of trials and a SHA-256 digest of the witness matrices;
+  number of trials, a SHA-256 digest of the witness matrices, and the
+  distance of ``witness_norm`` from the norm that ``oracle.tuple_transfer``
+  computes on the witness;
 * ``run_eval`` on the eval benchmark items of seeds 1 and 2: the floats it
   reports (the cascade's transfer-function residual, the left, right and
   germ reconstruction residuals, and the sampled dissipativity
   ``max_norm``) as hex;
-* the JSON report bodies (``timing_s`` removed) of a fixed set of CLI
-  commands run with relative paths in a fresh directory.
+* the JSON report bodies (``timing_s`` removed) and the standard error of
+  a fixed set of CLI commands run with relative paths in a fresh directory.
 
 Usage::
 
@@ -27,9 +29,12 @@ Usage::
     python3 scripts/output_identity.py compare A.json B.json
 
 ``compare`` checks that verdicts, dimensions, exit codes and the
-non-numeric report fields are equal, and that every ``agler_test`` and
-``run_eval`` record is bit-identical.  Where the problem-2 digests differ
-it reports the largest entrywise difference of the witness and
+non-numeric report fields are equal, that every ``agler_test`` and
+``run_eval`` record is bit-identical, and that every agler witness norm is
+within ``oracle.RESIDUAL_BOUND`` of the oracle's; it counts the
+``agler_test`` calls whose verdict (falsified or not) differs apart from
+the other record differences.  Where the problem-2 digests differ it
+reports the largest entrywise difference of the witness and
 closely-connected projectors; over the report bodies it reports the
 largest difference of a float.  It exits 0 when all of that holds and both differences are at most
 ``TOL``.  Differences in the reports' ``tolerances`` fields are listed, not
@@ -45,7 +50,7 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -122,13 +127,22 @@ def problem2_outcomes() -> dict:
     return results
 
 
-def _agler_record(report) -> dict:
-    return {
+def _agler_record(report, system) -> dict:
+    import oracle
+    import workloads
+
+    record = {
         "max_norm": float(report.max_norm).hex(),
         "witness_norm": float(report.witness_norm).hex(),
         "trials": report.trials,
-        "witness": _digest(*report.witness.mats) if report.falsified else None,
+        "witness": None,
     }
+    if report.falsified:
+        exact = np.linalg.norm(oracle.tuple_transfer(
+            oracle.blocks_of(system), report.witness.mats, workloads.AGLER_R), 2)
+        record["witness"] = _digest(*report.witness.mats)
+        record["oracle_gap"] = abs(float(exact) - report.witness_norm)
+    return record
 
 
 def agler_outcomes() -> dict:
@@ -139,8 +153,8 @@ def agler_outcomes() -> dict:
     for seed in (1, 2):
         for j, item in enumerate(workloads.build_agler(seed, pool)):
             passed, falsified = workloads.run_agler(item, None)
-            results[f"agler{seed}/{j}"] = _agler_record(passed)
-            results[f"agler{seed}/{j}/scaled"] = _agler_record(falsified)
+            results[f"agler{seed}/{j}"] = _agler_record(passed, item.system)
+            results[f"agler{seed}/{j}/scaled"] = _agler_record(falsified, item.scaled)
     return results
 
 
@@ -217,13 +231,13 @@ def cli_reports() -> dict:
 
     reports = {}
     for argv in COMMANDS:
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
+        buffer, errors = io.StringIO(), io.StringIO()
+        with redirect_stdout(buffer), redirect_stderr(errors):
             code = run(argv)
         body = json.loads(buffer.getvalue()) if buffer.getvalue() else None
         if body is not None:
             body.pop("timing_s")
-        reports[" ".join(argv)] = {"exit": code, "body": body}
+        reports[" ".join(argv)] = {"exit": code, "body": body, "stderr": errors.getvalue()}
     return reports
 
 
@@ -265,6 +279,9 @@ def _float_gap(a, b, where: str, mismatches: list) -> float:
 
 
 def compare(a_path: Path, b_path: Path) -> int:
+    sys.path.insert(0, str(REPO / "bench"))
+    import oracle
+
     a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
     bad = []
     exact = ("verdict", "intermediate_dim", "witness_dim", "cc_dim")
@@ -295,6 +312,17 @@ def compare(a_path: Path, b_path: Path) -> int:
     witnesses = sum(v["witness"] is not None for v in a["agler"].values())
     print(f"agler: {len(a['agler'])} agler_test calls compared, {witnesses} with a witness, "
           f"{len(changed)} not bit-identical")
+    flipped = [key for key, ra in a["agler"].items()
+               if (ra["witness"] is None) != (b["agler"][key]["witness"] is None)]
+    bad += [f"agler {key}: verdict differs" for key in flipped]
+    gaps = [v["oracle_gap"] for side in (a, b) for v in side["agler"].values()
+            if v["witness"] is not None]
+    oracle_gap = max(gaps, default=0.0)
+    print(f"agler: {len(flipped)} verdicts differ; largest distance of a witness norm "
+          f"from the oracle's {oracle_gap:.3e}")
+    if oracle_gap > oracle.RESIDUAL_BOUND:
+        bad.append(f"an agler witness norm is more than {oracle.RESIDUAL_BOUND:.0e} "
+                   f"from the oracle's")
 
     changed = [key for key, ra in a["eval"].items() if b["eval"].get(key) != ra]
     bad += [f"eval {key}: record differs" for key in changed]

@@ -1,13 +1,13 @@
 """Property-based falsifier for Agler-Schur class membership.
 
 Membership quantifies over all commuting contraction tuples on all
-separable Hilbert spaces, which cannot be enumerated; this module is
-therefore strictly one-sided.  It evaluates theta(rT) exactly on generated
-finite commuting contraction tuples, by one resolvent solve of the
-tensorized realization (each of its sums of Kronecker products formed in
-one broadcast): a norm that exceeds 1 by more than its recomputed error
-bound is a certified NON-membership witness, a pass is only a failure to
-falsify.
+separable Hilbert spaces, which cannot be enumerated; ``agler_test`` is
+therefore strictly one-sided.  It evaluates theta at drawn points of the
+closed polydisk in one batch, and certifies a candidate on its 1 x 1 tuple
+with ``eval_at_tuple``, which evaluates theta(rT) exactly on any finite
+commuting contraction tuple by one resolvent solve of the tensorized
+realization: a norm that exceeds 1 by more than its recomputed error bound
+is a certified NON-membership witness, a pass is only a failure to falsify.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ from .systems import (
     MultiSystem,
     PolyGerm,
     ResolventError,
+    combine,
+    germ_eval,
     haar_unitary,
+    transfer_eval,
 )
 from .tolerances import AGLER_TOL, COMMUTATOR_TOL, CONTRACTION_TOL
 
@@ -216,31 +219,40 @@ class AglerReport:
 
 def agler_test(f: Union[PolyGerm, MultiSystem], trials: int = 50,
                r: float = 0.9, tol: float = AGLER_TOL, seed: int = 0) -> AglerReport:
-    """Try to falsify ||theta(rT)|| <= 1 over generated tuples.
+    """Try to falsify ||theta(rz)|| <= 1 at ``trials`` points z of the closed polydisk.
 
-    A tuple is reported as a certified witness once its norm, less the
-    error bound of its evaluation, exceeds 1 + tol.  Raises ValueError for
-    ``trials < 1`` or r outside (0, 1).
+    Each coordinate of a point has modulus 1 with probability 1/2, else uniform
+    on [0, 1), and a uniform phase.  One batched ``transfer_eval`` (``germ_eval``
+    for a germ) gives every norm; a system must have ||r zA||_2 < 1 at every
+    point, else ResolventError names the first offender.  Points above
+    1 + tol are re-evaluated in draw order by ``eval_at_tuple`` on their 1 x 1
+    ``ContractionTuple``; the first whose norm less its error bound exceeds
+    1 + tol is the certified witness, and ``trials`` and ``max_norm`` count
+    the draws up to it.  Raises ValueError for ``trials < 1`` or r outside
+    (0, 1).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    n_params = f.n_params
-    dims = itertools.cycle((1, 2, 3))
-    strategies = itertools.cycle(STRATEGIES)
-    max_norm = 0.0
-    for trial in range(trials):
-        tup = gen_commuting_contractions(
-            n_params, next(dims), next(strategies), seed=seed * 10007 + trial
-        )
-        result = eval_at_tuple(f, tup, r)
+    interior, coin, phase = np.random.default_rng(seed).uniform(size=(3, trials, f.n_params))
+    z = np.where(coin < 0.5, 1.0, interior) * np.exp(2j * np.pi * phase)
+    if isinstance(f, PolyGerm):
+        norms = _spectral_norms(germ_eval(f, r * z))
+    else:
+        a_norms = _spectral_norms(combine(f.a, r * z))
+        if not (a_norms < 1.0).all():
+            i = np.argmin(a_norms < 1.0)
+            raise ResolventError(f"||A_T||_2 = {a_norms[i]:.6f} is not below 1 at point {i}")
+        norms = _spectral_norms(transfer_eval(f, r * z))
+    for i in np.flatnonzero(norms > 1.0 + tol):
+        point = ContractionTuple(tuple(z[i, :, None, None]))
+        result = eval_at_tuple(f, point, r)
         norm = float(_spectral_norms(result.value))
-        max_norm = max(max_norm, norm)
         if norm - result.error_bound > 1.0 + tol:
-            return AglerReport(max_norm=max_norm, trials=trial + 1,
-                               witness=tup, witness_norm=norm)
-    return AglerReport(max_norm=max_norm, trials=trials)
+            return AglerReport(max_norm=float(norms[:i + 1].max()), trials=int(i) + 1,
+                               witness=point, witness_norm=norm)
+    return AglerReport(max_norm=float(norms.max()), trials=trials)
 
 
 __all__ = [

@@ -105,7 +105,23 @@ def cmd_generate(ns, argv) -> tuple:
     return report, PASS
 
 
+# the flags each ``check --what`` reads, with their defaults; any other is refused
+CHECK_FLAGS = {
+    "conservative": {"residual_tol": RESIDUAL_TOL},
+    "dissipative": {"residual_tol": RESIDUAL_TOL, "torus_samples": 100, "seed": 0},
+    "closely-connected": {"rank_tol": RANK_TOL},
+    "unitary-part": {},
+    "multiplicity": {"degree_cap": DEGREE_CAP},
+}
+
+
 def cmd_check(ns, argv) -> tuple:
+    reads = CHECK_FLAGS[ns.what]
+    for name in sorted(set().union(*CHECK_FLAGS.values())):
+        value = getattr(ns, name)
+        if value is not None and name not in reads:
+            raise CliError(f"--{name.replace('_', '-')} does not apply to --what {ns.what}")
+        setattr(ns, name, reads.get(name) if value is None else value)
     system = ser.load_system(ns.path)
     # each report echoes only the thresholds its verdict used
     tolerances = {"residual_tol": ns.residual_tol}
@@ -266,16 +282,23 @@ def cmd_factor(ns, argv) -> tuple:
 
 def cmd_agler(ns, argv) -> tuple:
     system = ser.load_system(ns.path)
-    report_obj = agler_test(system, trials=ns.trials, r=ns.r,
-                                      tol=ns.tol, seed=ns.seed)
-    witness = None
-    if report_obj.witness is not None:
-        witness = [ser.matrix_to_json(m) for m in report_obj.witness.mats]
-    report = _report(argv, trials=report_obj.trials, r=ns.r,
-                     max_norm=report_obj.max_norm,
-                     witness=witness, witness_norm=report_obj.witness_norm,
-                     seed=ns.seed, tolerances={"tol": ns.tol})
-    return report, FAIL if report_obj.falsified else PASS
+    outcome = agler_test(system, trials=ns.trials, r=ns.r, tol=ns.tol, seed=ns.seed)
+    conservativity = is_conservative(system)
+    if outcome.falsified and conservativity.is_conservative:
+        raise CliError(f"internal error: a conservative input was falsified at draw "
+                       f"{outcome.trials} (norm {outcome.witness_norm!r})")
+    # a conservative input is a member: sum_k G_k* G_k = I gives ||theta(rT)|| <= 1
+    kind, verdict = (("certified", "not-member") if outcome.falsified else
+                     ("exact", "member") if conservativity.is_conservative else
+                     ("heuristic", "not-falsified"))
+    witness = ([ser.matrix_to_json(m) for m in outcome.witness.mats]
+               if outcome.falsified else None)
+    report = _report(argv, kind=kind, verdict=verdict, trials=outcome.trials, r=ns.r,
+                     max_norm=outcome.max_norm, witness=witness,
+                     witness_norm=outcome.witness_norm,
+                     conservativity_residual=conservativity.worst_residual, seed=ns.seed,
+                     tolerances={"tol": ns.tol, "conservativity_tol": CONSERVATIVE_TOL})
+    return report, FAIL if outcome.falsified else PASS
 
 
 def _add_common_tols(parser):
@@ -301,14 +324,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="check a property of a system file")
     p.add_argument("path")
-    p.add_argument("--what", required=True,
-                   choices=["conservative", "dissipative", "closely-connected",
-                            "unitary-part", "multiplicity"])
-    p.add_argument("--torus-samples", type=int, default=100)
-    p.add_argument("--degree-cap", type=int, default=DEGREE_CAP)
-    p.add_argument("--rank-tol", type=float, default=RANK_TOL,
-                   help="closely-connected: rank threshold of the closure")
-    _add_common_tols(p)
+    p.add_argument("--what", required=True, choices=list(CHECK_FLAGS))
+    for name in sorted(set().union(*CHECK_FLAGS.values())):
+        readers = [what for what, reads in CHECK_FLAGS.items() if name in reads]
+        default = CHECK_FLAGS[readers[0]][name]
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       help=f"read by --what {', '.join(readers)} (default {default})")
 
     p = sub.add_parser("cascade", help="cascade connection of two system files")
     p.add_argument("path2", help="the outer system (applied second)")

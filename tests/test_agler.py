@@ -17,6 +17,7 @@ from mpsys.systems import (
     MultiSystem,
     PolyGerm,
     ResolventError,
+    pencil_blocks,
     realize_germ,
     random_conservative,
     scale_output,
@@ -195,15 +196,71 @@ def test_eval_requires_r_in_unit_interval():
 
 
 def test_agler_test_rejects_bad_trials_and_r_before_any_tuple(monkeypatch):
-    generated = []
-    monkeypatch.setattr(agler, "gen_commuting_contractions",
-                        lambda *args, **kwargs: generated.append(1))
+    evaluated = []
+
+    def record(f, z):
+        evaluated.append(z.shape)
+        return np.zeros((len(z), f.dim_y, f.dim_u), dtype=complex)
+
+    monkeypatch.setattr(agler, "transfer_eval", record)
+    monkeypatch.setattr(agler, "germ_eval", record)
     s = random_conservative(2, 3, 2, 2, seed=5)
-    for kwargs in ({"trials": 0}, {"trials": -3}, {"r": 0.0}, {"r": 1.0},
-                   {"r": -0.5}):
-        with pytest.raises(ValueError):
-            agler_test(s, **kwargs)
-    assert generated == []
+    germ = PolyGerm(2, 1, 1, {(1, 1): np.array([[0.5]])})
+    for f in (s, germ):
+        for kwargs in ({"trials": 0}, {"trials": -3}, {"r": 0.0}, {"r": 1.0},
+                       {"r": -0.5}):
+            with pytest.raises(ValueError):
+                agler_test(f, **kwargs)
+    assert evaluated == []
+    # the patched names are the point stage's evaluators: one batch per call
+    for f in (s, germ):
+        assert not agler_test(f, trials=7).falsified
+    assert evaluated == [(7, 2), (7, 2)]
+
+
+def _random_contraction(rng, dim):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return m / np.linalg.norm(m, 2) * (1.0 if rng.uniform() < 0.5 else rng.uniform())
+
+
+def test_conservative_pencil_is_contractive_on_non_commuting_tuples():
+    # sum_k G_k* G_k = I and G_j* G_k = 0 (j != k) give
+    # G(T)* G(T) = sum_k G_k* G_k (x) T_k* T_k <= I for any contractions T_k
+    rng = np.random.default_rng(17)
+    worst = {1.0: 0.0, 1.5: 0.0}
+    for i in range(60):
+        n, dim = 1 + i % 3, 1 + (i // 3) % 3
+        s = random_conservative(n, int(rng.integers(1, 4)), 2, 2, seed=100 + i)
+        mats = np.array([_random_contraction(rng, dim) for _ in range(n)])
+        for scale in worst:
+            blocks = np.array(pencil_blocks(scale_output(s, scale)))
+            norm = np.linalg.norm(agler._tensor(blocks, mats), 2)
+            worst[scale] = max(worst[scale], norm)
+    assert worst[1.0] <= 1.0 + 1e-12
+    assert worst[1.5] > 1.0 + 1e-2  # positive control: the scaled pencil expands
+
+
+def test_power_family_finds_no_witness_the_point_stage_misses():
+    # over conservative systems scaled by 1.01 - 1.5, the dimension-2
+    # power-family tuples that agler_test once tried never falsify a system
+    # its 50 points pass
+    rng = np.random.default_rng(12)
+    by_power = by_points = 0
+    for i in range(40):
+        n = 1 + i % 3
+        du = int(rng.integers(1, 4))
+        s = random_conservative(n, int(rng.integers(1, 5)), du, du, seed=1200 + i)
+        scaled = scale_output(s, rng.uniform(1.01, 1.5))
+        falsified = agler_test(scaled, trials=50, r=0.9, seed=i).falsified
+        for trial in range(17):
+            tup = gen_commuting_contractions(n, 2, "power-family", seed=i * 10007 + trial)
+            result = eval_at_tuple(scaled, tup, 0.9)
+            if np.linalg.norm(result.value, 2) - result.error_bound > 1.0 + 1e-8:
+                by_power += 1
+                assert falsified, f"system {i}: power-family witness missed by the points"
+                break
+        by_points += falsified
+    assert by_power > 0 and by_points >= by_power
 
 
 def test_conservative_transfer_passes_falsifier():
@@ -219,6 +276,7 @@ def test_scaled_transfer_is_falsified_with_certified_witness():
     report = agler_test(scale_output(s, 1.5), trials=50, r=0.9, seed=10)
     assert report.falsified
     assert report.witness_norm > 1.0 + 1e-8
+    assert report.witness.dim == 1  # a point of the closed polydisk
     # the witness certifies itself on re-evaluation, beyond its error bound
     check = eval_at_tuple(scale_output(s, 1.5), report.witness, 0.9)
     assert np.linalg.norm(check.value, 2) - check.error_bound > 1.0 + 1e-8

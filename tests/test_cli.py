@@ -16,7 +16,8 @@ from mpsys import tolerances
 from mpsys.cascade import cascade
 from mpsys.cli import run
 from mpsys.subspaces import Subspace
-from mpsys.systems import MultiSystem, random_conservative
+from mpsys.agler import agler_test
+from mpsys.systems import MultiSystem, random_conservative, scale_output
 
 from pairs import irreducible_realization
 
@@ -178,6 +179,39 @@ def test_agler_pass_and_fail(tmp_path, capsys):
     assert body["witness_norm"] > 1.0 + 1e-8
 
 
+@pytest.mark.parametrize("scale, kind, verdict, code", [
+    (1.0, "exact", "member", 0),
+    (1.5, "certified", "not-member", 2),
+    (0.5, "heuristic", "not-falsified", 0),
+])
+def test_agler_states_its_verdict_kind(scale, kind, verdict, code, tmp_path, capsys):
+    s = random_conservative(2, 3, 2, 2, seed=23)
+    path = tmp_path / "sys.json"
+    write_system(path, scale_output(s, scale))
+    exit_code, stdout, _ = invoke(capsys, "agler", str(path), "--trials", "20",
+                                  "--seed", "3")
+    assert exit_code == code
+    body = report_body(stdout)
+    assert (body["kind"], body["verdict"]) == (kind, verdict)
+    # the trials run on every input: --trials and --seed are always read
+    assert body["seed"] == 3 and 1 <= body["trials"] <= 20
+    assert (body["witness"] is not None) == (kind == "certified")
+    assert (body["conservativity_residual"] <= tolerances.CONSERVATIVE_TOL) == (scale == 1.0)
+    assert body["tolerances"] == {"tol": tolerances.AGLER_TOL,
+                                  "conservativity_tol": tolerances.CONSERVATIVE_TOL}
+
+
+def test_agler_refuses_a_falsified_conservative_input(tmp_path, capsys, monkeypatch):
+    s = random_conservative(2, 3, 2, 2, seed=23)
+    path = tmp_path / "sys.json"
+    write_system(path, s)
+    falsified = agler_test(scale_output(s, 1.5), trials=50)
+    monkeypatch.setattr(cli, "agler_test", lambda *args, **kwargs: falsified)
+    code, stdout, err = invoke(capsys, "agler", str(path))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: internal error: a conservative input")
+
+
 def test_agler_rejects_trials_below_one_and_r_outside_unit_interval(tmp_path, capsys):
     path = tmp_path / "sys.json"
     write_system(path, random_conservative(2, 3, 2, 2, seed=23))
@@ -270,13 +304,14 @@ def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
     hom = tmp_path / "hom.json"  # theta is homogeneous of degree 2
     write_system(hom, cascade(random_conservative(2, 0, 2, 2, seed=5),
                               random_conservative(2, 0, 2, 2, seed=4)))
-    unread = ("--residual-tol", "5", "--rank-tol", "7")
     cases = [
-        (("check", path, "--what", "conservative", "--rank-tol", "7"),
+        (("check", path, "--what", "conservative"),
          {"residual_tol": tolerances.RESIDUAL_TOL}),
-        (("check", path, "--what", "unitary-part", *unread),
+        (("check", path, "--what", "conservative", "--residual-tol", "5"),
+         {"residual_tol": 5.0}),
+        (("check", path, "--what", "unitary-part"),
          {"rank_tol": tolerances.UNITARY_RANK_TOL}),
-        (("check", path, "--what", "multiplicity", *unread),
+        (("check", path, "--what", "multiplicity", "--degree-cap", "3"),
          {"taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
         (("factor", hom, "--mode", "homogeneous", "--residual-tol", "5",
           "--out-dir", tmp_path / "h"),
@@ -286,6 +321,28 @@ def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
         code, stdout, _ = invoke(capsys, *map(str, argv))
         assert code == 0, argv
         assert report_body(stdout)["tolerances"] == applied, argv
+
+
+CHECK_UNREAD = {
+    "conservative": ("--seed", "--rank-tol", "--torus-samples", "--degree-cap"),
+    "dissipative": ("--rank-tol", "--degree-cap"),
+    "closely-connected": ("--seed", "--residual-tol", "--torus-samples", "--degree-cap"),
+    "unitary-part": ("--seed", "--residual-tol", "--rank-tol", "--torus-samples",
+                     "--degree-cap"),
+    "multiplicity": ("--seed", "--residual-tol", "--rank-tol", "--torus-samples"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(CHECK_UNREAD))
+def test_check_rejects_flags_its_what_does_not_read(what, tmp_path, capsys):
+    # refused before the file is read: the path does not exist
+    missing = str(tmp_path / "missing.json")
+    for flag in CHECK_UNREAD[what]:
+        code, stdout, err = invoke(capsys, "check", missing, "--what", what, flag, "5")
+        assert code == 1 and stdout == "", flag
+        assert err == f"error: {flag} does not apply to --what {what}\n"
+    code, _, err = invoke(capsys, "check", missing, "--what", what)
+    assert code == 1 and "FileNotFoundError" in err
 
 
 def test_degree_cap_is_echoed_only_where_it_is_read(tmp_path, capsys):
