@@ -204,10 +204,20 @@ def _reconstruction_residual(system, chain, tail, right: bool, seed: int) -> flo
     return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
 
 
+# the flags that factor's left, right and problem2 modes read, with their
+# defaults; --mode homogeneous checks coefficients and refuses them
+FACTOR_SAMPLED_FLAGS = {"seed": 0, "residual_tol": RESIDUAL_TOL}
+
+
 def cmd_factor(ns, argv) -> tuple:
     if ns.mode == "problem2" and ns.degree_cap is not None:
         raise CliError("--degree-cap does not apply to --mode problem2, "
                        "which takes the multiplicity up to degree dim_x + 2")
+    for name, default in FACTOR_SAMPLED_FLAGS.items():
+        value = getattr(ns, name)
+        if value is not None and ns.mode == "homogeneous":
+            raise CliError(f"--{name.replace('_', '-')} does not apply to --mode homogeneous")
+        setattr(ns, name, default if value is None else value)
     system = ser.load_system(ns.path)
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -353,7 +363,10 @@ def build_parser() -> _Parser:
                    help="left and right modes without --multiplicity, and homogeneous "
                         f"mode (default {DEGREE_CAP}); problem2 rejects it and uses dim_x + 2")
     p.add_argument("--out-dir", default="factor-out")
-    _add_common_tols(p)
+    for name, default in FACTOR_SAMPLED_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       help=f"left, right and problem2 modes (default {default}); "
+                            "homogeneous rejects it")
 
     p = sub.add_parser("agler", help="try to falsify Agler-Schur membership")
     p.add_argument("path")

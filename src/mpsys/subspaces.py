@@ -32,7 +32,7 @@ def _as_complex(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise SubspaceError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise SubspaceError("matrix has non-finite entries")
     return m
 

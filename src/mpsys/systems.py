@@ -33,12 +33,12 @@ validates this reduction independently.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .subspaces import (
     Subspace,
@@ -69,7 +69,7 @@ def _blocks(mats, name: str) -> tuple:
         m = np.array(m, dtype=complex)
         if m.ndim != 2:
             raise SystemShapeError(f"{name}[{i}] is not a matrix (ndim={m.ndim})")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        if not np.isfinite(m).all():
             raise SystemShapeError(f"{name}[{i}] has non-finite entries")
         m.setflags(write=False)
         out.append(m)
@@ -370,10 +370,41 @@ def require_conservative(s: MultiSystem) -> ConservativityReport:
     return report
 
 
+def _primes(n: int) -> list:
+    """The first ``n`` primes."""
+    primes = []
+    candidate = 2
+    while len(primes) < n:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 def sample_torus(n_params: int, count: int, seed: int = 0) -> np.ndarray:
-    """``count`` quasi-random points on the N-torus (Halton angles)."""
-    halton = qmc.Halton(d=n_params, seed=seed)
-    angles = 2.0 * np.pi * halton.random(count)
+    """``count`` quasi-random points on the N-torus (scrambled Halton angles).
+
+    The angles are the randomized Halton sequence of Owen, "A randomized
+    Halton algorithm in R" (arXiv:1706.02808, 2017), and reproduce scipy's
+    scrambled ``qmc.Halton(d=n_params, seed=seed).random(count)`` bit for
+    bit.  Coordinate k uses the k-th prime b and ceil(54 / log2 b) - 1
+    permutations of range(b), drawn from ``default_rng(seed)`` one row after
+    another (``permuted`` along the rows draws the stream of one ``shuffle``
+    per row).  Point i is sum_j perm_j[digit_j(i)] w_j, where digit_j is the
+    j-th base-b digit, w_0 = 1/b and each later weight is the previous one
+    divided by b; the terms are added in digit order (a sequential
+    ``cumsum``, not the pairwise ``sum``), so the rounding is scipy's.
+    """
+    rng = np.random.default_rng(seed)
+    unit = np.empty((count, n_params))
+    for k, base in enumerate(_primes(n_params)):
+        n_digits = math.ceil(54 / math.log2(base)) - 1
+        perms = rng.permuted(np.tile(np.arange(base), (n_digits, 1)), axis=1)
+        weights = np.divide.accumulate(np.r_[1.0 / base, np.full(n_digits - 1, float(base))])
+        digits = np.arange(count)[:, None] // base ** np.arange(n_digits) % base
+        terms = perms[np.arange(n_digits), digits] * weights
+        unit[:, k] = np.cumsum(terms, axis=1)[:, -1]
+    angles = 2.0 * np.pi * unit
     return np.exp(1j * angles)
 
 

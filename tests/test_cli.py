@@ -313,8 +313,7 @@ def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
          {"rank_tol": tolerances.UNITARY_RANK_TOL}),
         (("check", path, "--what", "multiplicity", "--degree-cap", "3"),
          {"taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
-        (("factor", hom, "--mode", "homogeneous", "--residual-tol", "5",
-          "--out-dir", tmp_path / "h"),
+        (("factor", hom, "--mode", "homogeneous", "--out-dir", tmp_path / "h"),
          {"coefficient_tol": tolerances.COEFF_TOL, "degree_cap": 8}),
     ]
     for argv, applied in cases:
@@ -343,6 +342,34 @@ def test_check_rejects_flags_its_what_does_not_read(what, tmp_path, capsys):
         assert err == f"error: {flag} does not apply to --what {what}\n"
     code, _, err = invoke(capsys, "check", missing, "--what", what)
     assert code == 1 and "FileNotFoundError" in err
+
+
+def test_factor_homogeneous_rejects_seed_and_residual_tol(tmp_path, capsys):
+    hom = tmp_path / "hom.json"  # theta is homogeneous of degree 2
+    write_system(hom, cascade(random_conservative(2, 0, 2, 2, seed=5),
+                              random_conservative(2, 0, 2, 2, seed=4)))
+    out = ("--out-dir", str(tmp_path / "h"))
+    for extra, flag in ((("--seed", "5", "--residual-tol", "5"), "--seed"),
+                        (("--seed", "0"), "--seed"),
+                        (("--residual-tol", "5"), "--residual-tol")):
+        code, stdout, err = invoke(capsys, "factor", str(hom), "--mode", "homogeneous",
+                                   *out, *extra)
+        assert code == 1 and stdout == "", extra
+        assert err == f"error: {flag} does not apply to --mode homogeneous\n"
+        assert not (tmp_path / "h").exists()
+    code, stdout, _ = invoke(capsys, "factor", str(hom), "--mode", "homogeneous", *out)
+    assert code == 0
+    assert "seed" not in report_body(stdout)
+    # the other modes read both flags, with the same defaults as before
+    for mode in ("left", "right", "problem2"):
+        out = ("--out-dir", str(tmp_path / mode))
+        for extra, seed, tol in (((), 0, tolerances.RESIDUAL_TOL),
+                                 (("--seed", "5", "--residual-tol", "5"), 5, 5.0)):
+            code, stdout, _ = invoke(capsys, "factor", str(hom), "--mode", mode, *out, *extra)
+            assert code == 0, (mode, extra)
+            body = report_body(stdout)
+            assert body["seed"] == seed and type(body["seed"]) is int
+            assert body["tolerances"]["residual_tol"] == tol, (mode, extra)
 
 
 def test_degree_cap_is_echoed_only_where_it_is_read(tmp_path, capsys):

@@ -42,6 +42,14 @@ def test_gram_check_uses_the_frobenius_norm():
     Subspace(4, np.sqrt(1.0 + 0.4 * GRAM_TOL) * np.eye(4))
 
 
+@pytest.mark.parametrize("entry", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_a_non_finite_real_or_imaginary_part_is_rejected(entry):
+    m = np.eye(3, dtype=complex)
+    m[2, 1] = entry
+    with pytest.raises(SubspaceError, match="non-finite entries"):
+        orthonormal_basis(m)
+
+
 def test_constructor_rejects_wrong_row_count():
     with pytest.raises(SubspaceError):
         Subspace(3, np.eye(2))

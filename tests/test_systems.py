@@ -1,7 +1,12 @@
 """Unit tests for system construction, transfer functions, and conservativity."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from mpsys import systems
 from mpsys.subspaces import orthonormal_basis
@@ -76,6 +81,15 @@ def test_validate_catches_length_mismatch():
     good = random_system(np.random.default_rng(0), 2, 3, 2, 2)
     with pytest.raises(SystemShapeError, match="c-list"):
         MultiSystem(a=good.a, b=good.b, c=good.c[:1], d=good.d)
+
+
+@pytest.mark.parametrize("block", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_validate_rejects_a_non_finite_real_or_imaginary_part(block):
+    bad = np.eye(2, dtype=complex)
+    bad[1, 0] = block
+    with pytest.raises(SystemShapeError, match=r"a\[1\] has non-finite entries"):
+        MultiSystem(a=[np.eye(2), bad], b=[np.ones((2, 1))] * 2,
+                    c=[np.ones((1, 2))] * 2, d=[np.zeros((1, 1))] * 2)
 
 
 def test_blocks_are_read_only_copies():
@@ -305,6 +319,23 @@ def test_random_conservative_passes_algebraic_and_sampled_checks():
         assert report.is_conservative
         assert report.worst_residual < 1e-10
         assert torus_unitarity_residual(s, 50) < 1e-9
+
+
+def test_sample_torus_is_scipys_scrambled_halton():
+    for n in range(1, 5):
+        for count in (0, 1, 7, 100):
+            for seed in range(31):
+                expected = np.exp(2j * np.pi * qmc.Halton(d=n, seed=seed).random(count))
+                assert np.array_equal(sample_torus(n, count, seed), expected), (n, count, seed)
+
+
+def test_mpsys_imports_without_scipy_stats():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, mpsys, mpsys.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"
+    assert not [path for path in src.rglob("*.py") if "scipy.stats" in path.read_text()]
 
 
 def test_sampled_dissipativity_matches_an_early_exit_loop():
