@@ -14,8 +14,6 @@ from .subspaces import (
     orthonormal_basis,
     projector_distance,
     subspace_sum,
-    whole_space,
-    zero_space,
 )
 from .systems import (
     ConservativityError,

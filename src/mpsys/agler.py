@@ -65,9 +65,9 @@ class ContractionTuple:
 
 def validate_tuple(t: ContractionTuple) -> None:
     """Raise TupleInvariantError for the first offender: a component of the
-    wrong shape, then a component of norm above 1 (by k), then a
-    non-commuting pair (j, k) in lexicographic order.  All the 2-norms come
-    from one batched SVD."""
+    wrong shape or with a non-finite entry, then a component of norm above
+    1 (by k), then a non-commuting pair (j, k) in lexicographic order.  All
+    the 2-norms come from one batched SVD."""
     mats = t.mats
     if not mats:
         raise TupleInvariantError("empty tuple")
@@ -75,6 +75,8 @@ def validate_tuple(t: ContractionTuple) -> None:
     for k, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise TupleInvariantError(f"component {k} has shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise TupleInvariantError(f"component {k} has non-finite entries")
     pairs = list(itertools.combinations(range(len(mats)), 2))
     norms = _spectral_norms(np.array(
         [*mats, *(mats[j] @ mats[k] - mats[k] @ mats[j] for j, k in pairs)]))

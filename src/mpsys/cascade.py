@@ -149,8 +149,15 @@ def decompose(s: MultiSystem, x2: Subspace) -> CascadeDecomposition:
         raise CascadeError(
             f"condition (ii) fails: dim M = {cond2.dim_m}, expected {cond2.dim_expected}"
         )
-    dx, du = s.dim_x, s.dim_u
-    v_raw = cond2.intermediate
+    return _split(s, x2, cond2.intermediate)
+
+
+def _split(s: MultiSystem, x2: Subspace, v_raw: Subspace) -> CascadeDecomposition:
+    """The decomposition along X2, given the V of a condition (ii) that holds.
+
+    Raises CascadeError only when V spills into the input space.
+    """
+    dx = s.dim_x
     spill = np.linalg.norm(v_raw.basis[dx:, :]) if v_raw.dim else 0.0
     if spill > SUBSPACE_TOL:
         raise CascadeError(

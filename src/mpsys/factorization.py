@@ -12,7 +12,7 @@ Two families of results are implemented:
   transfer functions of conservative systems, decided by the common
   invariant subspaces of the A-tuple of a closely-connected conservative
   realization that admit a cascade decomposition.  Those subspaces form a
-  lattice; one upward fixed point computes its least element, or shows the
+  lattice; one invariant closure computes its least element, or shows the
   lattice empty.  A factorization is certified by its recomputed residual;
   "no cascade decomposition" is exact for this realization (for N >= 2
   realizations are not unique, so it claims nothing about others).
@@ -27,18 +27,17 @@ import numpy as np
 
 from .cascade import (
     CascadeError,
+    _split,
     check_condition_ii,
-    decompose,
     verify_factor_tf,
 )
-from .subspaces import Subspace, invariant_closure, orthonormal_basis, zero_space
+from .subspaces import Subspace, invariant_closure
 from .systems import (
     MultiSystem,
     PolyGerm,
     SystemShapeError,
     adjoint,
     combine,
-    pencil_blocks,
     restrict_to_cc,
     taylor_coefficients,
     transfer_eval,
@@ -77,6 +76,10 @@ class LinearFactorChain:
                     raise SystemShapeError(
                         f"factor {j + 1}, component {k + 1} has shape {m.shape}, "
                         f"expected {(spaces[j], spaces[j + 1])}"
+                    )
+                if not np.isfinite(m).all():
+                    raise SystemShapeError(
+                        f"factor {j + 1}, component {k + 1} has non-finite entries"
                     )
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "spaces", spaces)
@@ -257,32 +260,22 @@ def factor_homogeneous(s: MultiSystem, m: int,
 
 
 def invariant_subspace_candidates(s: MultiSystem) -> list:
-    """The ascending chain {0} = X_0 < X_1 < ... < X* of the lattice fixed point.
+    """[X*]: the least element of the lattice, as one invariant closure.
 
     For a conservative pencil Q_k = G_k G_k* are orthogonal projections with
     sum I, and condition (ii) holds exactly when X2 (+) Y reduces every Q_k;
     the spill test of ``decompose`` then passes exactly when D = 0 and X2 is
     in the joint kernel of the B_k*, a condition inherited by subspaces.  So
     every X2 admitting a cascade decomposition contains X*, the least
-    A-invariant X2 with X2 (+) Y reducing every Q_k.  Each round grows
-    X2 (+) Y to sum_k Q_k (X2 (+) Y), takes its X rows and their
-    A-invariant closure; the dimension grows strictly until the fixed
-    point, so there are at most dim_x + 1 rounds.  Every member passes
-    condition (i).
+    A-invariant X2 with X2 (+) Y reducing every Q_k.  Q_k is self-adjoint,
+    so X2 (+) Y reduces it exactly when X2 contains the range of its XY
+    block A_k C_k* + B_k D_k* and is invariant under its XX block
+    A_k A_k* + B_k B_k*: X* is the closure of those ranges under the XX
+    blocks and the A_k, and passes condition (i).
     """
-    dx, dy = s.dim_x, s.dim_y
-    gs = pencil_blocks(s)
-    chain = [zero_space(dx)]
-    while True:
-        x2 = chain[-1]
-        target = np.zeros((dx + dy, x2.dim + dy), dtype=complex)
-        target[:dx, :x2.dim] = x2.basis
-        target[dx:, x2.dim:] = np.eye(dy)
-        grown = orthonormal_basis(
-            np.hstack([g @ (g.conj().T @ target) for g in gs])[:dx])
-        if grown.dim <= x2.dim:
-            return chain
-        chain.append(invariant_closure(s.a, grown.basis))
+    xx = [a @ a.conj().T + b @ b.conj().T for a, b in zip(s.a, s.b)]
+    xy = [a @ c.conj().T + b @ d.conj().T for a, b, c, d in zip(s.a, s.b, s.c, s.d)]
+    return [invariant_closure(xx + list(s.a), np.hstack(xy))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,13 +293,13 @@ def solve_problem2(s: MultiSystem, seed: int = 0,
     the closely-connected part of ``s``.
 
     Restricts to the closely-connected part and tests the least element X*
-    of ``invariant_subspace_candidates`` against conditions (ii) and the
-    spill test of ``decompose``.  Returns the decomposition along X*, whose
-    transfer-function residual at 20 points of the 0.5-polydisk drawn with
-    ``seed`` is below ``tol``, or None when ``decompose`` rejects X* for
-    spill: then no invariant subspace of this realization admits a cascade
-    decomposition (exact).  Raises CascadeError when condition (ii) fails at
-    X* or the residual is not below ``tol``; both are numerical breakdowns.
+    of ``invariant_subspace_candidates`` once against condition (ii) and
+    the spill test of ``decompose``.  Returns the decomposition along X*,
+    whose transfer-function residual at 20 points of the 0.5-polydisk drawn
+    with ``seed`` is below ``tol``, or None when X* spills: then no
+    invariant subspace of this realization admits a cascade decomposition
+    (exact).  Raises CascadeError when condition (ii) fails at X* or the
+    residual is not below ``tol``; both are numerical breakdowns.
     """
     acc = restrict_to_cc(s)  # first: a ConservativityError precedes a MultiplicityError
     m = multiplicity(s, default_degree_cap(s))
@@ -322,7 +315,7 @@ def solve_problem2(s: MultiSystem, seed: int = 0,
             f"dim M = {cond2.dim_m}, expected {cond2.dim_expected}"
         )
     try:
-        dec = decompose(acc, least)
+        dec = _split(acc, least, cond2.intermediate)
     except CascadeError:
         return None
     residual = verify_factor_tf(acc, dec.alpha2, dec.alpha1, seed=seed)

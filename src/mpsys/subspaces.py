@@ -98,14 +98,6 @@ class Subspace:
         return float(np.linalg.norm(self.basis - other.projector() @ self.basis, 2))
 
 
-def zero_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
-
-
-def whole_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
-
-
 def _range_basis(m: np.ndarray, tol: float) -> np.ndarray:
     """Left singular vectors of m whose singular values exceed
     ``tol * (1 + leading singular value)``: the rank rule of this module."""

@@ -40,12 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .subspaces import (
-    Subspace,
-    invariant_closure,
-    orthonormal_basis,
-    whole_space,
-)
+from .subspaces import Subspace, invariant_closure, orthonormal_basis
 from .tolerances import (CONSERVATIVE_TOL, RANK_TOL, REQUIRED_CONSERVATIVE_TOL,
                          RESOLVENT_COND_LIMIT, RESOLVENT_SCREEN, TAYLOR_DROP_TOL,
                          UNITARY_RANK_TOL)
@@ -258,6 +253,8 @@ class PolyGerm:
                 raise SystemShapeError(
                     f"coefficient at {t} has shape {m.shape}, expected {(self.dim_y, self.dim_u)}"
                 )
+            if not np.isfinite(m).all():
+                raise SystemShapeError(f"coefficient at {t} has non-finite entries")
             if np.linalg.norm(m) > 0:
                 clean[t] = m
         object.__setattr__(self, "coeffs", clean)
@@ -337,17 +334,33 @@ class ConservativityReport:
         return self.is_isometric_family and self.is_coisometric_family
 
 
+def _unitarity_defects(blocks) -> tuple:
+    """The isometric and coisometric defects of the pencil sum_k z_k M_k.
+
+    Returns (iso, coiso): iso[0] = sum_k M_k* M_k - I and coiso[0] =
+    sum_k M_k M_k* - I, then M_j* M_k and M_j M_k* for the pairs j != k in
+    lexicographic order.  The pencil is unitary on the torus exactly when
+    all of them vanish (see module docstring); each list is closed under
+    adjoints.
+    """
+    n = len(blocks)
+    rows, cols = blocks[0].shape
+    iso = [sum(m.conj().T @ m for m in blocks) - np.eye(cols)]
+    coiso = [sum(m @ m.conj().T for m in blocks) - np.eye(rows)]
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                iso.append(blocks[j].conj().T @ blocks[k])
+                coiso.append(blocks[j] @ blocks[k].conj().T)
+    return iso, coiso
+
+
 def is_conservative(s: MultiSystem, tol: float = CONSERVATIVE_TOL) -> ConservativityReport:
     """Exact algebraic conservativity test (see module docstring)."""
-    gs = pencil_blocks(s)
     n = s.n_params
     pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
     # row 0: the sum minus I; row 1 + i: the cross term of pairs[i]
-    iso = [sum(g.conj().T @ g for g in gs) - np.eye(s.dim_x + s.dim_u)]
-    coiso = [sum(g @ g.conj().T for g in gs) - np.eye(s.dim_x + s.dim_y)]
-    for j, k in pairs:
-        iso.append(gs[j].conj().T @ gs[k])
-        coiso.append(gs[j] @ gs[k].conj().T)
+    iso, coiso = _unitarity_defects(pencil_blocks(s))
     iso_r = np.linalg.norm(np.stack(iso), 2, axis=(1, 2))
     coiso_r = np.linalg.norm(np.stack(coiso), 2, axis=(1, 2))
     # the first largest residual in the order: both sums, then each pair's
@@ -469,49 +482,20 @@ def restrict_to_cc(s: MultiSystem) -> MultiSystem:
     return compress_to(s, closely_connected_subspace(s))
 
 
-def _restricted_kernel(op: np.ndarray, space: Subspace, tol: float) -> Subspace:
-    """{v in space : op v = 0} within tolerance."""
-    if space.dim == 0:
-        return space
-    m = op @ space.basis
-    u, sv, vh = np.linalg.svd(m)
-    cutoff = tol * (1.0 + (sv[0] if sv.size else 0.0))
-    rank = int(np.count_nonzero(sv > cutoff))
-    null_cols = vh.conj().T[:, rank:]
-    return orthonormal_basis(space.basis @ null_cols)
-
-
 def unitary_part(s: MultiSystem) -> Subspace:
     """Maximal subspace reducing every A_k on which the pencil zA is unitary.
 
-    Iterative refinement: shrink the candidate W to the joint kernel of the
-    defect operators (I - sum A_k*A_k), (I - sum A_kA_k*), A_j*A_k and
-    A_jA_k* (j != k) restricted to it, then to its largest part reducing
-    every A_k, until a fixed point.  Because {A_k, A_k*} is closed under
-    adjoints, that largest part is the orthogonal complement of the
-    invariant closure of W's complement.
+    On a subspace W reducing every A_k the pencil is unitary exactly when W
+    lies in the kernel of every unitarity defect of the A_k, that is, W is
+    orthogonal to their ranges (the defects are closed under adjoints).  A
+    subspace reduces every A_k exactly when its complement is invariant
+    under the adjoint-closed set {A_k, A_k*}, so the answer is the
+    complement of the invariant closure of the defects' ranges.
     """
-    dx, n = s.dim_x, s.n_params
-    eye = np.eye(dx)
-    defects = [eye - sum(a.conj().T @ a for a in s.a),
-               eye - sum(a @ a.conj().T for a in s.a)]
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                defects.append(s.a[j].conj().T @ s.a[k])
-                defects.append(s.a[j] @ s.a[k].conj().T)
-
-    ops = _with_adjoints(s.a)
-    space = whole_space(dx)
-    for _ in range(dx + 1):
-        before = space.dim
-        for op in defects:
-            space = _restricted_kernel(op, space, UNITARY_RANK_TOL)
-        outside = invariant_closure(ops, eye - space.projector(), UNITARY_RANK_TOL)
-        space = orthonormal_basis(eye - outside.projector(), UNITARY_RANK_TOL)
-        if space.dim == before:
-            break
-    return space
+    iso, coiso = _unitarity_defects(s.a)
+    outside = invariant_closure(_with_adjoints(s.a), np.hstack(iso + coiso),
+                                UNITARY_RANK_TOL)
+    return orthonormal_basis(np.eye(s.dim_x) - outside.projector(), UNITARY_RANK_TOL)
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Test helpers on pairs of conservative systems: the closely-connected
-cascade and the two candidate subspaces the paper builds from its factors,
-the executable form of "a closely connected cascade has closely connected
-factors", a grid oracle for the sup-norm of a function on the polydisk, a
-randomized invariant-subspace search (the oracle the lattice fixed point of
-``invariant_subspace_candidates`` is checked against), and a conservative
-realization that has no cascade decomposition."""
+"""Test helpers: the zero and whole subspaces; on pairs of conservative
+systems, the closely-connected cascade and the two candidate subspaces the
+paper builds from its factors; the executable form of "a closely connected
+cascade has closely connected factors"; a grid oracle for the sup-norm of a
+function on the polydisk; a randomized invariant-subspace search (the
+oracle the least element X* of ``invariant_subspace_candidates`` is checked
+against); and a conservative realization that has no cascade
+decomposition."""
 
 import itertools
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from mpsys.subspaces import (
     orthonormal_basis,
     projector_distance,
     subspace_sum,
-    zero_space,
 )
 from mpsys.systems import (
     MultiSystem,
@@ -34,6 +34,14 @@ from mpsys.systems import (
     transfer_eval,
 )
 from mpsys.tolerances import SUBSPACE_TOL
+
+
+def zero_space(ambient_dim: int) -> Subspace:
+    return Subspace(ambient_dim, np.zeros((ambient_dim, 0), dtype=complex))
+
+
+def whole_space(ambient_dim: int) -> Subspace:
+    return Subspace(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -189,7 +197,7 @@ def irreducible_realization(dim_x: int, seed: int) -> MultiSystem:
     G_k = P_k W on C^(dim_x + 1), where P_1 projects onto a Haar-random
     2-plane, P_2 = I - P_1, and W is unitary with W e_u orthogonal to e_y
     and to P_1 e_y (e_u = e_y is the last coordinate), which makes both
-    D_k = 0.  For dim_x >= 3 (checked for seeds 0-4) the least fixed point
+    D_k = 0.  For dim_x >= 3 (checked for seeds 0-4) the least element X*
     of ``invariant_subspace_candidates`` is the whole state space and
     spills into the input space, so the realization has no cascade
     decomposition; for dim_x = 2 it has one.

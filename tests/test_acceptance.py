@@ -30,12 +30,7 @@ from mpsys.factorization import (
     solve_problem2,
     tail_eval,
 )
-from mpsys.subspaces import (
-    orthonormal_basis,
-    projector_distance,
-    whole_space,
-    zero_space,
-)
+from mpsys.subspaces import orthonormal_basis, projector_distance
 from mpsys.systems import (
     MultiSystem,
     PolyGerm,
@@ -51,7 +46,8 @@ from mpsys.systems import (
     transfer_eval,
 )
 
-from pairs import closcon_property_check, from_factorization, search_candidates
+from pairs import (closcon_property_check, from_factorization, search_candidates,
+                   whole_space, zero_space)
 
 
 # ---------------------------------------------------------------- helpers

@@ -47,6 +47,15 @@ def test_tuple_rejects_expansive():
         ContractionTuple((2.0 * np.eye(2),))
 
 
+@pytest.mark.parametrize("entry", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                   complex(0.0, np.nan), complex(0.0, -np.inf)])
+def test_tuple_rejects_a_non_finite_component(entry):
+    bad = 0.5 * np.eye(2, dtype=complex)
+    bad[0, 1] = entry
+    with pytest.raises(TupleInvariantError, match=r"^component 1 has non-finite entries$"):
+        ContractionTuple((0.5 * np.eye(2), bad))
+
+
 def test_tuple_matrices_are_read_only_copies():
     source = np.eye(2)
     tup = ContractionTuple((source, 0.5 * np.eye(2)))

@@ -12,11 +12,7 @@ from mpsys.cascade import (
     sample_polydisk,
     verify_factor_tf,
 )
-from mpsys.subspaces import (
-    orthonormal_basis,
-    projector_distance,
-    zero_space,
-)
+from mpsys.subspaces import orthonormal_basis, projector_distance
 from mpsys.systems import (
     MultiSystem,
     combine,
@@ -26,7 +22,7 @@ from mpsys.systems import (
     sample_torus,
     transfer_eval,
 )
-from pairs import closcon_property_check, is_closely_connected
+from pairs import closcon_property_check, is_closely_connected, zero_space
 
 
 def coordinate_block(ambient, count, offset=0):

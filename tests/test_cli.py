@@ -428,3 +428,16 @@ def test_germ_realization_generate(tmp_path, capsys):
                              "--germ", str(gpath), "--out", str(out))
     assert code == 0
     assert ser.load_system(out).dim_x == 2
+
+
+def test_germ_realization_rejects_a_nan_coefficient(tmp_path, capsys):
+    payload = {"schema_version": "1", "kind": "germ", "n_params": 2, "dim_u": 1,
+               "dim_y": 1, "coeffs": [{"index": [1, 0], "matrix": [[[0.5, 0.0]]]},
+                                      {"index": [1, 1], "matrix": [[[float("nan"), 0.0]]]}]}
+    gpath = tmp_path / "germ.json"
+    gpath.write_text(json.dumps(payload))
+    out = tmp_path / "real.json"
+    code, stdout, err = invoke(capsys, "generate", "germ-realization",
+                               "--germ", str(gpath), "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert "coefficient at (1, 1) has non-finite entries" in err

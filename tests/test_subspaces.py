@@ -13,11 +13,9 @@ from mpsys.subspaces import (
     orthonormal_basis,
     projector_distance,
     subspace_sum,
-    whole_space,
-    zero_space,
 )
 
-from pairs import subspace_intersection
+from pairs import subspace_intersection, whole_space, zero_space
 
 
 def random_subspace(rng, ambient, dim):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.stats import qmc
 
 from mpsys import systems
@@ -90,6 +91,15 @@ def test_validate_rejects_a_non_finite_real_or_imaginary_part(block):
     with pytest.raises(SystemShapeError, match=r"a\[1\] has non-finite entries"):
         MultiSystem(a=[np.eye(2), bad], b=[np.ones((2, 1))] * 2,
                     c=[np.ones((1, 2))] * 2, d=[np.zeros((1, 1))] * 2)
+
+
+@pytest.mark.parametrize("entry", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                   complex(0.0, np.nan), complex(0.0, -np.inf)])
+def test_germ_rejects_a_non_finite_coefficient(entry):
+    bad = np.zeros((1, 2), dtype=complex)
+    bad[0, 1] = entry
+    with pytest.raises(SystemShapeError, match=r"coefficient at \(1, 1\) has non-finite entries"):
+        PolyGerm(2, 2, 1, {(1, 0): np.ones((1, 2)), (1, 1): bad})
 
 
 def test_blocks_are_read_only_copies():
@@ -479,29 +489,42 @@ def test_cc_and_unitary_part_are_complementary_for_conservative():
 
 
 def test_unitary_part_finds_a_block_hidden_by_a_basis_change():
-    # N = 3: a 2-dimensional unitary pencil sum_k z_k P_k W (P_k a random
-    # orthogonal resolution of the identity, one P_k = 0) next to a closely
-    # connected conservative system, mixed by a Haar state-space unitary
-    inner = random_conservative(3, 3, 2, 2, seed=21)
-    assert unitary_part(inner).dim == 0
-    rng = np.random.default_rng(22)
-    w0, v0 = haar_unitary(2, rng), haar_unitary(2, rng)
-    u0 = [np.outer(v0[:, 0], v0[:, 0].conj()) @ w0,
-          np.outer(v0[:, 1], v0[:, 1].conj()) @ w0,
-          np.zeros((2, 2))]
-    q = haar_unitary(5, rng)
-    dx = inner.dim_x
-    a = [q @ np.block([[u0[k], np.zeros((2, dx))],
-                       [np.zeros((dx, 2)), inner.a[k]]]) @ q.conj().T for k in range(3)]
-    b = [q @ np.vstack([np.zeros((2, 2)), inner.b[k]]) for k in range(3)]
-    c = [np.hstack([np.zeros((2, 2)), inner.c[k]]) @ q.conj().T for k in range(3)]
-    hidden = MultiSystem(a=a, b=b, c=c, d=list(inner.d))
-    assert is_conservative(hidden).is_conservative
-    part = unitary_part(hidden)
-    assert part.dim == 2
-    np.testing.assert_allclose(part.projector(), q[:, :2] @ q[:, :2].conj().T, atol=1e-8)
-    cc = closely_connected_subspace(hidden)
-    np.testing.assert_allclose(cc.projector(), q[:, 2:] @ q[:, 2:].conj().T, atol=1e-8)
+    # a unitary pencil sum_k z_k P_k W of dimension 0-3 (P_k a random
+    # orthogonal resolution of the identity, some P_k = 0 when the dimension
+    # is below N) next to a closely connected conservative system, mixed by
+    # a Haar state-space unitary
+    for n in (1, 2, 3):
+        for planted in (0, 1, 2, 3):
+            for seed in (21, 22, 23):
+                inner = random_conservative(n, 3, 2, 2, seed=seed)
+                assert unitary_part(inner).dim == 0
+                u0 = random_conservative(n, 0, planted, planted, seed=seed).d
+                dx = planted + inner.dim_x
+                q = haar_unitary(dx, np.random.default_rng(seed))
+                a = [q @ block_diag(u0[k], inner.a[k]) @ q.conj().T for k in range(n)]
+                b = [q @ np.vstack([np.zeros((planted, 2)), inner.b[k]]) for k in range(n)]
+                c = [np.hstack([np.zeros((2, planted)), inner.c[k]]) @ q.conj().T
+                     for k in range(n)]
+                hidden = MultiSystem(a=a, b=b, c=c, d=list(inner.d))
+                assert is_conservative(hidden).is_conservative
+                part = unitary_part(hidden)
+                assert part.dim == planted
+                np.testing.assert_allclose(part.projector(),
+                                           q[:, :planted] @ q[:, :planted].conj().T,
+                                           atol=1e-8)
+                cc = closely_connected_subspace(hidden)
+                np.testing.assert_allclose(cc.projector(),
+                                           q[:, planted:] @ q[:, planted:].conj().T,
+                                           atol=1e-8)
+
+
+def test_unitary_part_needs_the_cross_terms():
+    # A_1 = A_2 = U / sqrt(2): both sums are I, yet A_1* A_2 = I / 2, and the
+    # pencil (z_1 + z_2) U / sqrt(2) is not unitary on the torus
+    u = haar_unitary(3, np.random.default_rng(24)) / np.sqrt(2.0)
+    s = MultiSystem(a=[u, u], b=[np.zeros((3, 1))] * 2, c=[np.zeros((1, 3))] * 2,
+                    d=[np.zeros((1, 1))] * 2)
+    assert unitary_part(s).dim == 0
 
 
 def test_subspaces_of_a_stateless_system_are_zero():
