@@ -36,6 +36,7 @@ from .systems import (
     MultiSystem,
     PolyGerm,
     SystemShapeError,
+    _taylor_levels,
     adjoint,
     combine,
     restrict_to_cc,
@@ -143,11 +144,17 @@ def tail_eval(tail: TailFunction, z) -> np.ndarray:
 
 def multiplicity(s: MultiSystem, degree_cap: int) -> Optional[int]:
     """Least total degree of a nonzero Taylor term, or None if all vanish
-    up to the cap (which does not prove theta = 0 for N > 1)."""
+    up to the cap (which does not prove theta = 0 for N > 1).
+
+    The expansion stops at the first degree with a kept coefficient, so the
+    cost is that of the degree returned, not of the cap.
+    """
     if degree_cap < 1:
         raise ValueError("degree_cap must be >= 1")
-    germ = taylor_coefficients(s, degree_cap)
-    return germ.min_total_degree()
+    for degree, level in _taylor_levels(s, degree_cap):
+        if level:
+            return degree
+    return None
 
 
 def default_degree_cap(s: MultiSystem) -> int:
@@ -163,10 +170,10 @@ def _check_multiplicity(s: MultiSystem, m: int) -> None:
             raise MultiplicityError(
                 f"multiplicity {m} > 1 requires D = 0, but ||D|| = {worst_d:.3e}"
             )
-        low = taylor_coefficients(s, m - 1)
-        if low.coeffs:
+        low = multiplicity(s, m - 1)
+        if low is not None:
             raise MultiplicityError(
-                f"a Taylor term of degree {low.min_total_degree()} is nonzero, "
+                f"a Taylor term of degree {low} is nonzero, "
                 f"contradicting multiplicity {m}"
             )
 

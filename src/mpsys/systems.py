@@ -34,7 +34,6 @@ validates this reduction independently.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -144,10 +143,13 @@ def _check_points(n_params: int, z) -> np.ndarray:
 
 def pencil_blocks(s: MultiSystem) -> list:
     """The block matrices G_k = [[A_k, B_k], [C_k, D_k]]."""
-    return [
-        np.block([[s.a[k], s.b[k]], [s.c[k], s.d[k]]])
-        for k in range(s.n_params)
-    ]
+    dx = s.dim_x
+    g = np.empty((s.n_params, dx + s.dim_y, dx + s.dim_u), dtype=complex)
+    g[:, :dx, :dx] = s.a
+    g[:, :dx, dx:] = s.b
+    g[:, dx:, :dx] = s.c
+    g[:, dx:, dx:] = s.d
+    return list(g)
 
 
 def combine(blocks, z) -> np.ndarray:
@@ -284,6 +286,53 @@ def _unit(n: int, k: int) -> tuple:
     return tuple(int(i == k) for i in range(n))
 
 
+def _bump(t: tuple, k: int) -> tuple:
+    """The multi-index t + e_k."""
+    t_k = list(t)
+    t_k[k] += 1
+    return tuple(t_k)
+
+
+def _taylor_levels(s: MultiSystem, max_total_degree: int):
+    """Yield (j, {t: coefficient}) for j = 1, 2, ... up to the cap, where the
+    dict holds the kept Taylor coefficients of total degree j (Frobenius
+    norm above TAYLOR_DROP_TOL), in the order they are first reached.
+
+    Level j is complete once the frontier of degree j - 1 has been
+    multiplied by the B_k, so a consumer that stops early pays only for the
+    levels it read; the frontier of degree j is formed only when level
+    j + 1 is requested.
+    """
+    n = s.n_params
+
+    def kept(level: dict) -> dict:
+        return {t: m for t, m in level.items() if np.linalg.norm(m) > TAYLOR_DROP_TOL}
+
+    zero = np.zeros((s.dim_y, s.dim_u), dtype=complex)
+    yield 1, kept({_unit(n, k): zero + s.d[k] for k in range(n)})
+    if s.dim_x == 0:
+        return
+    # frontier: abelianization of (k0, ..., k_i) -> sum of C_{k0} A_{k1} ... A_{k_i}
+    frontier = {_unit(n, k): s.c[k] for k in range(n)}
+    for j in range(2, max_total_degree + 1):
+        if j > 2:
+            new_frontier: dict = {}
+            for t, m in frontier.items():
+                for k in range(n):
+                    t_k = _bump(t, k)
+                    if t_k in new_frontier:
+                        new_frontier[t_k] = new_frontier[t_k] + m @ s.a[k]
+                    else:
+                        new_frontier[t_k] = m @ s.a[k]
+            frontier = new_frontier
+        level: dict = {}
+        for t, m in frontier.items():
+            for k in range(n):
+                t_k = _bump(t, k)
+                level[t_k] = level.get(t_k, zero) + m @ s.b[k]
+        yield j, kept(level)
+
+
 def taylor_coefficients(s: MultiSystem, max_total_degree: int) -> PolyGerm:
     """Taylor coefficients of theta_s up to the given total degree.
 
@@ -291,35 +340,15 @@ def taylor_coefficients(s: MultiSystem, max_total_degree: int) -> PolyGerm:
     C_{k0} A_{k1} ... A_{k_{j-2}} B_{k_{j-1}} over all words with
     abelianization t; D_k contributes at t = e_k.  Words are accumulated
     with prefix products merged by abelianization, so the cost is polynomial
-    in the degree rather than N^degree.
+    in the degree rather than N^degree.  The coefficients are collected from
+    the level generator ``_taylor_levels``, one total degree at a time.
     """
     if max_total_degree < 1:
         raise ValueError("max_total_degree must be >= 1")
-    n = s.n_params
-    coeffs: dict = defaultdict(lambda: np.zeros((s.dim_y, s.dim_u), dtype=complex))
-    for k in range(n):
-        coeffs[_unit(n, k)] = coeffs[_unit(n, k)] + s.d[k]
-
-    if s.dim_x > 0 and max_total_degree >= 2:
-        # frontier: abelianization of (k0, ..., k_i) -> sum of C_{k0} A_{k1} ... A_{k_i}
-        frontier = {_unit(n, k): s.c[k].copy() for k in range(n)}
-        for _ in range(1, max_total_degree):
-            new_frontier: dict = {}
-            for t, m in frontier.items():
-                for k in range(n):
-                    t_k = list(t)
-                    t_k[k] += 1
-                    t_k = tuple(t_k)
-                    coeffs[t_k] = coeffs[t_k] + m @ s.b[k]
-                    if sum(t_k) <= max_total_degree - 1:
-                        if t_k in new_frontier:
-                            new_frontier[t_k] = new_frontier[t_k] + m @ s.a[k]
-                        else:
-                            new_frontier[t_k] = m @ s.a[k]
-            frontier = new_frontier
-
-    kept = {t: m for t, m in coeffs.items() if np.linalg.norm(m) > TAYLOR_DROP_TOL}
-    return PolyGerm(n, s.dim_u, s.dim_y, kept)
+    coeffs: dict = {}
+    for _, level in _taylor_levels(s, max_total_degree):
+        coeffs.update(level)
+    return PolyGerm(s.n_params, s.dim_u, s.dim_y, coeffs)
 
 
 @dataclass(frozen=True)

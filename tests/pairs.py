@@ -2,12 +2,15 @@
 systems, the closely-connected cascade and the two candidate subspaces the
 paper builds from its factors; the executable form of "a closely connected
 cascade has closely connected factors"; a grid oracle for the sup-norm of a
-function on the polydisk; a randomized invariant-subspace search (the
+function on the polydisk; the whole-cap Taylor expansion that
+``systems.taylor_coefficients`` and ``factorization.multiplicity`` are
+checked against; a randomized invariant-subspace search (the
 oracle the least element X* of ``invariant_subspace_candidates`` is checked
 against); and a conservative realization that has no cascade
 decomposition."""
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Union
 
@@ -30,10 +33,12 @@ from mpsys.systems import (
     compress_to,
     germ_eval,
     haar_unitary,
+    random_conservative,
+    realize_germ,
     require_conservative,
     transfer_eval,
 )
-from mpsys.tolerances import SUBSPACE_TOL
+from mpsys.tolerances import SUBSPACE_TOL, TAYLOR_DROP_TOL
 
 
 def zero_space(ambient_dim: int) -> Subspace:
@@ -133,6 +138,71 @@ def polydisk_sup_norm(f: Union[PolyGerm, MultiSystem], grid_per_axis: int = 12,
     evaluate = germ_eval if isinstance(f, PolyGerm) else transfer_eval
     grid = np.array(list(itertools.product(ring, repeat=n)))
     return float(np.linalg.norm(evaluate(f, grid), 2, axis=(1, 2)).max())
+
+
+def full_taylor_coefficients(s: MultiSystem, max_total_degree: int) -> PolyGerm:
+    """Every Taylor coefficient up to the cap, expanded in one pass.
+
+    The coefficient at t with |t| = j >= 2 sums C_{k0} A_{k1} ... B_{k_{j-1}}
+    over the words with abelianization t, accumulated through prefix
+    products merged by abelianization; D_k sits at t = e_k.  Coefficients
+    with Frobenius norm at most ``TAYLOR_DROP_TOL`` are dropped.
+    """
+    if max_total_degree < 1:
+        raise ValueError("max_total_degree must be >= 1")
+    n = s.n_params
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    coeffs: dict = defaultdict(lambda: np.zeros((s.dim_y, s.dim_u), dtype=complex))
+    for k in range(n):
+        coeffs[unit[k]] = coeffs[unit[k]] + s.d[k]
+
+    if s.dim_x > 0 and max_total_degree >= 2:
+        # frontier: abelianization of (k0, ..., k_i) -> sum of C_{k0} A_{k1} ... A_{k_i}
+        frontier = {unit[k]: s.c[k].copy() for k in range(n)}
+        for _ in range(1, max_total_degree):
+            new_frontier: dict = {}
+            for t, m in frontier.items():
+                for k in range(n):
+                    t_k = list(t)
+                    t_k[k] += 1
+                    t_k = tuple(t_k)
+                    coeffs[t_k] = coeffs[t_k] + m @ s.b[k]
+                    if sum(t_k) <= max_total_degree - 1:
+                        if t_k in new_frontier:
+                            new_frontier[t_k] = new_frontier[t_k] + m @ s.a[k]
+                        else:
+                            new_frontier[t_k] = m @ s.a[k]
+            frontier = new_frontier
+
+    kept = {t: m for t, m in coeffs.items() if np.linalg.norm(m) > TAYLOR_DROP_TOL}
+    return PolyGerm(n, s.dim_u, s.dim_y, kept)
+
+
+def taylor_test_systems() -> list:
+    """(label, system, multiplicity) triples that exercise every branch of
+    the expansion; the multiplicity is that of theta up to degree dim_x + 2.
+
+    Cascades with N = 1-3 (D = 0, multiplicity 2); realized germs with N = 2
+    whose lowest nonzero degree is 1-4; a conservative system with D != 0; a
+    stateless one; and one with B = 0, whose transfer function vanishes.
+    """
+    rng = np.random.default_rng(71)
+    out = [(f"cascade N={n}", cascade(random_conservative(n, 3, 3, 3, seed=70 + n),
+                                      random_conservative(n, 3, 3, 3, seed=80 + n)), 2)
+           for n in (1, 2, 3)]
+    for low in (1, 2, 3, 4):
+        indices = [t for t in itertools.product(range(5), repeat=2)
+                   if low <= sum(t) <= min(low + 1, 4)]
+        coeffs = {t: rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+                  for t in indices}
+        out.append((f"germ low={low}", realize_germ(PolyGerm(2, 1, 2, coeffs)), low))
+    out.append(("conservative D != 0", random_conservative(2, 4, 2, 2, seed=73), 1))
+    out.append(("stateless", random_conservative(2, 0, 2, 2, seed=74), 1))
+    a = [0.4 * rng.standard_normal((3, 3)) for _ in range(2)]
+    c = [rng.standard_normal((2, 3)) for _ in range(2)]
+    out.append(("B = 0", MultiSystem(a=a, b=[np.zeros((3, 2))] * 2, c=c,
+                                     d=[np.zeros((2, 2))] * 2), None))
+    return out
 
 
 def search_stream(s: MultiSystem, seed: int):

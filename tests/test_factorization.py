@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from mpsys import factorization, subspaces
+from mpsys import factorization, subspaces, systems
 from mpsys.cascade import (
     CascadeError,
     ConditionIIResult,
@@ -48,7 +48,13 @@ from mpsys.systems import (
 from mpsys.tolerances import SUBSPACE_TOL
 
 import pairs
-from pairs import from_factorization, irreducible_realization, is_closely_connected
+from pairs import (
+    from_factorization,
+    full_taylor_coefficients,
+    irreducible_realization,
+    is_closely_connected,
+    taylor_test_systems,
+)
 
 
 def zero_d(s):
@@ -105,6 +111,30 @@ def test_multiplicity_none_when_transfer_vanishes():
                        c=[np.zeros((2, 2))] * 2,
                        d=[np.zeros((2, 2))] * 2)
     assert multiplicity(zero, 4) is None
+
+
+@pytest.mark.parametrize("label, s, m", taylor_test_systems())
+def test_multiplicity_is_the_least_degree_of_the_whole_cap_expansion(label, s, m):
+    for cap in range(1, s.dim_x + 3):
+        expected = full_taylor_coefficients(s, cap).min_total_degree()
+        assert multiplicity(s, cap) == expected, (label, cap)
+    assert expected == m
+
+
+def test_multiplicity_stops_at_the_degree_it_returns(monkeypatch):
+    levels = []
+
+    def counted(s, cap):
+        for level in systems._taylor_levels(s, cap):
+            levels.append(level[0])
+            yield level
+
+    # factorization calls the generator under the name it imported
+    monkeypatch.setattr(factorization, "_taylor_levels", counted)
+    s = cascade_of(3, 3, 3, 3, seed=90)
+    assert s.dim_x == 9
+    assert multiplicity(s, default_degree_cap(s)) == 2
+    assert levels == [1, 2]
 
 
 def test_chain_shapes_are_validated():

@@ -38,7 +38,7 @@ from mpsys.systems import (
 )
 from mpsys.tolerances import RESOLVENT_COND_LIMIT, RESOLVENT_SCREEN
 
-from pairs import is_closely_connected
+from pairs import full_taylor_coefficients, is_closely_connected, taylor_test_systems
 
 
 def random_system(rng, n, dx, du, dy, scale=0.4):
@@ -302,6 +302,25 @@ def test_taylor_agrees_with_transfer_eval():
         for evaluate, f in ((germ_eval, germ), (transfer_eval, s)):
             assert_stack_is_per_point(evaluate, f, points)
             assert_stack_is_per_point(evaluate, f, points[:1])
+
+
+@pytest.mark.parametrize("label, s, _", taylor_test_systems())
+def test_taylor_levels_match_the_whole_cap_expansion_bit_for_bit(label, s, _):
+    for cap in range(1, s.dim_x + 3):
+        germ, full = taylor_coefficients(s, cap), full_taylor_coefficients(s, cap)
+        assert list(germ.coeffs) == list(full.coeffs), (label, cap)
+        for t, m in full.coeffs.items():
+            assert np.array_equal(germ.coeffs[t], m), (label, cap, t)
+
+
+def test_pencil_blocks_are_the_block_matrices():
+    rng = np.random.default_rng(8)
+    for n, dx, du, dy in ((3, 9, 3, 3), (2, 3, 1, 2), (2, 0, 2, 1)):
+        s = random_system(rng, n, dx, du, dy)
+        gs = pencil_blocks(s)
+        assert len(gs) == n
+        for k, g in enumerate(gs):
+            assert np.array_equal(g, np.block([[s.a[k], s.b[k]], [s.c[k], s.d[k]]]))
 
 
 def test_taylor_degree_one_is_d():
