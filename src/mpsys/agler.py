@@ -22,6 +22,7 @@ from .systems import (
     MultiSystem,
     PolyGerm,
     ResolventError,
+    _spectral_norms,
     combine,
     germ_eval,
     haar_unitary,
@@ -67,7 +68,7 @@ def validate_tuple(t: ContractionTuple) -> None:
     """Raise TupleInvariantError for the first offender: a component of the
     wrong shape or with a non-finite entry, then a component of norm above
     1 (by k), then a non-commuting pair (j, k) in lexicographic order.  All
-    the 2-norms come from one batched SVD."""
+    the 2-norms come from one batched call of ``_spectral_norms``."""
     mats = t.mats
     if not mats:
         raise TupleInvariantError("empty tuple")
@@ -88,12 +89,6 @@ def validate_tuple(t: ContractionTuple) -> None:
             raise TupleInvariantError(
                 f"components {j}, {k} do not commute (residual {comm:.3e})"
             )
-
-
-def _spectral_norms(x: np.ndarray) -> np.ndarray:
-    """||x||_2 of a matrix, or of each matrix of a stack, as the largest
-    singular value from one LAPACK call; 0 for an empty matrix."""
-    return np.linalg.svd(x, compute_uv=False).max(-1, initial=0.0)
 
 
 def gen_commuting_contractions(n_params: int, dim: int, strategy: str,

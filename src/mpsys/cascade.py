@@ -36,6 +36,7 @@ from .subspaces import (
 )
 from .systems import (
     MultiSystem,
+    _spectral_norms,
     pencil_blocks,
     require_conservative,
     transfer_eval,
@@ -98,9 +99,9 @@ def check_condition_ii(s: MultiSystem, x2: Subspace) -> ConditionIIResult:
 
     Rank criterion: M = sum_k G_k*(X2 (+) Y) must have dimension
     dim X2 + dim Y; V = M (-) X2 is then returned (as a subspace of the
-    pencil's domain X (+) U).
+    pencil's domain X (+) U).  Precondition, not checked here (``decompose``
+    checks it): ``s`` is conservative.
     """
-    require_conservative(s)
     if not check_condition_i(s, x2):
         raise CascadeError("condition (i) fails: x2 is not invariant for all A_k")
     dx, du, dy = s.dim_x, s.dim_u, s.dim_y
@@ -142,8 +143,10 @@ def decompose(s: MultiSystem, x2: Subspace) -> CascadeDecomposition:
     Requires conditions (i) and (ii); additionally the defect space V must
     be supported in the state space (automatic for the systems produced by
     cascades, where D = 0), otherwise the three-block state layout does not
-    exist and a CascadeError is raised.
+    exist and a CascadeError is raised.  Raises ConservativityError first
+    when ``s`` is not conservative.
     """
+    require_conservative(s)
     cond2 = check_condition_ii(s, x2)
     if not cond2.holds:
         raise CascadeError(
@@ -201,7 +204,7 @@ def verify_factor_tf(alpha: MultiSystem, alpha2: MultiSystem, alpha1: MultiSyste
     """Max over sampled z of ||theta_alpha(z) - theta_alpha2(z) theta_alpha1(z)||."""
     z = sample_polydisk(alpha.n_params, n_points, radius, seed)
     diff = transfer_eval(alpha, z) - transfer_eval(alpha2, z) @ transfer_eval(alpha1, z)
-    return float(np.linalg.norm(diff, 2, axis=(1, 2)).max(initial=0.0))
+    return float(_spectral_norms(diff).max(initial=0.0))
 
 
 __all__ = [

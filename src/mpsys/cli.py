@@ -36,6 +36,7 @@ from .factorization import (
     tail_eval,
 )
 from .systems import (
+    _spectral_norms,
     closely_connected_subspace,
     is_conservative,
     is_dissipative_sampled,
@@ -201,7 +202,7 @@ def _reconstruction_residual(system, chain, tail, right: bool, seed: int) -> flo
     else:
         approx = chain_eval(chain, z) @ tail_eval(tail, z)
     diff = transfer_eval(system, z) - approx
-    return float(np.linalg.norm(diff, 2, axis=(1, 2)).max())
+    return float(_spectral_norms(diff).max())
 
 
 # the flags that factor's left, right and problem2 modes read, with their

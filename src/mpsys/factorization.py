@@ -308,7 +308,7 @@ def solve_problem2(s: MultiSystem, seed: int = 0,
     (exact).  Raises CascadeError when condition (ii) fails at X* or the
     residual is not below ``tol``; both are numerical breakdowns.
     """
-    acc = restrict_to_cc(s)  # first: a ConservativityError precedes a MultiplicityError
+    acc = restrict_to_cc(s)  # first, and the one conservativity check condition (ii) needs
     m = multiplicity(s, default_degree_cap(s))
     if m is None or m <= 1:
         raise MultiplicityError(

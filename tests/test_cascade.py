@@ -14,6 +14,7 @@ from mpsys.cascade import (
 )
 from mpsys.subspaces import orthonormal_basis, projector_distance
 from mpsys.systems import (
+    ConservativityError,
     MultiSystem,
     combine,
     is_conservative,
@@ -172,6 +173,20 @@ def test_decompose_rejects_non_invariant_subspace():
     )
     with pytest.raises(CascadeError):
         decompose(s, generic)
+
+
+def test_decompose_rejects_a_perturbed_non_conservative_system():
+    # check_condition_ii presupposes conservativity; decompose checks it
+    alpha2, alpha1 = conservative_pair(33)
+    combined = cascade(alpha2, alpha1)
+    x2 = coordinate_block(combined.dim_x, alpha2.dim_x)
+    decompose(combined, x2)
+    perturbed = MultiSystem(a=combined.a, b=combined.b,
+                            c=[(1 + 1e-6) * m for m in combined.c], d=combined.d)
+    assert not is_conservative(perturbed, 1e-8).is_conservative
+    assert check_condition_ii(perturbed, x2).holds  # the split itself would go through
+    with pytest.raises(ConservativityError):
+        decompose(perturbed, x2)
 
 
 def test_closcon_implication_on_random_pairs():

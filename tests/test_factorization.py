@@ -348,6 +348,18 @@ def test_solve_problem2_checks_condition_ii_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_solve_problem2_checks_conservativity_once(monkeypatch):
+    # restrict_to_cc's check is the only one: check_condition_ii presupposes it
+    calls = []
+    module = importlib.import_module("mpsys.systems")
+    monkeypatch.setattr(module, "is_conservative", counting(module.is_conservative, calls))
+    for n in (1, 2, 3):
+        calls.clear()
+        outcome = solve_problem2(cascade_of(n, 2, 2, 2, seed=60 + n), seed=0)
+        assert outcome is not None
+        assert len(calls) == 1
+
+
 def passes_cascade_conditions(s, x2):
     if not check_condition_ii(s, x2).holds:
         return False

@@ -397,6 +397,66 @@ def test_sampled_dissipativity_matches_an_early_exit_loop():
             np.testing.assert_array_equal(verdict.witness, witness)
 
 
+def svd_norm(m):
+    return np.linalg.norm(m, 2) if m.size else 0.0
+
+
+def test_spectral_norms_match_the_svd_norm():
+    rng = np.random.default_rng(41)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for rows, cols in ((3, 7), (7, 3), (5, 5), (1, 6), (6, 1), (0, 4), (4, 0)):
+        # at 1e-200 and 1e200 an unscaled Gram matrix would underflow or overflow
+        for scale in (1e-200, 1e-150, 1.0, 1e150, 1e200):
+            stack = gaussian(6, rows, cols)
+            stack[1] = 0.0
+            stack[2] = gaussian(rows, 1) @ gaussian(1, cols)  # rank one
+            stack[3] = gaussian(rows, 2) @ gaussian(2, cols)  # rank two at most
+            stack[4] *= 1e-9  # far below the others
+            stack *= scale
+            norms = systems._spectral_norms(stack)
+            reference = np.array([svd_norm(m) for m in stack])
+            assert norms.shape == (6,)
+            error = np.abs(norms - reference)
+            assert ((error <= 1e-13 * reference)
+                    | (error <= 1e-13 * reference.max())).all(), (rows, cols, scale)
+            assert norms[1] == 0.0
+            assert systems._spectral_norms(stack[0]) == norms[0]
+
+
+def test_sampled_dissipativity_matches_an_svd_loop_at_eval_sizes():
+    def reference(s, n_samples, tol, seed):
+        points = sample_torus(s.n_params, n_samples, seed)
+        norms = np.array([svd_norm(combine(pencil_blocks(s), z)) for z in points])
+        over = np.flatnonzero(norms > 1.0 + tol)
+        if over.size == 0:
+            return True, norms.max(), None
+        return False, norms[over[0]], points[over[0]]
+
+    rng = np.random.default_rng(42)
+    # (N, dim_x, dim_u, dim_y): m = dim_x + dim_u up to 24, square and not
+    for n, dx, du, dy in ((1, 4, 2, 2), (2, 10, 3, 3), (3, 20, 4, 4), (2, 6, 3, 1),
+                          (3, 5, 1, 3), (1, 0, 2, 2), (3, 16, 8, 8)):
+        base = random_system(rng, n, dx, du, dy)
+        norms = [svd_norm(combine(pencil_blocks(base), z)) for z in sample_torus(n, 100, 7)]
+        c = 1.0 / np.quantile(norms, 0.9)
+        if n > 1:  # only some samples end above 1 (for N = 1 the norm is constant)
+            assert 0 < sum(c * norm > 1.0 + 1e-10 for norm in norms) < 100
+        scaled = MultiSystem(*([c * m for m in blocks]
+                               for blocks in (base.a, base.b, base.c, base.d)))
+        for s in (scaled, scale_output(scaled, 1e150), scale_output(scaled, 1e200)):
+            passed, worst, witness = reference(s, 100, 1e-10, 7)
+            verdict = is_dissipative_sampled(s, 100, tol=1e-10, seed=7)
+            assert verdict.passed == passed
+            assert abs(verdict.max_norm - worst) <= 1e-13 * worst
+            if passed:
+                assert verdict.witness is None
+            else:
+                np.testing.assert_array_equal(verdict.witness, witness)
+
+
 def test_conservativity_matches_the_pairwise_loop_bit_for_bit():
     # the per-pair 2-norms in the order the report is defined by; the
     # batched norms must give the same report exactly
