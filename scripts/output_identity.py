@@ -80,13 +80,13 @@ def _outcome(out, cc) -> dict:
     """The search's outcome; ``cc`` is the closely-connected subspace of the
     cascade it came from."""
     record = {"cc_dim": cc.dim, "cc_projector": _matrix(cc.projector())}
-    if out is None:
+    if out.verdict != "factored":
         return {"verdict": None, **record}
     return {
         "intermediate_dim": out.intermediate_dim,
-        "witness_dim": out.witness_x2.dim,
-        "witness": _digest(out.witness_x2.basis),
-        "witness_projector": _matrix(out.witness_x2.projector()),
+        "witness_dim": out.least_x2.dim,
+        "witness": _digest(out.least_x2.basis),
+        "witness_projector": _matrix(out.least_x2.projector()),
         "residual": float(out.residual).hex(),
         "theta2": _system_digest(out.theta2),
         "theta1": _system_digest(out.theta1),

@@ -30,7 +30,6 @@ from .factorization import (
     factor_homogeneous,
     factor_left,
     factor_right,
-    invariant_subspace_candidates,
     multiplicity,
     solve_problem2,
     tail_eval,
@@ -42,7 +41,6 @@ from .systems import (
     is_dissipative_sampled,
     random_conservative,
     realize_germ,
-    restrict_to_cc,
     taylor_coefficients,
     transfer_eval,
     unitary_part,
@@ -52,7 +50,7 @@ from .tolerances import (AGLER_TOL, COEFF_TOL, CONSERVATIVE_TOL, RANK_TOL, RESID
 from . import serialization as ser
 
 PASS, ERROR, FAIL = 0, 1, 2
-DEGREE_CAP = 8  # --degree-cap default of check and of factor's left, right, homogeneous
+DEGREE_CAP = 8  # --degree-cap default of check and of factor's left and right modes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -227,27 +225,25 @@ def cmd_factor(ns, argv) -> tuple:
     if ns.mode == "problem2":
         outcome = solve_problem2(system, seed=ns.seed, tol=ns.residual_tol)
         tolerances["degree_cap"] = default_degree_cap(system)
-        if outcome is None:
+        if outcome.verdict != "factored":
             # exact for this closely-connected realization, not for all of theta's
-            acc = restrict_to_cc(system)
-            least = invariant_subspace_candidates(acc)[-1]
-            report = _report(argv, mode=ns.mode, verdict="no-cascade-decomposition",
-                             cc_dim=acc.dim_x, least_x2_dim=least.dim,
+            report = _report(argv, mode=ns.mode, verdict=outcome.verdict,
+                             cc_dim=outcome.cc_dim, least_x2_dim=outcome.least_x2.dim,
                              seed=ns.seed, tolerances=tolerances)
             return report, FAIL
         ser.save_json(out_dir / "theta2.json", ser.system_to_dict(outcome.theta2))
         ser.save_json(out_dir / "theta1.json", ser.system_to_dict(outcome.theta1))
-        ser.save_json(out_dir / "witness_x2.json",
-                      ser.subspace_to_dict(outcome.witness_x2))
-        report = _report(argv, mode=ns.mode, verdict="factored",
-                         out_dir=str(out_dir),
+        ser.save_json(out_dir / "witness_x2.json", ser.subspace_to_dict(outcome.least_x2))
+        report = _report(argv, mode=ns.mode, verdict=outcome.verdict, out_dir=str(out_dir),
                          intermediate_dim=outcome.intermediate_dim,
-                         witness_x2_dim=outcome.witness_x2.dim,
+                         witness_x2_dim=outcome.least_x2.dim,
                          reconstruction_residual=outcome.residual,
                          seed=ns.seed, tolerances=tolerances)
         return report, PASS
 
-    cap = ns.degree_cap if ns.degree_cap is not None else DEGREE_CAP
+    cap = ns.degree_cap
+    if cap is None:  # homogeneous: the exact caps, dim_x + 2 and then m + dim_x
+        cap = default_degree_cap(system) if ns.mode == "homogeneous" else DEGREE_CAP
     m = ns.multiplicity
     if m is None:
         tolerances["degree_cap"] = cap
@@ -258,6 +254,7 @@ def cmd_factor(ns, argv) -> tuple:
             )
 
     if ns.mode == "homogeneous":
+        cap = cap if ns.degree_cap is not None else m + system.dim_x
         chain = factor_homogeneous(system, m, check_cap=cap)
         ser.save_json(out_dir / "chain.json", ser.chain_to_dict(chain))
         produced = chain_to_germ(chain)
@@ -361,8 +358,9 @@ def build_parser() -> _Parser:
                    choices=["left", "right", "homogeneous", "problem2"])
     p.add_argument("--multiplicity", type=int, default=None)
     p.add_argument("--degree-cap", type=int, default=None,
-                   help="left and right modes without --multiplicity, and homogeneous "
-                        f"mode (default {DEGREE_CAP}); problem2 rejects it and uses dim_x + 2")
+                   help=f"left and right modes without --multiplicity (default {DEGREE_CAP}), "
+                        "and homogeneous mode (default m + dim_x); problem2 rejects it "
+                        "and uses dim_x + 2")
     p.add_argument("--out-dir", default="factor-out")
     for name, default in FACTOR_SAMPLED_FLAGS.items():
         p.add_argument("--" + name.replace("_", "-"), type=type(default),

@@ -144,7 +144,8 @@ def tail_eval(tail: TailFunction, z) -> np.ndarray:
 
 def multiplicity(s: MultiSystem, degree_cap: int) -> Optional[int]:
     """Least total degree of a nonzero Taylor term, or None if all vanish
-    up to the cap (which does not prove theta = 0 for N > 1).
+    up to the cap.  At a cap >= dim_x + 1, such as ``default_degree_cap``,
+    None proves theta = 0 (Cayley-Hamilton over C[z]).
 
     The expansion stops at the first degree with a kept coefficient, so the
     cost is that of the degree returned, not of the cap.
@@ -241,12 +242,13 @@ def factor_homogeneous(s: MultiSystem, m: int,
 
     For m = 1 the chain is (D_k); for m > 1 it is (C, A, ..., A, B), so the
     product equals zC (zA)^(m-2) zB coefficientwise.  Homogeneity is
-    verified up to ``check_cap`` (default m + 2).  When the input system is
-    conservative each factor pencil is contractive on the torus.
+    verified up to ``check_cap``, by default the exact m + dim_x
+    (Cayley-Hamilton over C[z]).  When the input system is conservative
+    each factor pencil is contractive on the torus.
     """
     if m < 1:
         raise MultiplicityError("degree must be >= 1")
-    cap = check_cap if check_cap is not None else m + 2
+    cap = check_cap if check_cap is not None else m + s.dim_x
     germ = taylor_coefficients(s, max(cap, m))
     if not germ.coeffs:
         raise MultiplicityError("transfer function vanishes up to the checked degree")
@@ -287,26 +289,31 @@ def invariant_subspace_candidates(s: MultiSystem) -> list:
 
 @dataclass(frozen=True, eq=False)
 class FactorizationOutcome:
-    theta2: MultiSystem
-    theta1: MultiSystem
-    intermediate_dim: int
-    witness_x2: Subspace
-    residual: float
+    """``solve_problem2``'s answer.  ``least_x2`` is X*, the witness when
+    ``verdict`` is "factored"; the fields after it are set only then."""
+
+    verdict: str
+    cc_dim: int
+    least_x2: Subspace
+    theta2: Optional[MultiSystem] = None
+    theta1: Optional[MultiSystem] = None
+    intermediate_dim: Optional[int] = None
+    residual: Optional[float] = None
 
 
 def solve_problem2(s: MultiSystem, seed: int = 0,
-                   tol: float = RESIDUAL_TOL) -> Optional[FactorizationOutcome]:
+                   tol: float = RESIDUAL_TOL) -> FactorizationOutcome:
     """Decide theta = theta2 * theta1 with both factors conservative, along
     the closely-connected part of ``s``.
 
     Restricts to the closely-connected part and tests the least element X*
     of ``invariant_subspace_candidates`` once against condition (ii) and
-    the spill test of ``decompose``.  Returns the decomposition along X*,
-    whose transfer-function residual at 20 points of the 0.5-polydisk drawn
-    with ``seed`` is below ``tol``, or None when X* spills: then no
-    invariant subspace of this realization admits a cascade decomposition
-    (exact).  Raises CascadeError when condition (ii) fails at X* or the
-    residual is not below ``tol``; both are numerical breakdowns.
+    the spill test of ``decompose``.  The verdict is "factored" along X*,
+    with a transfer-function residual below ``tol`` at 20 points of the
+    0.5-polydisk drawn with ``seed``, or "no-cascade-decomposition" when X*
+    spills: then no invariant subspace of this realization admits a cascade
+    decomposition (exact).  Raises CascadeError when condition (ii) fails
+    at X* or the residual is not below ``tol``: numerical breakdowns.
     """
     acc = restrict_to_cc(s)  # first, and the one conservativity check condition (ii) needs
     m = multiplicity(s, default_degree_cap(s))
@@ -324,20 +331,15 @@ def solve_problem2(s: MultiSystem, seed: int = 0,
     try:
         dec = _split(acc, least, cond2.intermediate)
     except CascadeError:
-        return None
+        return FactorizationOutcome("no-cascade-decomposition", acc.dim_x, least)
     residual = verify_factor_tf(acc, dec.alpha2, dec.alpha1, seed=seed)
     if residual >= tol:
         raise CascadeError(
             f"transfer-function residual {residual:.3e} of the decomposition "
             f"along the least fixed point is not below {tol:.3e}"
         )
-    return FactorizationOutcome(
-        theta2=dec.alpha2,
-        theta1=dec.alpha1,
-        intermediate_dim=dec.intermediate.dim,
-        witness_x2=least,
-        residual=residual,
-    )
+    return FactorizationOutcome("factored", acc.dim_x, least, dec.alpha2, dec.alpha1,
+                                dec.intermediate.dim, residual)
 
 
 __all__ = [

@@ -6,8 +6,9 @@ function on the polydisk; the whole-cap Taylor expansion that
 ``systems.taylor_coefficients`` and ``factorization.multiplicity`` are
 checked against; a randomized invariant-subspace search (the
 oracle the least element X* of ``invariant_subspace_candidates`` is checked
-against); and a conservative realization that has no cascade
-decomposition."""
+against); a conservative realization that has no cascade decomposition;
+the system z^2 + z^9, inhomogeneous only above degree m + 2; and a
+call-counting wrapper."""
 
 import itertools
 from collections import defaultdict
@@ -287,3 +288,19 @@ def irreducible_realization(dim_x: int, seed: int) -> MultiSystem:
                        b=[g[:dim_x, dim_x:] for g in blocks],
                        c=[g[dim_x:, :dim_x] for g in blocks],
                        d=[g[dim_x:, dim_x:] for g in blocks])
+
+
+def z2_plus_z9() -> MultiSystem:
+    """N = 1, dim_x = 8: A the shift, B = e_1 and C = e_1* + e_8*, so
+    theta = z^2 + z^9.  The z^9 term lies above degree m + 2 = 4 and within
+    the exact homogeneity cap m + dim_x = 10."""
+    e = np.eye(8)
+    return MultiSystem(a=[np.eye(8, k=-1)], b=[e[:, :1]], c=[e[:1] + e[7:]],
+                       d=[np.zeros((1, 1))])
+
+
+def counting(fn, counter):
+    def wrapped(*args, **kwargs):
+        counter.append(1)
+        return fn(*args, **kwargs)
+    return wrapped

@@ -361,7 +361,7 @@ def test_criterion_09_factorization_pipeline():
             assert check_condition_i(acc, candidate), f"pair {i}: condition (i)"
             assert check_condition_ii(acc, candidate).holds, f"pair {i}: condition (ii)"
         outcome = solve_problem2(acc, seed=i)
-        assert outcome is not None, f"pair {i}: search inconclusive"
+        assert outcome.verdict == "factored", f"pair {i}: no cascade decomposition"
         for z in sample_polydisk(n, 20, 0.5, seed=i):
             product = transfer_eval(outcome.theta2, z) @ transfer_eval(outcome.theta1, z)
             err = np.linalg.norm(transfer_eval(acc, z) - product, 2)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mpsys
-from mpsys import cli
+from mpsys import cli, factorization, systems
 from mpsys import serialization as ser
 from mpsys import tolerances
 from mpsys.cascade import cascade
@@ -19,7 +19,7 @@ from mpsys.subspaces import Subspace
 from mpsys.agler import agler_test
 from mpsys.systems import MultiSystem, random_conservative, scale_output
 
-from pairs import irreducible_realization
+from pairs import counting, irreducible_realization, z2_plus_z9
 
 
 def invoke(capsys, *argv):
@@ -145,6 +145,42 @@ def test_factor_problem2_exact_no_and_its_errors(tmp_path, capsys):
                              "--out-dir", str(tmp_path / "p2"), "--seed", "5")
     assert code == 0
     assert report_body(stdout)["verdict"] == "factored"
+
+
+def test_factor_problem2_exact_no_computes_each_result_once(tmp_path, capsys, monkeypatch):
+    calls = {name: [] for name in ("restrict_to_cc", "closely_connected_subspace",
+                                   "invariant_subspace_candidates", "is_conservative")}
+    for module in (systems, factorization, cli):
+        for name, counter in calls.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name), counter))
+    path = tmp_path / "irreducible.json"
+    write_system(path, irreducible_realization(4, seed=0))
+    code, stdout, _ = invoke(capsys, "factor", str(path), "--mode", "problem2",
+                             "--out-dir", str(tmp_path / "no"))
+    assert code == 2
+    assert {name: len(counter) for name, counter in calls.items()} == dict.fromkeys(calls, 1)
+    body = report_body(stdout)
+    assert sorted(body) == ["cc_dim", "command", "least_x2_dim", "mode", "schema_version",
+                            "seed", "tolerances", "verdict"]
+    assert body["verdict"] == "no-cascade-decomposition"
+    assert body["cc_dim"] == body["least_x2_dim"] == 4
+
+
+def test_factor_homogeneous_default_cap_is_m_plus_dim_x(tmp_path, capsys):
+    path = tmp_path / "z2_z9.json"  # theta = z^2 + z^9 with dim_x = 8
+    write_system(path, z2_plus_z9())
+    out = ("--out-dir", str(tmp_path / "h"))
+    for extra in ((), ("--multiplicity", "2"), ("--degree-cap", "10")):
+        code, stdout, err = invoke(capsys, "factor", str(path), "--mode", "homogeneous",
+                                   *out, *extra)
+        assert code == 1 and stdout == "", extra
+        assert "not homogeneous of degree 2: nonzero term at (9,)" in err, extra
+    # an explicit cap is applied as given, and echoed
+    code, stdout, _ = invoke(capsys, "factor", str(path), "--mode", "homogeneous", *out,
+                             "--degree-cap", "8")
+    assert code == 0
+    assert report_body(stdout)["tolerances"]["degree_cap"] == 8
 
 
 def test_factor_left_and_right(tmp_path, capsys):
@@ -314,7 +350,7 @@ def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
         (("check", path, "--what", "multiplicity", "--degree-cap", "3"),
          {"taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
         (("factor", hom, "--mode", "homogeneous", "--out-dir", tmp_path / "h"),
-         {"coefficient_tol": tolerances.COEFF_TOL, "degree_cap": 8}),
+         {"coefficient_tol": tolerances.COEFF_TOL, "degree_cap": 4}),
     ]
     for argv, applied in cases:
         code, stdout, _ = invoke(capsys, *map(str, argv))

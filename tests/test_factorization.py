@@ -1,6 +1,7 @@
 """Unit tests for multiplicity and linear-factor factorizations."""
 
 import importlib
+import itertools
 from itertools import islice
 
 import numpy as np
@@ -49,11 +50,13 @@ from mpsys.tolerances import SUBSPACE_TOL
 
 import pairs
 from pairs import (
+    counting,
     from_factorization,
     full_taylor_coefficients,
     irreducible_realization,
     is_closely_connected,
     taylor_test_systems,
+    z2_plus_z9,
 )
 
 
@@ -232,6 +235,42 @@ def test_factor_homogeneous_rejects_inhomogeneous_input():
     s = zero_d(random_conservative(2, 4, 2, 2, seed=40))  # degrees 2, 3, ...
     with pytest.raises(MultiplicityError, match="not homogeneous"):
         factor_homogeneous(s, 2)
+    # theta = z^2 + z^9: the default cap m + dim_x = 10 reaches z^9, m + 2 = 4 does not
+    with pytest.raises(MultiplicityError, match=r"nonzero term at \(9,\)"):
+        factor_homogeneous(z2_plus_z9(), 2)
+    factor_homogeneous(z2_plus_z9(), 2, check_cap=4)
+
+
+def homogeneity_cap_inputs(rng):
+    """(system, homogeneous): cascades of 1-3 stateless conservative systems
+    and realized germs, homogeneous or with a term one degree higher."""
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            yield homogeneous_conservative(n, m, 2, seed=200 + 10 * n + m), True
+            terms = [t for t in itertools.product(range(m + 1), repeat=n) if sum(t) == m]
+            coeffs = {t: rng.standard_normal((1, 1)) for t in terms[:3]}
+            yield realize_germ(PolyGerm(n, 1, 1, coeffs)), True
+            above = tuple(m + 1 if k == 0 else 0 for k in range(n))
+            coeffs[above] = rng.standard_normal((1, 1))
+            yield realize_germ(PolyGerm(n, 1, 1, coeffs)), False
+    yield z2_plus_z9(), False
+
+
+def test_default_homogeneity_check_is_exact():
+    """Whenever the default check passes, theta has no term of another
+    degree up to m + dim_x + 5; it passes on every homogeneous input and
+    fails on every other."""
+    for s, homogeneous in homogeneity_cap_inputs(np.random.default_rng(110)):
+        m = multiplicity(s, default_degree_cap(s))
+        try:
+            factor_homogeneous(s, m)
+        except MultiplicityError:
+            passed = False
+        else:
+            passed = True
+            far = taylor_coefficients(s, m + s.dim_x + 5)
+            assert {sum(t) for t in far.coeffs} == {m}, (s.n_params, m)
+        assert passed == homogeneous, (s.n_params, s.dim_x, m)
 
 
 def cascade_of(n, dx2, dx1, du, seed):
@@ -268,13 +307,6 @@ def test_least_element_reduces_every_q_k():
         for g in pencil_blocks(s):
             q = g @ g.conj().T
             assert np.linalg.norm((np.eye(len(p)) - p) @ q @ p, 2) < 1e-10
-
-
-def counting(fn, counter):
-    def wrapped(*args, **kwargs):
-        counter.append(1)
-        return fn(*args, **kwargs)
-    return wrapped
 
 
 def block_diagonal_tuple(seed):
@@ -333,7 +365,7 @@ def test_solve_problem2_builds_nothing_when_zero_space_succeeds(monkeypatch):
     assert len(closures) == 1 and sums == []
     closures.clear()
     outcome = solve_problem2(s, seed=0)
-    assert outcome is not None and outcome.witness_x2.dim == 0
+    assert outcome.verdict == "factored" and outcome.least_x2.dim == 0
     assert len(closures) == 1
 
 
@@ -344,7 +376,7 @@ def test_solve_problem2_checks_condition_ii_once(monkeypatch):
         monkeypatch.setattr(module, "check_condition_ii",
                             counting(module.check_condition_ii, calls))
     outcome = solve_problem2(cascade_of(2, 2, 2, 2, seed=60), seed=0)
-    assert outcome is not None and outcome.witness_x2.dim > 0
+    assert outcome.verdict == "factored" and outcome.least_x2.dim > 0
     assert len(calls) == 1
 
 
@@ -356,7 +388,7 @@ def test_solve_problem2_checks_conservativity_once(monkeypatch):
     for n in (1, 2, 3):
         calls.clear()
         outcome = solve_problem2(cascade_of(n, 2, 2, 2, seed=60 + n), seed=0)
-        assert outcome is not None
+        assert outcome.verdict == "factored"
         assert len(calls) == 1
 
 
@@ -380,10 +412,11 @@ def test_solve_problem2_witness_is_least_passing_candidate():
     passing = 0
     for seed, s in enumerate(systems):
         outcome = solve_problem2(s, seed=seed)
-        acc = compress_to(s, closely_connected_subspace(s))
+        cc = closely_connected_subspace(s)
+        acc = compress_to(s, cc)
         least = invariant_subspace_candidates(acc)[-1]
-        assert outcome is not None
-        assert projector_distance(outcome.witness_x2, least) < 1e-12
+        assert outcome.verdict == "factored" and outcome.cc_dim == cc.dim
+        assert projector_distance(outcome.least_x2, least) < 1e-12
         for c in pairs.search_candidates(acc, budget=64, seed=seed):
             if passes_cascade_conditions(acc, c):
                 passing += 1
@@ -391,7 +424,7 @@ def test_solve_problem2_witness_is_least_passing_candidate():
     assert passing > len(systems)
     for dx in (3, 4):
         s = irreducible_realization(dx, seed=dx)
-        assert solve_problem2(s) is None
+        assert solve_problem2(s).verdict == "no-cascade-decomposition"
         assert not any(passes_cascade_conditions(s, c)
                        for c in pairs.search_candidates(s, budget=64, seed=0))
 
@@ -402,9 +435,14 @@ def test_solve_problem2_exact_no_on_the_irreducible_realization():
             s = irreducible_realization(dx, seed)
             assert is_closely_connected(s)
             assert [c.dim for c in invariant_subspace_candidates(s)] == [dx]
-            assert solve_problem2(s, seed=seed) is None
+            outcome = solve_problem2(s, seed=seed)
+            assert outcome.verdict == "no-cascade-decomposition"
+            # the closely-connected dimension and X*, and no factors
+            assert outcome.cc_dim == outcome.least_x2.dim == dx
+            assert (outcome.theta2, outcome.theta1, outcome.intermediate_dim,
+                    outcome.residual) == (None,) * 4
         outcome = solve_problem2(irreducible_realization(2, seed), seed=seed)
-        assert outcome is not None and outcome.witness_x2.dim == 1
+        assert outcome.verdict == "factored" and outcome.least_x2.dim == 1
         assert outcome.residual < 1e-9
 
 
@@ -427,7 +465,7 @@ def test_solve_problem2_on_cascade():
     alpha1 = random_conservative(2, 2, 2, 2, seed=61)
     combined = cascade(alpha2, alpha1)
     outcome = solve_problem2(combined, seed=0)
-    assert outcome is not None
+    assert outcome.verdict == "factored"
     assert outcome.residual < 1e-9
     assert is_conservative(outcome.theta2).is_conservative
     assert is_conservative(outcome.theta1).is_conservative
