@@ -179,6 +179,8 @@ COMMANDS = [
     ["generate", "conservative", "--n-params", "2", "--dim-x", "4", "--seed", "5",
      "--out", "g.json"],
     ["generate", "germ-realization", "--germ", "germ.json", "--out", "real.json"],
+    ["generate", "germ-realization", "--germ", "germ.json", "--dim-x", "7", "--out",
+     "real7.json"],
     ["check", "sys.json", "--what", "conservative"],
     ["check", "sys.json", "--what", "conservative", "--rank-tol", "7"],
     ["check", "broken.json", "--what", "conservative"],
@@ -194,12 +196,13 @@ COMMANDS = [
     ["decompose", "c.json", "--x2", "x2.json", "--out-dir", "dec"],
     ["factor", "c.json", "--mode", "problem2", "--out-dir", "p2", "--seed", "8"],
     ["factor", "c.json", "--mode", "left", "--out-dir", "fl"],
-    ["factor", "c.json", "--mode", "left", "--multiplicity", "2", "--degree-cap", "9",
-     "--out-dir", "flm"],
+    ["factor", "c.json", "--mode", "left", "--multiplicity", "2", "--out-dir", "flm"],
     ["factor", "c.json", "--mode", "right", "--out-dir", "fr"],
     ["factor", "hom.json", "--mode", "homogeneous", "--out-dir", "fh"],
     ["factor", "hom.json", "--mode", "homogeneous", "--out-dir", "fh5",
      "--residual-tol", "5"],
+    ["check", "z9.json", "--what", "multiplicity"],
+    ["factor", "z9.json", "--mode", "left", "--out-dir", "f9"],
     ["agler", "sys.json", "--trials", "10", "--seed", "9"],
     ["agler", "scaled.json", "--trials", "10", "--seed", "9"],
 ]
@@ -211,6 +214,7 @@ def cli_reports() -> dict:
     from mpsys.cli import run
     from mpsys.subspaces import Subspace
     from mpsys.systems import MultiSystem, PolyGerm, random_conservative, scale_output
+    from pairs import shift_power
 
     def save(name, s):
         ser.save_json(name, ser.system_to_dict(s))
@@ -225,6 +229,7 @@ def cli_reports() -> dict:
     for j in range(1, 3):
         hom = cascade(random_conservative(2, 0, 2, 2, seed=4 + j), hom)
     save("hom.json", hom)
+    save("z9.json", shift_power(1, 8))  # theta = z^9, dim_x = 8
     ser.save_json("x2.json", ser.subspace_to_dict(Subspace(6, np.eye(6)[:, :2])))
     ser.save_json("germ.json", ser.germ_to_dict(
         PolyGerm(2, 1, 1, {(1, 1): np.array([[0.5]]), (2, 0): np.array([[0.25]])})))

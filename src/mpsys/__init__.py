@@ -58,7 +58,6 @@ from .factorization import (
     TailFunction,
     chain_eval,
     chain_to_germ,
-    default_degree_cap,
     factor_homogeneous,
     factor_left,
     factor_right,

@@ -7,7 +7,8 @@ timing field is the only exception and is excluded from that guarantee).
 
 Exit codes: 0 = pass, 2 = property fail (with witness where applicable),
 1 = usage, parse, or precondition error.  Seeds are flags only; no
-environment variable can override them.
+environment variable can override them.  ``generate``, ``check`` and
+``factor`` refuse a flag their mode does not read (``MODE_FLAGS``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .cascade import cascade, decompose, sample_polydisk, verify_factor_tf
 from .factorization import (
     chain_eval,
     chain_to_germ,
-    default_degree_cap,
     factor_homogeneous,
     factor_left,
     factor_right,
@@ -41,7 +41,6 @@ from .systems import (
     is_dissipative_sampled,
     random_conservative,
     realize_germ,
-    taylor_coefficients,
     transfer_eval,
     unitary_part,
 )
@@ -50,7 +49,48 @@ from .tolerances import (AGLER_TOL, COEFF_TOL, CONSERVATIVE_TOL, RANK_TOL, RESID
 from . import serialization as ser
 
 PASS, ERROR, FAIL = 0, 1, 2
-DEGREE_CAP = 8  # --degree-cap default of check and of factor's left and right modes
+
+# For generate, check and factor: the attribute that holds the mode, how an
+# error names it, and the flags each mode reads with their defaults (None:
+# unset unless given).  ``run`` fills the defaults in and refuses, in table
+# order, any other of these flags before the handler runs.
+MODE_FLAGS = {
+    "generate": ("what", "generate", {
+        "conservative": {"n_params": 2, "dim_x": 4, "dim_u": 2, "dim_y": 2, "seed": 0},
+        "germ-realization": {"germ": None},
+    }),
+    "check": ("what", "--what", {
+        "conservative": {"residual_tol": RESIDUAL_TOL},
+        "dissipative": {"residual_tol": RESIDUAL_TOL, "torus_samples": 100, "seed": 0},
+        "closely-connected": {"rank_tol": RANK_TOL},
+        "unitary-part": {},
+        "multiplicity": {},
+    }),
+    "factor": ("mode", "--mode", {
+        "left": {"multiplicity": None, "seed": 0, "residual_tol": RESIDUAL_TOL},
+        "right": {"multiplicity": None, "seed": 0, "residual_tol": RESIDUAL_TOL},
+        "homogeneous": {},
+        "problem2": {"seed": 0, "residual_tol": RESIDUAL_TOL},
+    }),
+}
+_UNSET_TYPES = {"germ": str, "multiplicity": int}  # the flags without a default
+
+
+def _mode_flag_names(modes: dict) -> list:
+    return list(dict.fromkeys(name for reads in modes.values() for name in reads))
+
+
+def _apply_mode_flags(ns) -> None:
+    if ns.cmd not in MODE_FLAGS:
+        return
+    attr, word, modes = MODE_FLAGS[ns.cmd]
+    mode = getattr(ns, attr)
+    reads = modes[mode]
+    for name in _mode_flag_names(modes):
+        value = getattr(ns, name)
+        if value is not None and name not in reads:
+            raise CliError(f"--{name.replace('_', '-')} does not apply to {word} {mode}")
+        setattr(ns, name, reads.get(name) if value is None else value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,6 +125,8 @@ def cmd_generate(ns, argv) -> tuple:
         )
         report_fields = {"seed": ns.seed}
     else:  # germ-realization
+        if ns.germ is None:
+            raise CliError("generate germ-realization needs --germ")
         germ = ser.load_germ(ns.germ)
         system = realize_germ(germ)
         report_fields = {"germ": str(ns.germ)}
@@ -104,23 +146,7 @@ def cmd_generate(ns, argv) -> tuple:
     return report, PASS
 
 
-# the flags each ``check --what`` reads, with their defaults; any other is refused
-CHECK_FLAGS = {
-    "conservative": {"residual_tol": RESIDUAL_TOL},
-    "dissipative": {"residual_tol": RESIDUAL_TOL, "torus_samples": 100, "seed": 0},
-    "closely-connected": {"rank_tol": RANK_TOL},
-    "unitary-part": {},
-    "multiplicity": {"degree_cap": DEGREE_CAP},
-}
-
-
 def cmd_check(ns, argv) -> tuple:
-    reads = CHECK_FLAGS[ns.what]
-    for name in sorted(set().union(*CHECK_FLAGS.values())):
-        value = getattr(ns, name)
-        if value is not None and name not in reads:
-            raise CliError(f"--{name.replace('_', '-')} does not apply to --what {ns.what}")
-        setattr(ns, name, reads.get(name) if value is None else value)
     system = ser.load_system(ns.path)
     # each report echoes only the thresholds its verdict used
     tolerances = {"residual_tol": ns.residual_tol}
@@ -155,10 +181,9 @@ def cmd_check(ns, argv) -> tuple:
                          tolerances={"rank_tol": UNITARY_RANK_TOL})
         return report, PASS if verdict else FAIL
     # multiplicity
-    m = multiplicity(system, ns.degree_cap)
-    report = _report(argv, what=ns.what,
-                     multiplicity=m if m is not None else "zero-function-up-to-cap",
-                     degree_cap=ns.degree_cap, tolerances={"taylor_drop_tol": TAYLOR_DROP_TOL})
+    m = multiplicity(system)
+    report = _report(argv, what=ns.what, multiplicity=m if m is not None else "zero-function",
+                     tolerances={"taylor_drop_tol": TAYLOR_DROP_TOL})
     return report, PASS if m is not None else FAIL
 
 
@@ -203,28 +228,28 @@ def _reconstruction_residual(system, chain, tail, right: bool, seed: int) -> flo
     return float(_spectral_norms(diff).max())
 
 
-# the flags that factor's left, right and problem2 modes read, with their
-# defaults; --mode homogeneous checks coefficients and refuses them
-FACTOR_SAMPLED_FLAGS = {"seed": 0, "residual_tol": RESIDUAL_TOL}
-
-
 def cmd_factor(ns, argv) -> tuple:
-    if ns.mode == "problem2" and ns.degree_cap is not None:
-        raise CliError("--degree-cap does not apply to --mode problem2, "
-                       "which takes the multiplicity up to degree dim_x + 2")
-    for name, default in FACTOR_SAMPLED_FLAGS.items():
-        value = getattr(ns, name)
-        if value is not None and ns.mode == "homogeneous":
-            raise CliError(f"--{name.replace('_', '-')} does not apply to --mode homogeneous")
-        setattr(ns, name, default if value is None else value)
     system = ser.load_system(ns.path)
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tolerances = {"residual_tol": ns.residual_tol}
 
+    if ns.mode == "homogeneous":
+        chain, target = factor_homogeneous(system)
+        ser.save_json(out_dir / "chain.json", ser.chain_to_dict(chain))
+        produced = chain_to_germ(chain)
+        residual = max(
+            (np.linalg.norm(produced.coeffs.get(t, 0) - target.coeffs.get(t, 0))
+             for t in set(produced.coeffs) | set(target.coeffs)),
+            default=0.0,
+        )
+        report = _report(argv, mode=ns.mode, degree=chain.length, out_dir=str(out_dir),
+                         coefficient_residual=float(residual),
+                         tolerances={"coefficient_tol": COEFF_TOL})
+        return report, PASS if residual < COEFF_TOL else FAIL
+
+    tolerances = {"residual_tol": ns.residual_tol}
     if ns.mode == "problem2":
         outcome = solve_problem2(system, seed=ns.seed, tol=ns.residual_tol)
-        tolerances["degree_cap"] = default_degree_cap(system)
         if outcome.verdict != "factored":
             # exact for this closely-connected realization, not for all of theta's
             report = _report(argv, mode=ns.mode, verdict=outcome.verdict,
@@ -241,34 +266,9 @@ def cmd_factor(ns, argv) -> tuple:
                          seed=ns.seed, tolerances=tolerances)
         return report, PASS
 
-    cap = ns.degree_cap
-    if cap is None:  # homogeneous: the exact caps, dim_x + 2 and then m + dim_x
-        cap = default_degree_cap(system) if ns.mode == "homogeneous" else DEGREE_CAP
-    m = ns.multiplicity
+    m = ns.multiplicity if ns.multiplicity is not None else multiplicity(system)
     if m is None:
-        tolerances["degree_cap"] = cap
-        m = multiplicity(system, cap)
-        if m is None:
-            raise CliError(
-                "transfer function vanishes up to the degree cap; pass --multiplicity"
-            )
-
-    if ns.mode == "homogeneous":
-        cap = cap if ns.degree_cap is not None else m + system.dim_x
-        chain = factor_homogeneous(system, m, check_cap=cap)
-        ser.save_json(out_dir / "chain.json", ser.chain_to_dict(chain))
-        produced = chain_to_germ(chain)
-        target = taylor_coefficients(system, m)
-        residual = max(
-            (np.linalg.norm(produced.coeffs.get(t, 0) - target.coeffs.get(t, 0))
-             for t in set(produced.coeffs) | set(target.coeffs)),
-            default=0.0,
-        )
-        report = _report(argv, mode=ns.mode, degree=m, out_dir=str(out_dir),
-                         coefficient_residual=float(residual),
-                         tolerances={"coefficient_tol": COEFF_TOL, "degree_cap": cap})
-        return report, PASS if residual < COEFF_TOL else FAIL
-
+        raise CliError("transfer function vanishes identically")
     right = ns.mode == "right"
     if right:
         tail, chain = factor_right(system, m)
@@ -314,6 +314,23 @@ def _add_common_tols(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_mode_flags(parser, cmd: str) -> None:
+    """The selector's choices and the flags of ``MODE_FLAGS[cmd]``, with help
+    naming the modes that read each flag; defaults are filled in by run."""
+    attr, word, modes = MODE_FLAGS[cmd]
+    if word.startswith("--"):
+        parser.add_argument(word, required=True, choices=list(modes))
+    else:
+        parser.add_argument(attr, choices=list(modes))
+    for name in _mode_flag_names(modes):
+        readers = [mode for mode, reads in modes.items() if name in reads]
+        default = modes[readers[0]][name]
+        shown = "" if default is None else f" (default {default})"
+        parser.add_argument("--" + name.replace("_", "-"),
+                            type=_UNSET_TYPES.get(name, type(default)),
+                            help=f"read by {word} {', '.join(readers)}{shown}")
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built once per process and shared by every ``run``."""
@@ -321,23 +338,12 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("generate", help="generate a system file")
-    p.add_argument("what", choices=["conservative", "germ-realization"])
-    p.add_argument("--n-params", type=int, default=2)
-    p.add_argument("--dim-x", type=int, default=4)
-    p.add_argument("--dim-u", type=int, default=2)
-    p.add_argument("--dim-y", type=int, default=2)
-    p.add_argument("--germ", help="germ file for germ-realization")
+    _add_mode_flags(p, "generate")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("check", help="check a property of a system file")
     p.add_argument("path")
-    p.add_argument("--what", required=True, choices=list(CHECK_FLAGS))
-    for name in sorted(set().union(*CHECK_FLAGS.values())):
-        readers = [what for what, reads in CHECK_FLAGS.items() if name in reads]
-        default = CHECK_FLAGS[readers[0]][name]
-        p.add_argument("--" + name.replace("_", "-"), type=type(default),
-                       help=f"read by --what {', '.join(readers)} (default {default})")
+    _add_mode_flags(p, "check")
 
     p = sub.add_parser("cascade", help="cascade connection of two system files")
     p.add_argument("path2", help="the outer system (applied second)")
@@ -354,18 +360,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("factor", help="factor a transfer function")
     p.add_argument("path")
-    p.add_argument("--mode", required=True,
-                   choices=["left", "right", "homogeneous", "problem2"])
-    p.add_argument("--multiplicity", type=int, default=None)
-    p.add_argument("--degree-cap", type=int, default=None,
-                   help=f"left and right modes without --multiplicity (default {DEGREE_CAP}), "
-                        "and homogeneous mode (default m + dim_x); problem2 rejects it "
-                        "and uses dim_x + 2")
+    _add_mode_flags(p, "factor")
     p.add_argument("--out-dir", default="factor-out")
-    for name, default in FACTOR_SAMPLED_FLAGS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=type(default),
-                       help=f"left, right and problem2 modes (default {default}); "
-                            "homogeneous rejects it")
 
     p = sub.add_parser("agler", help="try to falsify Agler-Schur membership")
     p.add_argument("path")
@@ -381,6 +377,7 @@ def run(argv) -> int:
     started = time.perf_counter()
     try:
         ns = build_parser().parse_args(argv)
+        _apply_mode_flags(ns)
         # the handler is looked up on each call, not stored in the shared
         # parser, so a rebinding of cmd_<name> (a wrapper, a patch) is seen
         report, code = globals()[f"cmd_{ns.cmd}"](ns, argv)

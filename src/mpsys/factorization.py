@@ -7,7 +7,10 @@ Two families of results are implemented:
   the zero of theta at the origin, each zL^(j) is a homogeneous linear
   operator pencil, and phi(0) != 0.  The inductive construction unrolls to
   the closed-form chain (C, A, ..., A, [A B]) with tail
-  col((I - zA)^(-1) zB, I_U).
+  col((I - zA)^(-1) zB, I_U).  Every Taylor degree bound comes from the
+  system: the degree-j part of theta is C(z) A(z)^(j-2) B(z), and by
+  Cayley-Hamilton over C[z] its parts up to degree dim_x + 1 decide
+  theta = 0, and those up to degree m + dim_x decide homogeneity.
 * The Agler-class factorization theta = theta2 * theta1 with both factors
   transfer functions of conservative systems, decided by the common
   invariant subspaces of the A-tuple of a closely-connected conservative
@@ -21,6 +24,7 @@ Two families of results are implemented:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -40,7 +44,6 @@ from .systems import (
     adjoint,
     combine,
     restrict_to_cc,
-    taylor_coefficients,
     transfer_eval,
 )
 from .tolerances import CHAIN_DROP_TOL, COEFF_TOL, RESIDUAL_TOL
@@ -142,24 +145,21 @@ def tail_eval(tail: TailFunction, z) -> np.ndarray:
     return tail.constant + transfer_eval(tail.vanishing_part, z)
 
 
-def multiplicity(s: MultiSystem, degree_cap: int) -> Optional[int]:
+def multiplicity(s: MultiSystem, degree_cap: Optional[int] = None) -> Optional[int]:
     """Least total degree of a nonzero Taylor term, or None if all vanish
-    up to the cap.  At a cap >= dim_x + 1, such as ``default_degree_cap``,
-    None proves theta = 0 (Cayley-Hamilton over C[z]).
+    up to ``degree_cap``, by default dim_x + 1.  None at a cap >= dim_x + 1
+    proves theta = 0 (see the module docstring).
 
     The expansion stops at the first degree with a kept coefficient, so the
     cost is that of the degree returned, not of the cap.
     """
-    if degree_cap < 1:
+    cap = s.dim_x + 1 if degree_cap is None else degree_cap
+    if cap < 1:
         raise ValueError("degree_cap must be >= 1")
-    for degree, level in _taylor_levels(s, degree_cap):
+    for degree, level in _taylor_levels(s, cap):
         if level:
             return degree
     return None
-
-
-def default_degree_cap(s: MultiSystem) -> int:
-    return s.dim_x + 2
 
 
 def _check_multiplicity(s: MultiSystem, m: int) -> None:
@@ -236,36 +236,35 @@ def factor_right(s: MultiSystem, m: int) -> tuple:
     return psi, LinearFactorChain(spaces=spaces, factors=factors)
 
 
-def factor_homogeneous(s: MultiSystem, m: int,
-                       check_cap: Optional[int] = None) -> LinearFactorChain:
+def factor_homogeneous(s: MultiSystem) -> tuple:
     """Factor a homogeneous polynomial transfer function into linear pencils.
 
-    For m = 1 the chain is (D_k); for m > 1 it is (C, A, ..., A, B), so the
-    product equals zC (zA)^(m-2) zB coefficientwise.  Homogeneity is
-    verified up to ``check_cap``, by default the exact m + dim_x
-    (Cayley-Hamilton over C[z]).  When the input system is conservative
-    each factor pencil is contractive on the torus.
+    Returns (chain, germ): ``germ`` holds theta's Taylor coefficients, all
+    of degree m, the least degree of a nonzero one.  For m = 1 the chain is
+    (D_k); for m > 1 it is (C, A, ..., A, B), so the product equals
+    zC (zA)^(m-2) zB coefficientwise.  One pass over the Taylor levels
+    finds m and proves homogeneity from the vanishing levels m + 1 ...
+    m + dim_x (see the module docstring).  When the input system is
+    conservative each factor pencil is contractive on the torus.
     """
-    if m < 1:
-        raise MultiplicityError("degree must be >= 1")
-    cap = check_cap if check_cap is not None else m + s.dim_x
-    germ = taylor_coefficients(s, max(cap, m))
-    if not germ.coeffs:
-        raise MultiplicityError("transfer function vanishes up to the checked degree")
-    off_degree = [t for t in germ.coeffs if sum(t) != m]
-    if off_degree:
-        raise MultiplicityError(
-            f"transfer function is not homogeneous of degree {m}: "
-            f"nonzero term at {off_degree[0]}"
-        )
     dx, du, dy = s.dim_x, s.dim_u, s.dim_y
+    levels = _taylor_levels(s, 2 * dx + 1)
+    m, coeffs = next(((j, level) for j, level in islice(levels, dx + 1) if level), (None, {}))
+    if m is None:
+        raise MultiplicityError("transfer function vanishes identically")
+    # the same generator: levels m + 1 ... m + dim_x
+    above = next((level for _, level in islice(levels, dx) if level), None)
+    if above:
+        raise MultiplicityError(f"transfer function is not homogeneous of degree {m}: "
+                                f"nonzero term at {next(iter(above))}")
+    germ = PolyGerm(s.n_params, du, dy, coeffs)
     if m == 1:
-        return LinearFactorChain(spaces=(dy, du), factors=(tuple(s.d),))
+        return LinearFactorChain(spaces=(dy, du), factors=(tuple(s.d),)), germ
     factors = [tuple(s.c)]
     factors.extend(tuple(s.a) for _ in range(m - 2))
     factors.append(tuple(s.b))
     spaces = (dy,) + (dx,) * (m - 1) + (du,)
-    return LinearFactorChain(spaces=spaces, factors=tuple(factors))
+    return LinearFactorChain(spaces=spaces, factors=tuple(factors)), germ
 
 
 def invariant_subspace_candidates(s: MultiSystem) -> list:
@@ -316,7 +315,7 @@ def solve_problem2(s: MultiSystem, seed: int = 0,
     at X* or the residual is not below ``tol``: numerical breakdowns.
     """
     acc = restrict_to_cc(s)  # first, and the one conservativity check condition (ii) needs
-    m = multiplicity(s, default_degree_cap(s))
+    m = multiplicity(s)
     if m is None or m <= 1:
         raise MultiplicityError(
             f"solve_problem2 requires multiplicity > 1, found {m}"
@@ -345,6 +344,6 @@ def solve_problem2(s: MultiSystem, seed: int = 0,
 __all__ = [
     "MultiplicityError", "LinearFactorChain", "TailFunction",
     "FactorizationOutcome", "chain_eval", "chain_to_germ", "tail_eval",
-    "multiplicity", "default_degree_cap", "factor_left", "factor_right",
+    "multiplicity", "factor_left", "factor_right",
     "factor_homogeneous", "invariant_subspace_candidates", "solve_problem2",
 ]

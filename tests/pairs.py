@@ -7,7 +7,9 @@ function on the polydisk; the whole-cap Taylor expansion that
 checked against; a randomized invariant-subspace search (the
 oracle the least element X* of ``invariant_subspace_candidates`` is checked
 against); a conservative realization that has no cascade decomposition;
-the system z^2 + z^9, inhomogeneous only above degree m + 2; and a
+the system z^2 + z^9, inhomogeneous only above degree m + 2; the
+powers (z_1 + ... + z_N)^(dim_x + 1) and block-triangular realizations of
+theta = 0, which pin the exact degree caps from both sides; and a
 call-counting wrapper."""
 
 import itertools
@@ -297,6 +299,34 @@ def z2_plus_z9() -> MultiSystem:
     e = np.eye(8)
     return MultiSystem(a=[np.eye(8, k=-1)], b=[e[:, :1]], c=[e[:1] + e[7:]],
                        d=[np.zeros((1, 1))])
+
+
+def shift_power(n_params: int, dim_x: int) -> MultiSystem:
+    """Every A_k the shift, B_k = e_1 and C_k = e_dim_x*, so theta =
+    (z_1 + ... + z_N)^(dim_x + 1): its only nonzero part has the degree
+    dim_x + 1 of the exact zero test.  z^9 is ``shift_power(1, 8)``."""
+    e = np.eye(dim_x)
+    return MultiSystem(a=[np.eye(dim_x, k=-1)] * n_params, b=[e[:, :1]] * n_params,
+                       c=[e[-1:]] * n_params, d=[np.zeros((1, 1))] * n_params)
+
+
+def block_triangular_zero(n_params: int, dim_a: int, dim_b: int, seed: int) -> MultiSystem:
+    """theta = 0 with X = X_a (+) X_b: B_k maps into X_a, C_k reads X_b only,
+    and A_k has no X_a -> X_b block, so no word C A ... A B reaches X_b.
+    Random complex blocks elsewhere, D = 0, dim_u = 2 and dim_y = 3."""
+    rng = np.random.default_rng(seed)
+    dx = dim_a + dim_b
+
+    def blocks(rows, cols):
+        return [rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+                for _ in range(n_params)]
+
+    a = blocks(dx, dx)
+    for a_k in a:
+        a_k[dim_a:, :dim_a] = 0
+    b = [np.vstack([b_k, np.zeros((dim_b, 2))]) for b_k in blocks(dim_a, 2)]
+    c = [np.hstack([np.zeros((3, dim_a)), c_k]) for c_k in blocks(3, dim_b)]
+    return MultiSystem(a=a, b=b, c=c, d=[np.zeros((3, 2))] * n_params)
 
 
 def counting(fn, counter):

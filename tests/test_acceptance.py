@@ -280,7 +280,8 @@ def test_criterion_06_homogeneous_factorization():
         m = 1 + (i // 3) % 3
         du = 2 + i % 2
         s = homogeneous_conservative(n, m, du, seed=600 + 10 * i)
-        chain = factor_homogeneous(s, m)
+        chain, _ = factor_homogeneous(s)
+        assert chain.length == m, f"system {i}"
         produced = chain_to_germ(chain)
         expected = taylor_coefficients(s, m)
         for t in set(produced.coeffs) | set(expected.coeffs):

@@ -19,7 +19,8 @@ from mpsys.subspaces import Subspace
 from mpsys.agler import agler_test
 from mpsys.systems import MultiSystem, random_conservative, scale_output
 
-from pairs import counting, irreducible_realization, z2_plus_z9
+from pairs import (block_triangular_zero, counting, irreducible_realization, shift_power,
+                   z2_plus_z9)
 
 
 def invoke(capsys, *argv):
@@ -101,8 +102,8 @@ def test_factor_problem2_on_cascade(tmp_path, capsys):
     assert code == 0
     body = report_body(stdout)
     assert body["verdict"] == "factored"
-    # problem2 takes the multiplicity with the cap dim_x + 2, not --degree-cap
-    assert body["tolerances"]["degree_cap"] == ser.load_system(casc).dim_x + 2
+    # the multiplicity's degree cap follows from dim_x and is not a threshold
+    assert body["tolerances"] == {"residual_tol": tolerances.RESIDUAL_TOL}
     ser.load_system(tmp_path / "p2" / "theta2.json")
     ser.load_system(tmp_path / "p2" / "theta1.json")
 
@@ -170,17 +171,58 @@ def test_factor_problem2_exact_no_computes_each_result_once(tmp_path, capsys, mo
 def test_factor_homogeneous_default_cap_is_m_plus_dim_x(tmp_path, capsys):
     path = tmp_path / "z2_z9.json"  # theta = z^2 + z^9 with dim_x = 8
     write_system(path, z2_plus_z9())
-    out = ("--out-dir", str(tmp_path / "h"))
-    for extra in ((), ("--multiplicity", "2"), ("--degree-cap", "10")):
+    code, stdout, err = invoke(capsys, "factor", str(path), "--mode", "homogeneous",
+                               "--out-dir", str(tmp_path / "h"))
+    assert code == 1 and stdout == ""
+    assert "not homogeneous of degree 2: nonzero term at (9,)" in err
+    # the degree is determined by theta, and no cap can be set below m + dim_x
+    for extra, message in ((("--multiplicity", "2"),
+                            "--multiplicity does not apply to --mode homogeneous"),
+                           (("--degree-cap", "8"), "unrecognized arguments: --degree-cap 8")):
         code, stdout, err = invoke(capsys, "factor", str(path), "--mode", "homogeneous",
-                                   *out, *extra)
-        assert code == 1 and stdout == "", extra
-        assert "not homogeneous of degree 2: nonzero term at (9,)" in err, extra
-    # an explicit cap is applied as given, and echoed
-    code, stdout, _ = invoke(capsys, "factor", str(path), "--mode", "homogeneous", *out,
-                             "--degree-cap", "8")
+                                   "--out-dir", str(tmp_path / "h"), *extra)
+        assert code == 1 and stdout == "" and message in err, extra
+
+
+def test_factor_homogeneous_expands_theta_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module in (systems, factorization):
+        monkeypatch.setattr(module, "_taylor_levels", counting(module._taylor_levels, calls))
+    hom = tmp_path / "hom.json"  # theta is homogeneous of degree 3, dim_x = 4
+    s = random_conservative(2, 0, 2, 2, seed=4)
+    for j in (1, 2):
+        s = cascade(random_conservative(2, 0, 2, 2, seed=4 + j), s)
+    write_system(hom, s)
+    code, stdout, _ = invoke(capsys, "factor", str(hom), "--mode", "homogeneous",
+                             "--out-dir", str(tmp_path / "h"))
+    assert code == 0 and len(calls) == 1
+    body = report_body(stdout)
+    assert body["degree"] == 3 and body["coefficient_residual"] < tolerances.COEFF_TOL
+
+
+def test_z9_has_multiplicity_nine_and_factors_on_the_left(tmp_path, capsys):
+    path = tmp_path / "z9.json"  # theta = z^9 with dim_x = 8
+    write_system(path, shift_power(1, 8))
+    code, stdout, _ = invoke(capsys, "check", str(path), "--what", "multiplicity")
+    assert code == 0 and report_body(stdout)["multiplicity"] == 9
+    code, stdout, _ = invoke(capsys, "factor", str(path), "--mode", "left",
+                             "--out-dir", str(tmp_path / "left"))
     assert code == 0
-    assert report_body(stdout)["tolerances"]["degree_cap"] == 8
+    body = report_body(stdout)
+    assert body["multiplicity"] == 9 and body["reconstruction_residual"] < 1e-12
+    assert ser.load_json(tmp_path / "left" / "chain.json")["spaces"] == [1] + [8] * 8 + [9]
+
+
+def test_zero_function_is_exact(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    write_system(path, block_triangular_zero(2, 3, 2, seed=5))
+    code, stdout, _ = invoke(capsys, "check", str(path), "--what", "multiplicity")
+    assert code == 2
+    body = report_body(stdout)
+    assert body["multiplicity"] == "zero-function" and "degree_cap" not in body
+    code, stdout, err = invoke(capsys, "factor", str(path), "--mode", "left",
+                               "--out-dir", str(tmp_path / "left"))
+    assert code == 1 and stdout == "" and "vanishes identically" in err
 
 
 def test_factor_left_and_right(tmp_path, capsys):
@@ -347,10 +389,12 @@ def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
          {"residual_tol": 5.0}),
         (("check", path, "--what", "unitary-part"),
          {"rank_tol": tolerances.UNITARY_RANK_TOL}),
-        (("check", path, "--what", "multiplicity", "--degree-cap", "3"),
+        (("check", path, "--what", "multiplicity"),
          {"taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
         (("factor", hom, "--mode", "homogeneous", "--out-dir", tmp_path / "h"),
-         {"coefficient_tol": tolerances.COEFF_TOL, "degree_cap": 4}),
+         {"coefficient_tol": tolerances.COEFF_TOL}),
+        (("factor", hom, "--mode", "left", "--out-dir", tmp_path / "l"),
+         {"residual_tol": tolerances.RESIDUAL_TOL}),
     ]
     for argv, applied in cases:
         code, stdout, _ = invoke(capsys, *map(str, argv))
@@ -359,11 +403,10 @@ def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
 
 
 CHECK_UNREAD = {
-    "conservative": ("--seed", "--rank-tol", "--torus-samples", "--degree-cap"),
-    "dissipative": ("--rank-tol", "--degree-cap"),
-    "closely-connected": ("--seed", "--residual-tol", "--torus-samples", "--degree-cap"),
-    "unitary-part": ("--seed", "--residual-tol", "--rank-tol", "--torus-samples",
-                     "--degree-cap"),
+    "conservative": ("--seed", "--rank-tol", "--torus-samples"),
+    "dissipative": ("--rank-tol",),
+    "closely-connected": ("--seed", "--residual-tol", "--torus-samples"),
+    "unitary-part": ("--seed", "--residual-tol", "--rank-tol", "--torus-samples"),
     "multiplicity": ("--seed", "--residual-tol", "--rank-tol", "--torus-samples"),
 }
 
@@ -408,33 +451,65 @@ def test_factor_homogeneous_rejects_seed_and_residual_tol(tmp_path, capsys):
             assert body["tolerances"]["residual_tol"] == tol, (mode, extra)
 
 
-def test_degree_cap_is_echoed_only_where_it_is_read(tmp_path, capsys):
-    s = random_conservative(2, 4, 2, 2, seed=19)
-    path = tmp_path / "z.json"  # D = 0: multiplicity 2
-    write_system(path, MultiSystem(a=s.a, b=s.b, c=s.c, d=[np.zeros_like(d) for d in s.d]))
-    base = {"residual_tol": tolerances.RESIDUAL_TOL}
-    for mode in ("left", "right"):
-        out = ("--out-dir", str(tmp_path / mode))
-        for extra, applied in ((("--multiplicity", "2", "--degree-cap", "99"), base),
-                               ((), {**base, "degree_cap": 8}),
-                               (("--degree-cap", "99"), {**base, "degree_cap": 99})):
-            code, stdout, _ = invoke(capsys, "factor", str(path), "--mode", mode, *out, *extra)
-            assert code == 0, (mode, extra)
-            assert report_body(stdout)["tolerances"] == applied, (mode, extra)
+def unread_flags():
+    """(command, mode, flag, message) for every flag of ``cli.MODE_FLAGS``
+    that a mode does not read."""
+    for cmd, (_, word, modes) in cli.MODE_FLAGS.items():
+        names = {name for reads in modes.values() for name in reads}
+        for mode, reads in modes.items():
+            for name in sorted(names - set(reads)):
+                flag = "--" + name.replace("_", "-")
+                yield cmd, mode, flag, f"error: {flag} does not apply to {word} {mode}\n"
 
 
-def test_factor_problem2_rejects_degree_cap(tmp_path, capsys):
-    p2, p1 = tmp_path / "b2.json", tmp_path / "b1.json"
-    write_system(p2, random_conservative(2, 2, 2, 2, seed=11))
-    write_system(p1, random_conservative(2, 2, 2, 2, seed=13))
-    casc = tmp_path / "casc.json"
-    invoke(capsys, "cascade", str(p2), str(p1), "--out", str(casc))
-    code, stdout, err = invoke(capsys, "factor", str(casc), "--mode", "problem2",
-                               "--degree-cap", "99", "--out-dir", str(tmp_path / "p2"))
-    assert code == 1
-    assert stdout == ""
-    assert err.startswith("error:") and "--degree-cap" in err
-    assert not (tmp_path / "p2").exists()
+@pytest.mark.parametrize("cmd, mode, flag, message", list(unread_flags()))
+def test_every_mode_refuses_the_flags_it_does_not_read(cmd, mode, flag, message, tmp_path,
+                                                       capsys):
+    # refused before any file is read or written: the input path does not exist
+    missing, out = str(tmp_path / "missing.json"), tmp_path / "out"
+    argv = {"generate": ["generate", mode, "--out", str(out)],
+            "check": ["check", missing, "--what", mode],
+            "factor": ["factor", missing, "--mode", mode, "--out-dir", str(out)]}[cmd]
+    code, stdout, err = invoke(capsys, *argv, flag, "5")
+    assert (code, stdout, err) == (1, "", message)
+    assert not out.exists()
+
+
+def test_flags_that_were_silently_ignored_are_refused(tmp_path, capsys):
+    gpath = tmp_path / "germ.json"
+    ser.save_json(gpath, ser.germ_to_dict(systems.PolyGerm(2, 1, 1, {(1, 1): np.eye(1)})))
+    casc = tmp_path / "c.json"
+    write_system(casc, cascade(random_conservative(2, 2, 2, 2, seed=11),
+                               random_conservative(2, 2, 2, 2, seed=13)))
+    out = tmp_path / "out.json"
+    for argv, message in (
+            (("factor", casc, "--mode", "problem2", "--multiplicity", "7", "--out-dir", out),
+             "--multiplicity does not apply to --mode problem2"),
+            (("generate", "germ-realization", "--germ", gpath, "--dim-x", "7", "--n-params",
+              "3", "--seed", "5", "--out", out),
+             "--n-params does not apply to generate germ-realization"),
+            (("generate", "conservative", "--germ", gpath, "--out", out),
+             "--germ does not apply to generate conservative")):
+        code, stdout, err = invoke(capsys, *map(str, argv))
+        assert (code, stdout, err) == (1, "", f"error: {message}\n"), argv
+        assert not out.exists()
+
+
+def test_germ_realization_needs_a_germ(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, stdout, err = invoke(capsys, "generate", "germ-realization", "--out", str(out))
+    assert (code, stdout) == (1, "") and not out.exists()
+    assert err == "error: generate germ-realization needs --germ\n"
+
+
+def test_degree_cap_is_not_a_flag(tmp_path, capsys):
+    path = str(tmp_path / "missing.json")
+    for argv in (("check", path, "--what", "multiplicity"),
+                 ("factor", path, "--mode", "left"),
+                 ("factor", path, "--mode", "problem2")):
+        code, stdout, err = invoke(capsys, *argv, "--degree-cap", "8")
+        assert code == 1 and stdout == ""
+        assert "unrecognized arguments: --degree-cap 8" in err, argv
 
 
 def test_seeded_reports_are_byte_identical(tmp_path, capsys):

@@ -23,7 +23,6 @@ from mpsys.factorization import (
     MultiplicityError,
     chain_eval,
     chain_to_germ,
-    default_degree_cap,
     factor_homogeneous,
     factor_left,
     factor_right,
@@ -54,7 +53,9 @@ from pairs import (
     from_factorization,
     full_taylor_coefficients,
     irreducible_realization,
+    block_triangular_zero,
     is_closely_connected,
+    shift_power,
     taylor_test_systems,
     z2_plus_z9,
 )
@@ -94,12 +95,12 @@ def homogeneous_conservative(n, m, du, seed):
 
 def test_multiplicity_of_generic_conservative_is_one():
     s = random_conservative(2, 4, 2, 2, seed=0)
-    assert multiplicity(s, default_degree_cap(s)) == 1
+    assert multiplicity(s) == 1
 
 
 def test_multiplicity_of_d_zeroed_system_is_two():
     s = zero_d(random_conservative(2, 4, 2, 2, seed=1))
-    assert multiplicity(s, default_degree_cap(s)) == 2
+    assert multiplicity(s) == 2
 
 
 def test_multiplicity_of_homogeneous_cascade():
@@ -116,12 +117,38 @@ def test_multiplicity_none_when_transfer_vanishes():
     assert multiplicity(zero, 4) is None
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("dim_x", range(1, 9))
+def test_exact_zero_cap_is_tight(n, dim_x):
+    # theta = (z_1 + ... + z_N)^(dim_x + 1): found at the default cap dim_x + 1, missed below it
+    s = shift_power(n, dim_x)
+    assert multiplicity(s) == dim_x + 1
+    assert multiplicity(s, dim_x) is None
+    chain, germ = factor_homogeneous(s)
+    assert chain.length == dim_x + 1 and {sum(t) for t in germ.coeffs} == {dim_x + 1}
+    # theta = z_1 + ... + z_N + (z_1 + ... + z_N)^(dim_x + 1): the homogeneity
+    # check must reach degree m + dim_x with m = 1
+    with_d = MultiSystem(a=s.a, b=s.b, c=s.c, d=[np.ones((1, 1))] * n)
+    with pytest.raises(MultiplicityError, match="not homogeneous of degree 1"):
+        factor_homogeneous(with_d)
+
+
+@pytest.mark.parametrize("n, dim_a, dim_b", [(1, 1, 1), (1, 3, 2), (2, 2, 3), (3, 4, 1),
+                                             (2, 1, 5)])
+def test_zero_at_the_exact_cap_is_zero_everywhere(n, dim_a, dim_b):
+    s = block_triangular_zero(n, dim_a, dim_b, seed=10 * n + dim_a + dim_b)
+    assert multiplicity(s) is None
+    assert taylor_coefficients(s, s.dim_x + 6).coeffs == {}
+    with pytest.raises(MultiplicityError, match="vanishes identically"):
+        factor_homogeneous(s)
+
+
 @pytest.mark.parametrize("label, s, m", taylor_test_systems())
 def test_multiplicity_is_the_least_degree_of_the_whole_cap_expansion(label, s, m):
     for cap in range(1, s.dim_x + 3):
         expected = full_taylor_coefficients(s, cap).min_total_degree()
         assert multiplicity(s, cap) == expected, (label, cap)
-    assert expected == m
+    assert expected == m == multiplicity(s)
 
 
 def test_multiplicity_stops_at_the_degree_it_returns(monkeypatch):
@@ -136,8 +163,24 @@ def test_multiplicity_stops_at_the_degree_it_returns(monkeypatch):
     monkeypatch.setattr(factorization, "_taylor_levels", counted)
     s = cascade_of(3, 3, 3, 3, seed=90)
     assert s.dim_x == 9
-    assert multiplicity(s, default_degree_cap(s)) == 2
+    assert multiplicity(s) == 2
     assert levels == [1, 2]
+
+
+def test_factor_homogeneous_expands_once_up_to_m_plus_dim_x(monkeypatch):
+    calls, levels = [], []
+
+    def counted(s, cap):
+        calls.append(cap)
+        for level in systems._taylor_levels(s, cap):
+            levels.append(level[0])
+            yield level
+
+    monkeypatch.setattr(factorization, "_taylor_levels", counted)
+    s = homogeneous_conservative(2, 3, 2, seed=70)  # m = 3, dim_x = 4
+    chain, _ = factor_homogeneous(s)
+    assert chain.length == 3 and s.dim_x == 4
+    assert len(calls) == 1 and levels == list(range(1, 3 + 4 + 1))
 
 
 def test_chain_shapes_are_validated():
@@ -198,9 +241,13 @@ def test_factor_left_rejects_wrong_multiplicity():
 def test_factor_homogeneous_matches_germ_coefficientwise():
     for m in (1, 2, 3):
         s = homogeneous_conservative(2, m, 2, seed=20 + m)
-        chain = factor_homogeneous(s, m)
+        chain, germ = factor_homogeneous(s)
+        assert chain.length == m
         produced = chain_to_germ(chain)
         expected = taylor_coefficients(s, m)
+        # the returned germ is the expansion's, keys in the same order
+        assert list(germ.coeffs) == list(expected.coeffs)
+        assert all(np.array_equal(germ.coeffs[t], expected.coeffs[t]) for t in germ.coeffs)
         assert set(produced.coeffs) == set(expected.coeffs)
         for t in expected.coeffs:
             assert np.linalg.norm(produced.coeffs[t] - expected.coeffs[t]) < 1e-10
@@ -209,7 +256,7 @@ def test_factor_homogeneous_matches_germ_coefficientwise():
 def test_factor_homogeneous_factors_are_contractive():
     for m in (2, 3):
         s = homogeneous_conservative(2, m, 2, seed=30 + m)
-        chain = factor_homogeneous(s, m)
+        chain, _ = factor_homogeneous(s)
         for factor in chain.factors:
             worst = max(
                 np.linalg.norm(sum(zk * fk for zk, fk in zip(zeta, factor)), 2)
@@ -223,7 +270,8 @@ def test_factor_homogeneous_single_variable_monomial():
     l = np.array([[0.0, 0.5], [0.5, 0.0]])
     germ = PolyGerm(1, 2, 2, {(3,): l})
     s = realize_germ(germ)
-    chain = factor_homogeneous(s, 3)
+    chain, _ = factor_homogeneous(s)
+    assert chain.length == 3
     z = np.array([0.3 - 0.2j])
     np.testing.assert_allclose(chain_eval(chain, z), z[0] ** 3 * l, atol=1e-12)
     points = np.array([z, -z, 2 * z])
@@ -233,12 +281,11 @@ def test_factor_homogeneous_single_variable_monomial():
 
 def test_factor_homogeneous_rejects_inhomogeneous_input():
     s = zero_d(random_conservative(2, 4, 2, 2, seed=40))  # degrees 2, 3, ...
-    with pytest.raises(MultiplicityError, match="not homogeneous"):
-        factor_homogeneous(s, 2)
-    # theta = z^2 + z^9: the default cap m + dim_x = 10 reaches z^9, m + 2 = 4 does not
-    with pytest.raises(MultiplicityError, match=r"nonzero term at \(9,\)"):
-        factor_homogeneous(z2_plus_z9(), 2)
-    factor_homogeneous(z2_plus_z9(), 2, check_cap=4)
+    with pytest.raises(MultiplicityError, match="not homogeneous of degree 2"):
+        factor_homogeneous(s)
+    # theta = z^2 + z^9: the check up to m + dim_x = 10 reaches z^9, one up to m + 2 would not
+    with pytest.raises(MultiplicityError, match=r"degree 2: nonzero term at \(9,\)"):
+        factor_homogeneous(z2_plus_z9())
 
 
 def homogeneity_cap_inputs(rng):
@@ -261,9 +308,9 @@ def test_default_homogeneity_check_is_exact():
     degree up to m + dim_x + 5; it passes on every homogeneous input and
     fails on every other."""
     for s, homogeneous in homogeneity_cap_inputs(np.random.default_rng(110)):
-        m = multiplicity(s, default_degree_cap(s))
+        m = multiplicity(s)
         try:
-            factor_homogeneous(s, m)
+            factor_homogeneous(s)
         except MultiplicityError:
             passed = False
         else:
