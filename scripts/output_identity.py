@@ -20,7 +20,8 @@ Records, for one source tree:
   germ reconstruction residuals, and the sampled dissipativity
   ``max_norm``) as hex;
 * the JSON report bodies (``timing_s`` removed) and the standard error of
-  a fixed set of CLI commands run with relative paths in a fresh directory.
+  a fixed set of CLI commands run with relative paths in a fresh directory,
+  and for each command with ``--out-dir`` whether it made that directory.
 
 Usage::
 
@@ -203,6 +204,7 @@ COMMANDS = [
      "--residual-tol", "5"],
     ["check", "z9.json", "--what", "multiplicity"],
     ["factor", "z9.json", "--mode", "left", "--out-dir", "f9"],
+    ["factor", "z29.json", "--mode", "homogeneous", "--out-dir", "h29"],
     ["agler", "sys.json", "--trials", "10", "--seed", "9"],
     ["agler", "scaled.json", "--trials", "10", "--seed", "9"],
 ]
@@ -214,7 +216,7 @@ def cli_reports() -> dict:
     from mpsys.cli import run
     from mpsys.subspaces import Subspace
     from mpsys.systems import MultiSystem, PolyGerm, random_conservative, scale_output
-    from pairs import shift_power
+    from pairs import shift_power, z2_plus_z9
 
     def save(name, s):
         ser.save_json(name, ser.system_to_dict(s))
@@ -230,6 +232,7 @@ def cli_reports() -> dict:
         hom = cascade(random_conservative(2, 0, 2, 2, seed=4 + j), hom)
     save("hom.json", hom)
     save("z9.json", shift_power(1, 8))  # theta = z^9, dim_x = 8
+    save("z29.json", z2_plus_z9())  # not homogeneous: factor --mode homogeneous fails
     ser.save_json("x2.json", ser.subspace_to_dict(Subspace(6, np.eye(6)[:, :2])))
     ser.save_json("germ.json", ser.germ_to_dict(
         PolyGerm(2, 1, 1, {(1, 1): np.array([[0.5]]), (2, 0): np.array([[0.25]])})))
@@ -243,6 +246,9 @@ def cli_reports() -> dict:
         if body is not None:
             body.pop("timing_s")
         reports[" ".join(argv)] = {"exit": code, "body": body, "stderr": errors.getvalue()}
+        if "--out-dir" in argv:
+            out_dir = Path(argv[argv.index("--out-dir") + 1])
+            reports[" ".join(argv)]["out_dir_made"] = out_dir.is_dir()
     return reports
 
 

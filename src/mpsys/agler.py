@@ -23,9 +23,9 @@ from .systems import (
     PolyGerm,
     ResolventError,
     _spectral_norms,
-    combine,
     germ_eval,
     haar_unitary,
+    pencil_blocks,
     transfer_eval,
 )
 from .tolerances import AGLER_TOL, COMMUTATOR_TOL, CONTRACTION_TOL
@@ -159,8 +159,8 @@ def eval_at_tuple(f: Union[PolyGerm, MultiSystem], t: ContractionTuple,
     Germ input: the finite sum of coeff_t (x) (rT)^t over the stored
     coefficients; ``error_bound`` is 0.  System input: the tensorized
     realization D_T + C_T (I - A_T)^(-1) B_T with X_T = sum_k X_k (x) rT_k,
-    exact because the T_k commute.  Each sum of Kronecker products is one
-    broadcast over the stacked blocks (``_tensor``).  ResolventError is
+    exact because the T_k commute.  The four blocks are read off one
+    tensorized pencil G_T = sum_k G_k (x) rT_k (``_tensor``).  ResolventError is
     raised unless ||A_T||_2 < 1; then ``error_bound`` is the forward bound
     ||C_T||_F ||B_T - (I - A_T) X||_F / (1 - ||A_T||_2) on the value, from
     the residual of the computed solve X.  For a conservative system
@@ -187,11 +187,12 @@ def eval_at_tuple(f: Union[PolyGerm, MultiSystem], t: ContractionTuple,
     s = f
     if s.n_params != t.n_params:
         raise ValueError("n_params mismatch between system and tuple")
-    rt = r * np.array(t.mats)
-    d_t = _tensor(np.array(s.d), rt)
+    g_t = _tensor(pencil_blocks(s), r * np.array(t.mats))
+    split = s.dim_x * t.dim  # the X rows and columns of G_T
+    d_t = g_t[split:, split:]
     if s.dim_x == 0:
         return TupleEvaluation(d_t, 0.0)
-    a_t, b_t, c_t = (_tensor(np.array(blocks), rt) for blocks in (s.a, s.b, s.c))
+    a_t, b_t, c_t = g_t[:split, :split], g_t[:split, split:], g_t[split:, :split]
     a_norm = float(_spectral_norms(a_t))
     if not a_norm < 1.0:
         raise ResolventError(f"||A_T||_2 = {a_norm:.6f} is not below 1")
@@ -220,10 +221,11 @@ def agler_test(f: Union[PolyGerm, MultiSystem], trials: int = 50,
 
     Each coordinate of a point has modulus 1 with probability 1/2, else uniform
     on [0, 1), and a uniform phase.  One batched ``transfer_eval`` (``germ_eval``
-    for a germ) gives every norm; a system must have ||r zA||_2 < 1 at every
-    point, else ResolventError names the first offender.  Points above
-    1 + tol are re-evaluated in draw order by ``eval_at_tuple`` on their 1 x 1
-    ``ContractionTuple``; the first whose norm less its error bound exceeds
+    for a germ) gives every norm; its resolvent guard alone decides which
+    points a system evaluates at, and ResolventError names the first it
+    rejects.  Points above 1 + tol are re-evaluated in draw order by
+    ``eval_at_tuple`` on their 1 x 1 ``ContractionTuple``, under its own
+    guard; the first whose norm less its error bound exceeds
     1 + tol is the certified witness, and ``trials`` and ``max_norm`` count
     the draws up to it.  Raises ValueError for ``trials < 1`` or r outside
     (0, 1).
@@ -234,14 +236,8 @@ def agler_test(f: Union[PolyGerm, MultiSystem], trials: int = 50,
         raise ValueError("r must lie in (0, 1)")
     interior, coin, phase = np.random.default_rng(seed).uniform(size=(3, trials, f.n_params))
     z = np.where(coin < 0.5, 1.0, interior) * np.exp(2j * np.pi * phase)
-    if isinstance(f, PolyGerm):
-        norms = _spectral_norms(germ_eval(f, r * z))
-    else:
-        a_norms = _spectral_norms(combine(f.a, r * z))
-        if not (a_norms < 1.0).all():
-            i = np.argmin(a_norms < 1.0)
-            raise ResolventError(f"||A_T||_2 = {a_norms[i]:.6f} is not below 1 at point {i}")
-        norms = _spectral_norms(transfer_eval(f, r * z))
+    evaluate = germ_eval if isinstance(f, PolyGerm) else transfer_eval
+    norms = _spectral_norms(evaluate(f, r * z))
     for i in np.flatnonzero(norms > 1.0 + tol):
         point = ContractionTuple(tuple(z[i, :, None, None]))
         result = eval_at_tuple(f, point, r)

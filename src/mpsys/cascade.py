@@ -36,6 +36,8 @@ from .subspaces import (
 )
 from .systems import (
     MultiSystem,
+    _direct_sum,
+    _from_pencil,
     _spectral_norms,
     pencil_blocks,
     require_conservative,
@@ -59,24 +61,14 @@ def cascade(alpha2: MultiSystem, alpha1: MultiSystem) -> MultiSystem:
             f"intermediate space mismatch: alpha2 input dim {alpha2.dim_u}, "
             f"alpha1 output dim {alpha1.dim_y}"
         )
-    n = alpha2.n_params
     x2, dv, x1 = alpha2.dim_x, alpha2.dim_u, alpha1.dim_x
-    du, dy = alpha1.dim_u, alpha2.dim_y
-    a, b, c, d = [], [], [], []
-    for k in range(n):
-        a.append(np.block([
-            [alpha2.a[k], alpha2.b[k], np.zeros((x2, x1))],
-            [np.zeros((dv, x2 + dv)), alpha1.c[k]],
-            [np.zeros((x1, x2 + dv)), alpha1.a[k]],
-        ]))
-        b.append(np.vstack([
-            np.zeros((x2, du)),
-            alpha1.d[k],
-            alpha1.b[k],
-        ]))
-        c.append(np.hstack([alpha2.c[k], alpha2.d[k], np.zeros((dy, x1))]))
-        d.append(np.zeros((dy, du)))
-    return MultiSystem(a=a, b=b, c=c, d=d)
+    dx, dy = x2 + dv + x1, alpha2.dim_y
+    g = np.zeros((alpha2.n_params, dx + dy, dx + alpha1.dim_u), dtype=complex)
+    # rows X2, V, X1, Y and columns X2, V, X1, U: alpha2 maps X2 (+) V into
+    # X2 (+) Y, and alpha1 maps X1 (+) U into X1 (+) V
+    g[:, np.r_[:x2, dx:dx + dy], :x2 + dv] = pencil_blocks(alpha2)
+    g[:, np.r_[x2 + dv:dx, x2:x2 + dv], x2 + dv:] = pencil_blocks(alpha1)
+    return _from_pencil(g, dx)
 
 
 def check_condition_i(s: MultiSystem, x2: Subspace) -> bool:
@@ -104,19 +96,12 @@ def check_condition_ii(s: MultiSystem, x2: Subspace) -> ConditionIIResult:
     """
     if not check_condition_i(s, x2):
         raise CascadeError("condition (i) fails: x2 is not invariant for all A_k")
-    dx, du, dy = s.dim_x, s.dim_u, s.dim_y
-    target = np.zeros((dx + dy, x2.dim + dy), dtype=complex)
-    target[:dx, :x2.dim] = x2.basis
-    target[dx:, x2.dim:] = np.eye(dy)
-    gs = pencil_blocks(s)
-    cols = np.hstack([g.conj().T @ target for g in gs])
-    m_space = orthonormal_basis(cols)
-    expected = x2.dim + dy
+    target = _direct_sum(x2.basis, np.eye(s.dim_y))  # X2 (+) Y
+    m_space = orthonormal_basis(np.hstack(pencil_blocks(s).conj().swapaxes(1, 2) @ target))
+    expected = x2.dim + s.dim_y
     if m_space.dim != expected:
         return ConditionIIResult(False, None, m_space.dim, expected)
-    x2_embedded = Subspace(
-        dx + du, np.vstack([x2.basis, np.zeros((du, x2.dim), dtype=complex)])
-    )
+    x2_embedded = Subspace(s.dim_x + s.dim_u, _direct_sum(x2.basis, np.zeros((s.dim_u, 0))))
     if x2_embedded.containment_residual(m_space) > SUBSPACE_TOL:
         return ConditionIIResult(False, None, m_space.dim, expected)
     v = orthogonal_complement(x2_embedded, within=m_space)
@@ -173,19 +158,11 @@ def _split(s: MultiSystem, x2: Subspace, v_raw: Subspace) -> CascadeDecompositio
     x1 = orthonormal_basis(eye - x2pv.projector())
 
     q2, qv, q1 = x2.basis, v.basis, x1.basis
-    n = s.n_params
-    alpha2 = MultiSystem(
-        a=[q2.conj().T @ s.a[k] @ q2 for k in range(n)],
-        b=[q2.conj().T @ s.a[k] @ qv for k in range(n)],
-        c=[s.c[k] @ q2 for k in range(n)],
-        d=[s.c[k] @ qv for k in range(n)],
-    )
-    alpha1 = MultiSystem(
-        a=[q1.conj().T @ s.a[k] @ q1 for k in range(n)],
-        b=[q1.conj().T @ s.b[k] for k in range(n)],
-        c=[qv.conj().T @ s.a[k] @ q1 for k in range(n)],
-        d=[qv.conj().T @ s.b[k] for k in range(n)],
-    )
+    g = pencil_blocks(s)
+    q2v = _direct_sum(np.hstack([q2, qv]), np.zeros((s.dim_u, 0)))  # [Q2 Qv; 0]
+    q1v = _direct_sum(np.hstack([q1, qv]), np.zeros((s.dim_y, 0)))  # [Q1 Qv; 0]
+    alpha2 = _from_pencil(_direct_sum(q2, np.eye(s.dim_y)).conj().T @ g @ q2v, x2.dim)
+    alpha1 = _from_pencil(q1v.conj().T @ g @ _direct_sum(q1, np.eye(s.dim_u)), x1.dim)
     return CascadeDecomposition(alpha2=alpha2, alpha1=alpha1,
                                 intermediate=v, x2=x2, x1=x1)
 

@@ -67,13 +67,13 @@ MODE_FLAGS = {
         "multiplicity": {},
     }),
     "factor": ("mode", "--mode", {
-        "left": {"multiplicity": None, "seed": 0, "residual_tol": RESIDUAL_TOL},
-        "right": {"multiplicity": None, "seed": 0, "residual_tol": RESIDUAL_TOL},
+        "left": {"seed": 0, "residual_tol": RESIDUAL_TOL},
+        "right": {"seed": 0, "residual_tol": RESIDUAL_TOL},
         "homogeneous": {},
         "problem2": {"seed": 0, "residual_tol": RESIDUAL_TOL},
     }),
 }
-_UNSET_TYPES = {"germ": str, "multiplicity": int}  # the flags without a default
+_UNSET_TYPES = {"germ": str}  # the flags without a default
 
 
 def _mode_flag_names(modes: dict) -> list:
@@ -199,16 +199,22 @@ def cmd_cascade(ns, argv) -> tuple:
     return report, PASS if residual < ns.residual_tol else FAIL
 
 
+def _save_all(out_dir: Path, files: dict) -> None:
+    """Write each JSON document of ``files`` into ``out_dir``, made first."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in files.items():
+        ser.save_json(out_dir / name, data)
+
+
 def cmd_decompose(ns, argv) -> tuple:
     system = ser.load_system(ns.path)
     x2 = ser.load_subspace(ns.x2)
     dec = decompose(system, x2)
     out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ser.save_json(out_dir / "alpha2.json", ser.system_to_dict(dec.alpha2))
-    ser.save_json(out_dir / "alpha1.json", ser.system_to_dict(dec.alpha1))
-    ser.save_json(out_dir / "intermediate.json", ser.subspace_to_dict(dec.intermediate))
-    ser.save_json(out_dir / "x1.json", ser.subspace_to_dict(dec.x1))
+    _save_all(out_dir, {"alpha2.json": ser.system_to_dict(dec.alpha2),
+                        "alpha1.json": ser.system_to_dict(dec.alpha1),
+                        "intermediate.json": ser.subspace_to_dict(dec.intermediate),
+                        "x1.json": ser.subspace_to_dict(dec.x1)})
     residual = verify_factor_tf(system, dec.alpha2, dec.alpha1, seed=ns.seed)
     report = _report(argv, out_dir=str(out_dir),
                      dims={"x2": x2.dim, "intermediate": dec.intermediate.dim,
@@ -230,12 +236,11 @@ def _reconstruction_residual(system, chain, tail, right: bool, seed: int) -> flo
 
 def cmd_factor(ns, argv) -> tuple:
     system = ser.load_system(ns.path)
-    out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(ns.out_dir)  # made only once there is something to write
 
     if ns.mode == "homogeneous":
         chain, target = factor_homogeneous(system)
-        ser.save_json(out_dir / "chain.json", ser.chain_to_dict(chain))
+        _save_all(out_dir, {"chain.json": ser.chain_to_dict(chain)})
         produced = chain_to_germ(chain)
         residual = max(
             (np.linalg.norm(produced.coeffs.get(t, 0) - target.coeffs.get(t, 0))
@@ -256,9 +261,9 @@ def cmd_factor(ns, argv) -> tuple:
                              cc_dim=outcome.cc_dim, least_x2_dim=outcome.least_x2.dim,
                              seed=ns.seed, tolerances=tolerances)
             return report, FAIL
-        ser.save_json(out_dir / "theta2.json", ser.system_to_dict(outcome.theta2))
-        ser.save_json(out_dir / "theta1.json", ser.system_to_dict(outcome.theta1))
-        ser.save_json(out_dir / "witness_x2.json", ser.subspace_to_dict(outcome.least_x2))
+        _save_all(out_dir, {"theta2.json": ser.system_to_dict(outcome.theta2),
+                            "theta1.json": ser.system_to_dict(outcome.theta1),
+                            "witness_x2.json": ser.subspace_to_dict(outcome.least_x2)})
         report = _report(argv, mode=ns.mode, verdict=outcome.verdict, out_dir=str(out_dir),
                          intermediate_dim=outcome.intermediate_dim,
                          witness_x2_dim=outcome.least_x2.dim,
@@ -266,7 +271,7 @@ def cmd_factor(ns, argv) -> tuple:
                          seed=ns.seed, tolerances=tolerances)
         return report, PASS
 
-    m = ns.multiplicity if ns.multiplicity is not None else multiplicity(system)
+    m = multiplicity(system)
     if m is None:
         raise CliError("transfer function vanishes identically")
     right = ns.mode == "right"
@@ -274,13 +279,12 @@ def cmd_factor(ns, argv) -> tuple:
         tail, chain = factor_right(system, m)
     else:
         chain, tail = factor_left(system, m)
-    ser.save_json(out_dir / "chain.json", ser.chain_to_dict(chain))
-    ser.save_json(out_dir / "tail_constant.json", {
-        "schema_version": ser.SCHEMA_VERSION, "kind": "matrix",
-        "matrix": ser.matrix_to_json(tail.constant),
+    _save_all(out_dir, {
+        "chain.json": ser.chain_to_dict(chain),
+        "tail_constant.json": {"schema_version": ser.SCHEMA_VERSION, "kind": "matrix",
+                               "matrix": ser.matrix_to_json(tail.constant)},
+        "tail_vanishing.json": ser.system_to_dict(tail.vanishing_part),
     })
-    ser.save_json(out_dir / "tail_vanishing.json",
-                  ser.system_to_dict(tail.vanishing_part))
     residual = _reconstruction_residual(system, chain, tail, right, ns.seed)
     report = _report(argv, mode=ns.mode, multiplicity=m, out_dir=str(out_dir),
                      reconstruction_residual=residual, seed=ns.seed,

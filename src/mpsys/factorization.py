@@ -40,13 +40,15 @@ from .systems import (
     MultiSystem,
     PolyGerm,
     SystemShapeError,
+    _from_pencil,
     _taylor_levels,
     adjoint,
     combine,
+    pencil_blocks,
     restrict_to_cc,
     transfer_eval,
 )
-from .tolerances import CHAIN_DROP_TOL, COEFF_TOL, RESIDUAL_TOL
+from .tolerances import CHAIN_DROP_TOL, RESIDUAL_TOL
 
 
 class MultiplicityError(ValueError):
@@ -163,53 +165,36 @@ def multiplicity(s: MultiSystem, degree_cap: Optional[int] = None) -> Optional[i
 
 
 def _check_multiplicity(s: MultiSystem, m: int) -> None:
+    """A declared multiplicity must be the one ``multiplicity`` finds."""
     if m < 1:
         raise MultiplicityError("multiplicity must be >= 1")
-    if m > 1:
-        worst_d = max(np.linalg.norm(dk) for dk in s.d)
-        if worst_d > COEFF_TOL:
-            raise MultiplicityError(
-                f"multiplicity {m} > 1 requires D = 0, but ||D|| = {worst_d:.3e}"
-            )
-        low = multiplicity(s, m - 1)
-        if low is not None:
-            raise MultiplicityError(
-                f"a Taylor term of degree {low} is nonzero, "
-                f"contradicting multiplicity {m}"
-            )
-
-
-def _resolvent_tail(s: MultiSystem) -> TailFunction:
-    """phi(z) = col((I - zA)^(-1) zB, I_U), realized without re-expansion."""
-    dx, du = s.dim_x, s.dim_u
-    constant = np.vstack([np.zeros((dx, du)), np.eye(du)]).astype(complex)
-    vanishing = MultiSystem(
-        a=list(s.a),
-        b=list(s.b),
-        c=[np.vstack([s.a[k], np.zeros((du, dx))]) for k in range(s.n_params)],
-        d=[np.vstack([s.b[k], np.zeros((du, du))]) for k in range(s.n_params)],
-    )
-    return TailFunction(constant=constant, vanishing_part=vanishing)
+    found = multiplicity(s, m)
+    if found != m:
+        raise MultiplicityError(f"declared multiplicity {m}, but the least degree of a "
+                                f"nonzero Taylor term up to {m} is {found}")
 
 
 def factor_left(s: MultiSystem, m: int) -> tuple:
     """theta(z) = zL^(1) ... zL^(m) phi(z) with phi(0) != 0.
 
-    For m = 1 the single factor is [C_k D_k]; for m > 1 the chain is
-    (C, A, ..., A, [A B]).  The tail is col((I - zA)^(-1) zB, I_U) in both
-    cases.
+    ``m`` must be theta's multiplicity.  For m = 1 the single factor is
+    [C_k D_k]; for m > 1 the chain is (C, A, ..., A, [A B]); both are row
+    slices of the pencil.  The tail is col((I - zA)^(-1) zB, I_U) in both
+    cases, realized without re-expansion: its vanishing part's pencil is
+    [A B] stacked twice over a zero block.
     """
     _check_multiplicity(s, m)
     dx, du, dy = s.dim_x, s.dim_u, s.dim_y
-    n = s.n_params
-    tail = _resolvent_tail(s)
+    g = pencil_blocks(s)
+    ab = g[:, :dx]
+    zero = np.zeros((s.n_params, du, dx + du), dtype=complex)
+    tail = TailFunction(constant=np.vstack([np.zeros((dx, du)), np.eye(du)]).astype(complex),
+                        vanishing_part=_from_pencil(np.concatenate([ab, ab, zero], axis=1), dx))
     if m == 1:
-        factors = (tuple(np.hstack([s.c[k], s.d[k]]) for k in range(n)),)
-        spaces = (dy, dx + du)
-        return LinearFactorChain(spaces=spaces, factors=factors), tail
+        return LinearFactorChain(spaces=(dy, dx + du), factors=(tuple(g[:, dx:]),)), tail
     factors = [tuple(s.c)]
     factors.extend(tuple(s.a) for _ in range(m - 2))
-    factors.append(tuple(np.hstack([s.a[k], s.b[k]]) for k in range(n)))
+    factors.append(tuple(ab))
     spaces = (dy,) + (dx,) * (m - 1) + (dx + du,)
     return LinearFactorChain(spaces=spaces, factors=tuple(factors)), tail
 
@@ -281,9 +266,9 @@ def invariant_subspace_candidates(s: MultiSystem) -> list:
     A_k A_k* + B_k B_k*: X* is the closure of those ranges under the XX
     blocks and the A_k, and passes condition (i).
     """
-    xx = [a @ a.conj().T + b @ b.conj().T for a, b in zip(s.a, s.b)]
-    xy = [a @ c.conj().T + b @ d.conj().T for a, b, c, d in zip(s.a, s.b, s.c, s.d)]
-    return [invariant_closure(xx + list(s.a), np.hstack(xy))]
+    g = pencil_blocks(s)
+    top = g[:, :s.dim_x] @ g.conj().swapaxes(1, 2)  # the X rows [XX XY] of each Q_k
+    return [invariant_closure([*top[:, :, :s.dim_x], *s.a], np.hstack(top[:, :, s.dim_x:]))]
 
 
 @dataclass(frozen=True, eq=False)

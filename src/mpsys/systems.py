@@ -14,6 +14,13 @@ A ``MultiSystem`` is validated once, when it is built, so no function here
 re-checks its shapes.  Both subspace extractions are invariant closures
 (``subspaces.invariant_closure``) under the adjoint-closed set {A_k, A_k*}.
 
+The pencil stack G_k = [[A_k, B_k], [C_k, D_k]], of shape (N, dim_x + dim_y,
+dim_x + dim_u), is the one place the block layout is written:
+``pencil_blocks`` builds it and ``_from_pencil`` reads a system off it.
+Every transformation of a system (compression, adjoint, output scaling,
+cascade and its decomposition, the resolvent tail) is one product or slice
+assignment on the stack.
+
 The evaluators (``combine``, ``transfer_eval``, ``germ_eval``) take one
 point of shape (N,) or a stack of P points of shape (P, N).  A stack is
 evaluated in one batch and gives a (P, rows, cols) array.  The resolvent
@@ -144,15 +151,30 @@ def _check_points(n_params: int, z) -> np.ndarray:
     return z
 
 
-def pencil_blocks(s: MultiSystem) -> list:
-    """The block matrices G_k = [[A_k, B_k], [C_k, D_k]]."""
+def pencil_blocks(s: MultiSystem) -> np.ndarray:
+    """The stack of G_k = [[A_k, B_k], [C_k, D_k]], of shape
+    (N, dim_x + dim_y, dim_x + dim_u): rows X (+) Y, columns X (+) U."""
     dx = s.dim_x
     g = np.empty((s.n_params, dx + s.dim_y, dx + s.dim_u), dtype=complex)
     g[:, :dx, :dx] = s.a
     g[:, :dx, dx:] = s.b
     g[:, dx:, :dx] = s.c
     g[:, dx:, dx:] = s.d
-    return list(g)
+    return g
+
+
+def _from_pencil(g: np.ndarray, dim_x: int) -> MultiSystem:
+    """The system whose pencil stack is ``g``, with state dimension dim_x."""
+    return MultiSystem(a=g[:, :dim_x, :dim_x], b=g[:, :dim_x, dim_x:],
+                       c=g[:, dim_x:, :dim_x], d=g[:, dim_x:, dim_x:])
+
+
+def _direct_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix [[x, 0], [0, y]]."""
+    out = np.zeros((x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]), dtype=complex)
+    out[:x.shape[0], :x.shape[1]] = x
+    out[x.shape[0]:, x.shape[1]:] = y
+    return out
 
 
 def combine(blocks, z) -> np.ndarray:
@@ -503,7 +525,7 @@ def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
     ``_spectral_norms``.
     """
     points = sample_torus(s.n_params, n_samples, seed)
-    g = np.array(pencil_blocks(s))
+    g = pencil_blocks(s)
     if g.shape[1] < g.shape[2]:
         g = g.swapaxes(1, 2)  # (zG)^T = sum_k z_k G_k^T has the smaller Gram matrix
     g, e = _scaled_to_unit(g)
@@ -530,17 +552,14 @@ def _with_adjoints(ops) -> list:
 
 
 def compress_to(s: MultiSystem, sub: Subspace) -> MultiSystem:
-    """Compression of the system onto a state subspace, in the subspace basis."""
+    """Compression of the system onto a state subspace, in the subspace
+    basis: the pencil (Q (+) I_Y)* G_k (Q (+) I_U)."""
     if sub.ambient_dim != s.dim_x:
         raise SystemShapeError("subspace ambient dimension does not match dim_x")
     q = sub.basis
-    qh = q.conj().T
-    return MultiSystem(
-        a=[qh @ s.a[k] @ q for k in range(s.n_params)],
-        b=[qh @ s.b[k] for k in range(s.n_params)],
-        c=[s.c[k] @ q for k in range(s.n_params)],
-        d=list(s.d),
-    )
+    left = _direct_sum(q, np.eye(s.dim_y))
+    right = _direct_sum(q, np.eye(s.dim_u))
+    return _from_pencil(left.conj().T @ pencil_blocks(s) @ right, sub.dim)
 
 
 def restrict_to_cc(s: MultiSystem) -> MultiSystem:
@@ -602,37 +621,27 @@ def random_conservative(n_params: int, dim_x: int, dim_u: int, dim_y: int,
         sizes += extra
     else:
         sizes = rng.multinomial(n, np.full(n_params, 1.0 / n_params))
-    a, b, c, d = [], [], [], []
+    g = np.empty((n_params, n, n), dtype=complex)
     offset = 0
     for k in range(n_params):
         cols = v[:, offset:offset + sizes[k]]
         offset += sizes[k]
-        g = cols @ (cols.conj().T @ w)
-        a.append(g[:dim_x, :dim_x])
-        b.append(g[:dim_x, dim_x:])
-        c.append(g[dim_x:, :dim_x])
-        d.append(g[dim_x:, dim_x:])
-    return MultiSystem(a=a, b=b, c=c, d=d)
+        g[k] = cols @ (cols.conj().T @ w)
+    return _from_pencil(g, dim_x)
 
 
 def adjoint(s: MultiSystem) -> MultiSystem:
-    """The adjoint system (A*, C*, B*, D*); its transfer is theta(conj(z))*."""
-    return MultiSystem(
-        a=[m.conj().T for m in s.a],
-        b=[m.conj().T for m in s.c],
-        c=[m.conj().T for m in s.b],
-        d=[m.conj().T for m in s.d],
-    )
+    """The adjoint system (A*, C*, B*, D*), whose pencil is G_k*; its
+    transfer is theta(conj(z))*."""
+    return _from_pencil(pencil_blocks(s).conj().swapaxes(1, 2), s.dim_x)
 
 
 def scale_output(s: MultiSystem, factor: complex) -> MultiSystem:
-    """System whose transfer function is factor * theta_s."""
-    return MultiSystem(
-        a=list(s.a),
-        b=list(s.b),
-        c=[factor * m for m in s.c],
-        d=[factor * m for m in s.d],
-    )
+    """System whose transfer function is factor * theta_s: the output rows
+    [C_k D_k] of the pencil scaled."""
+    g = pencil_blocks(s)
+    g[:, s.dim_x:] = factor * g[:, s.dim_x:]
+    return _from_pencil(g, s.dim_x)
 
 
 def _words_up_to(n: int, max_len: int):
@@ -649,25 +658,17 @@ def realize_germ(g: PolyGerm) -> MultiSystem:
     """Word-indexed shift realization of a polynomial germ.
 
     State space: one copy of the input space per word over {1..N} of length
-    1..d-1, d the total degree of the germ.  B_k injects into the word (k),
-    A_k prepends the letter k (words of length d-1 are annihilated), and
-    C_k reads off the coefficient at abel(k . w), split equally among the
-    t!-pattern words with the same abelianization.  The Taylor expansion of
-    the result up to degree d reproduces the germ exactly.
+    1..d-1, d the total degree of the germ (none when d <= 1).  B_k injects
+    into the word (k), A_k prepends the letter k (words of length d-1 are
+    annihilated), and C_k reads off the coefficient at abel(k . w), split
+    equally among the t!-pattern words with the same abelianization.  The
+    Taylor expansion of the result up to degree d reproduces the germ
+    exactly.
     """
     if any(sum(t) == 0 for t in g.coeffs):
         raise SystemShapeError("germ has a coefficient at |t| = 0; germs must vanish at 0")
     n, du, dy = g.n_params, g.dim_u, g.dim_y
-    d_blocks = [g.coeffs.get(_unit(n, k), np.zeros((dy, du), dtype=complex)) for k in range(n)]
     degree = g.max_total_degree()
-    if degree <= 1:
-        return MultiSystem(
-            a=[np.zeros((0, 0), dtype=complex)] * n,
-            b=[np.zeros((0, du), dtype=complex)] * n,
-            c=[np.zeros((dy, 0), dtype=complex)] * n,
-            d=d_blocks,
-        )
-
     words = _words_up_to(n, degree - 1)
     slot = {w: i for i, w in enumerate(words)}
     dx = du * len(words)
@@ -676,30 +677,23 @@ def realize_germ(g: PolyGerm) -> MultiSystem:
         i = slot[word]
         return slice(i * du, (i + 1) * du)
 
-    from math import factorial
-
-    a_blocks = [np.zeros((dx, dx), dtype=complex) for _ in range(n)]
-    b_blocks = [np.zeros((dx, du), dtype=complex) for _ in range(n)]
-    c_blocks = [np.zeros((dy, dx), dtype=complex) for _ in range(n)]
+    pencil = np.zeros((n, dx + dy, dx + du), dtype=complex)
     eye_u = np.eye(du, dtype=complex)
-
     for k in range(n):
-        b_blocks[k][rows((k,)), :] = eye_u
+        pencil[k, dx:, dx:] = g.coeffs.get(_unit(n, k), 0)
+        if words:
+            pencil[k, rows((k,)), dx:] = eye_u
         for w in words:
             if len(w) <= degree - 2:
-                a_blocks[k][rows((k,) + w), rows(w)] = eye_u
-            t = [0] * n
-            t[k] += 1
+                pencil[k, rows((k,) + w), rows(w)] = eye_u
+            t = _unit(n, k)
             for letter in w:
-                t[letter] += 1
-            t = tuple(t)
+                t = _bump(t, letter)
             coeff = g.coeffs.get(t)
             if coeff is not None:
-                total = sum(t)
-                weight = np.prod([factorial(x) for x in t]) / factorial(total)
-                c_blocks[k][:, rows(w)] = coeff * weight
-
-    return MultiSystem(a=a_blocks, b=b_blocks, c=c_blocks, d=d_blocks)
+                weight = np.prod([math.factorial(x) for x in t]) / math.factorial(sum(t))
+                pencil[k, dx:, rows(w)] = coeff * weight
+    return _from_pencil(pencil, dx)
 
 
 __all__ = [

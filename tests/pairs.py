@@ -9,10 +9,12 @@ oracle the least element X* of ``invariant_subspace_candidates`` is checked
 against); a conservative realization that has no cascade decomposition;
 the system z^2 + z^9, inhomogeneous only above degree m + 2; the
 powers (z_1 + ... + z_N)^(dim_x + 1) and block-triangular realizations of
-theta = 0, which pin the exact degree caps from both sides; and a
-call-counting wrapper."""
+theta = 0, which pin the exact degree caps from both sides; the
+blockwise forms of the system transformations that the library writes as
+products on the pencil stack; and a call-counting wrapper."""
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Union
@@ -327,6 +329,95 @@ def block_triangular_zero(n_params: int, dim_a: int, dim_b: int, seed: int) -> M
     b = [np.vstack([b_k, np.zeros((dim_b, 2))]) for b_k in blocks(dim_a, 2)]
     c = [np.hstack([np.zeros((3, dim_a)), c_k]) for c_k in blocks(3, dim_b)]
     return MultiSystem(a=a, b=b, c=c, d=[np.zeros((3, 2))] * n_params)
+
+
+def blockwise_cascade(alpha2: MultiSystem, alpha1: MultiSystem) -> MultiSystem:
+    """The cascade alpha2 * alpha1 assembled block by block."""
+    x2, dv, x1 = alpha2.dim_x, alpha2.dim_u, alpha1.dim_x
+    du, dy = alpha1.dim_u, alpha2.dim_y
+    a, b, c, d = [], [], [], []
+    for k in range(alpha2.n_params):
+        a.append(np.block([
+            [alpha2.a[k], alpha2.b[k], np.zeros((x2, x1))],
+            [np.zeros((dv, x2 + dv)), alpha1.c[k]],
+            [np.zeros((x1, x2 + dv)), alpha1.a[k]],
+        ]))
+        b.append(np.vstack([np.zeros((x2, du)), alpha1.d[k], alpha1.b[k]]))
+        c.append(np.hstack([alpha2.c[k], alpha2.d[k], np.zeros((dy, x1))]))
+        d.append(np.zeros((dy, du)))
+    return MultiSystem(a=a, b=b, c=c, d=d)
+
+
+def blockwise_compress_to(s: MultiSystem, q: np.ndarray) -> MultiSystem:
+    """(Q* A_k Q, Q* B_k, C_k Q, D_k) for an orthonormal basis Q."""
+    qh = q.conj().T
+    return MultiSystem(a=[qh @ a @ q for a in s.a], b=[qh @ b for b in s.b],
+                       c=[c @ q for c in s.c], d=list(s.d))
+
+
+def blockwise_split(s: MultiSystem, q2, qv, q1) -> tuple:
+    """(alpha2, alpha1) of the cascade decomposition along the state basis
+    [Q2 Qv Q1], block by block."""
+    n = s.n_params
+    alpha2 = MultiSystem(a=[q2.conj().T @ s.a[k] @ q2 for k in range(n)],
+                         b=[q2.conj().T @ s.a[k] @ qv for k in range(n)],
+                         c=[s.c[k] @ q2 for k in range(n)],
+                         d=[s.c[k] @ qv for k in range(n)])
+    alpha1 = MultiSystem(a=[q1.conj().T @ s.a[k] @ q1 for k in range(n)],
+                         b=[q1.conj().T @ s.b[k] for k in range(n)],
+                         c=[qv.conj().T @ s.a[k] @ q1 for k in range(n)],
+                         d=[qv.conj().T @ s.b[k] for k in range(n)])
+    return alpha2, alpha1
+
+
+def blockwise_adjoint(s: MultiSystem) -> MultiSystem:
+    return MultiSystem(a=[m.conj().T for m in s.a], b=[m.conj().T for m in s.c],
+                       c=[m.conj().T for m in s.b], d=[m.conj().T for m in s.d])
+
+
+def blockwise_scale_output(s: MultiSystem, factor: complex) -> MultiSystem:
+    return MultiSystem(a=list(s.a), b=list(s.b), c=[factor * m for m in s.c],
+                       d=[factor * m for m in s.d])
+
+
+def blockwise_realize_germ(g: PolyGerm) -> MultiSystem:
+    """The word-indexed shift realization, with a stateless special case
+    for degree <= 1 and one block list per operator."""
+    n, du, dy = g.n_params, g.dim_u, g.dim_y
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    d_blocks = [g.coeffs.get(unit[k], np.zeros((dy, du), dtype=complex)) for k in range(n)]
+    degree = g.max_total_degree()
+    if degree <= 1:
+        return MultiSystem(a=[np.zeros((0, 0))] * n, b=[np.zeros((0, du))] * n,
+                           c=[np.zeros((dy, 0))] * n, d=d_blocks)
+    words = [w for length in range(1, degree)
+             for w in itertools.product(range(n), repeat=length)]
+    slot = {w: i for i, w in enumerate(words)}
+    dx = du * len(words)
+
+    def rows(word):
+        return slice(slot[word] * du, (slot[word] + 1) * du)
+
+    a_blocks = [np.zeros((dx, dx), dtype=complex) for _ in range(n)]
+    b_blocks = [np.zeros((dx, du), dtype=complex) for _ in range(n)]
+    c_blocks = [np.zeros((dy, dx), dtype=complex) for _ in range(n)]
+    for k in range(n):
+        b_blocks[k][rows((k,)), :] = np.eye(du)
+        for w in words:
+            if len(w) <= degree - 2:
+                a_blocks[k][rows((k,) + w), rows(w)] = np.eye(du)
+            t = tuple(unit[k][i] + w.count(i) for i in range(n))
+            if t in g.coeffs:
+                weight = np.prod([math.factorial(x) for x in t]) / math.factorial(sum(t))
+                c_blocks[k][:, rows(w)] = g.coeffs[t] * weight
+    return MultiSystem(a=a_blocks, b=b_blocks, c=c_blocks, d=d_blocks)
+
+
+def same_blocks(s: MultiSystem, t: MultiSystem) -> bool:
+    """Equal shapes and bit-identical blocks."""
+    return all(len(x) == len(y) and all(p.shape == q.shape and p.tobytes() == q.tobytes()
+                                        for p, q in zip(x, y))
+               for x, y in ((s.a, t.a), (s.b, t.b), (s.c, t.c), (s.d, t.d)))
 
 
 def counting(fn, counter):

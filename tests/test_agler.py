@@ -12,7 +12,7 @@ from mpsys.agler import (
     gen_commuting_contractions,
     validate_tuple,
 )
-from mpsys import agler
+from mpsys import agler, systems
 from mpsys.systems import (
     MultiSystem,
     PolyGerm,
@@ -23,7 +23,7 @@ from mpsys.systems import (
     scale_output,
     transfer_eval,
 )
-from pairs import polydisk_sup_norm
+from pairs import counting, polydisk_sup_norm
 
 
 def test_generated_tuples_satisfy_invariants():
@@ -195,6 +195,27 @@ def test_eval_rejects_a_t_without_norm_below_one():
     with pytest.raises(ResolventError, match="A_T"):
         eval_at_tuple(s, tup, 0.9)
     assert np.isfinite(eval_at_tuple(s, tup, 0.5).value).all()
+
+
+def test_agler_test_on_a_nilpotent_realization_agrees_with_its_germ():
+    # ||r zA||_2 reaches 1.27 here, but zA is nilpotent: the resolvent guard
+    # of transfer_eval, not a norm bound, decides which points evaluate
+    germ = PolyGerm(2, 1, 1, {(1, 0): np.array([[0.3]]), (1, 2): np.array([[0.5]])})
+    for seed in range(3):
+        realized = agler_test(realize_germ(germ), trials=10, r=0.9, seed=seed)
+        direct = agler_test(germ, trials=10, r=0.9, seed=seed)
+        assert not realized.falsified and realized.trials == direct.trials == 10
+        assert abs(realized.max_norm - direct.max_norm) < 1e-15
+
+
+def test_agler_test_forms_each_pencil_sum_once(monkeypatch):
+    calls = []
+    for module in (systems, agler):
+        if hasattr(module, "combine"):
+            monkeypatch.setattr(module, "combine", counting(module.combine, calls))
+    s = random_conservative(2, 3, 2, 2, seed=5)
+    agler_test(s, trials=20)
+    assert len(calls) == 4  # zA, zB, zC and zD, inside transfer_eval
 
 
 def test_eval_requires_r_in_unit_interval():

@@ -23,7 +23,14 @@ from mpsys.systems import (
     sample_torus,
     transfer_eval,
 )
-from pairs import closcon_property_check, is_closely_connected, zero_space
+from pairs import (
+    blockwise_cascade,
+    blockwise_split,
+    closcon_property_check,
+    is_closely_connected,
+    same_blocks,
+    zero_space,
+)
 
 
 def coordinate_block(ambient, count, offset=0):
@@ -227,3 +234,32 @@ def test_stateless_factors_cascade_state_is_intermediate_space():
     report = closcon_property_check(alpha2, alpha1)
     assert report.alpha2_closely_connected  # dim_x = 0 is vacuously connected
     assert report.alpha1_closely_connected
+
+
+def test_cascade_and_split_equal_their_blockwise_forms():
+    rng = np.random.default_rng(62)
+
+    def draw(n, dx, du, dy):
+        return MultiSystem(*(rng.standard_normal((n, rows, cols))
+                             + 1j * rng.standard_normal((n, rows, cols))
+                             for rows, cols in ((dx, dx), (dx, du), (dy, dx), (dy, du))))
+
+    # empty X2, V, X1 or Y; dim_u != dim_y
+    for n, x2, dv, x1, du, dy in ((2, 3, 2, 4, 1, 3), (1, 0, 2, 3, 2, 1), (3, 2, 1, 0, 3, 2),
+                                  (2, 2, 0, 2, 1, 1), (2, 1, 2, 1, 2, 0)):
+        alpha2, alpha1 = draw(n, x2, dv, dy), draw(n, x1, du, dv)
+        assert same_blocks(cascade(alpha2, alpha1), blockwise_cascade(alpha2, alpha1))
+    for seed, (n, dx2, dx1, du) in enumerate(((2, 3, 3, 2), (1, 0, 2, 1), (3, 2, 0, 2))):
+        alpha2 = random_conservative(n, dx2, du, du, seed=70 + seed)
+        alpha1 = random_conservative(n, dx1, du, du, seed=80 + seed)
+        combined = cascade(alpha2, alpha1)
+        rot = np.linalg.qr(rng.standard_normal((combined.dim_x,) * 2))[0]
+        rotated = MultiSystem(a=[rot @ a @ rot.T for a in combined.a],
+                              b=[rot @ b for b in combined.b],
+                              c=[c @ rot.T for c in combined.c], d=combined.d)
+        dec = decompose(rotated, orthonormal_basis(rot[:, :dx2]))
+        ref = blockwise_split(rotated, dec.x2.basis, dec.intermediate.basis, dec.x1.basis)
+        for ours, theirs in zip((dec.alpha2, dec.alpha1), ref):
+            for x, y in ((ours.a, theirs.a), (ours.b, theirs.b), (ours.c, theirs.c),
+                         (ours.d, theirs.d)):
+                assert np.abs(np.array(x) - np.array(y)).max(initial=0.0) < 1e-13

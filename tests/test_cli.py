@@ -175,9 +175,9 @@ def test_factor_homogeneous_default_cap_is_m_plus_dim_x(tmp_path, capsys):
                                "--out-dir", str(tmp_path / "h"))
     assert code == 1 and stdout == ""
     assert "not homogeneous of degree 2: nonzero term at (9,)" in err
+    assert not (tmp_path / "h").exists()  # a failed run leaves no empty --out-dir
     # the degree is determined by theta, and no cap can be set below m + dim_x
-    for extra, message in ((("--multiplicity", "2"),
-                            "--multiplicity does not apply to --mode homogeneous"),
+    for extra, message in ((("--multiplicity", "2"), "unrecognized arguments: --multiplicity 2"),
                            (("--degree-cap", "8"), "unrecognized arguments: --degree-cap 8")):
         code, stdout, err = invoke(capsys, "factor", str(path), "--mode", "homogeneous",
                                    "--out-dir", str(tmp_path / "h"), *extra)
@@ -223,6 +223,24 @@ def test_zero_function_is_exact(tmp_path, capsys):
     code, stdout, err = invoke(capsys, "factor", str(path), "--mode", "left",
                                "--out-dir", str(tmp_path / "left"))
     assert code == 1 and stdout == "" and "vanishes identically" in err
+    # no multiplicity can be declared for theta = 0, or for any other theta
+    for mode, m in (("left", "4"), ("right", "40")):
+        code, stdout, err = invoke(capsys, "factor", str(path), "--mode", mode,
+                                   "--multiplicity", m, "--out-dir", str(tmp_path / mode))
+        assert code == 1 and stdout == ""
+        assert f"unrecognized arguments: --multiplicity {m}" in err
+
+
+def test_a_factor_run_that_writes_nothing_makes_no_out_dir(tmp_path, capsys):
+    cases = [("z2_z9.json", z2_plus_z9(), "homogeneous", 1),  # not homogeneous
+             ("zero.json", block_triangular_zero(2, 3, 2, seed=5), "left", 1),  # theta = 0
+             ("no.json", irreducible_realization(4, seed=0), "problem2", 2)]  # exact no
+    for name, system, mode, expected in cases:
+        write_system(tmp_path / name, system)
+        out = tmp_path / f"out-{mode}"
+        code, _, _ = invoke(capsys, "factor", str(tmp_path / name), "--mode", mode,
+                            "--out-dir", str(out))
+        assert code == expected and not out.exists(), mode
 
 
 def test_factor_left_and_right(tmp_path, capsys):
@@ -483,8 +501,6 @@ def test_flags_that_were_silently_ignored_are_refused(tmp_path, capsys):
                                random_conservative(2, 2, 2, 2, seed=13)))
     out = tmp_path / "out.json"
     for argv, message in (
-            (("factor", casc, "--mode", "problem2", "--multiplicity", "7", "--out-dir", out),
-             "--multiplicity does not apply to --mode problem2"),
             (("generate", "germ-realization", "--germ", gpath, "--dim-x", "7", "--n-params",
               "3", "--seed", "5", "--out", out),
              "--n-params does not apply to generate germ-realization"),
@@ -493,6 +509,11 @@ def test_flags_that_were_silently_ignored_are_refused(tmp_path, capsys):
         code, stdout, err = invoke(capsys, *map(str, argv))
         assert (code, stdout, err) == (1, "", f"error: {message}\n"), argv
         assert not out.exists()
+    # factor computes the multiplicity it factors by, so it takes none
+    code, stdout, err = invoke(capsys, "factor", str(casc), "--mode", "problem2",
+                               "--multiplicity", "7", "--out-dir", str(out))
+    assert (code, stdout) == (1, "") and not out.exists()
+    assert err.endswith("error: unrecognized arguments: --multiplicity 7\n")
 
 
 def test_germ_realization_needs_a_germ(tmp_path, capsys):

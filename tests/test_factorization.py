@@ -238,6 +238,19 @@ def test_factor_left_rejects_wrong_multiplicity():
         factor_left(s, 2)
 
 
+def test_declared_multiplicity_must_be_the_one_found():
+    # theta = 0 has no multiplicity, and one below the true one is no
+    # multiplicity either: only m = multiplicity(s, m) is accepted
+    zero = block_triangular_zero(2, 3, 2, seed=5)
+    cascade_m2 = cascade_of(2, 2, 2, 2, seed=60)
+    for s, m in ((zero, 4), (zero, 40), (zero, 1), (cascade_m2, 1), (cascade_m2, 3)):
+        for factor in (factor_left, factor_right):
+            with pytest.raises(MultiplicityError, match=f"declared multiplicity {m}"):
+                factor(s, m)
+    for factor in (factor_left, factor_right):
+        factor(cascade_m2, 2)
+
+
 def test_factor_homogeneous_matches_germ_coefficientwise():
     for m in (1, 2, 3):
         s = homogeneous_conservative(2, m, 2, seed=20 + m)

@@ -10,7 +10,7 @@ from scipy.linalg import block_diag
 from scipy.stats import qmc
 
 from mpsys import systems
-from mpsys.subspaces import orthonormal_basis
+from mpsys.subspaces import Subspace, orthonormal_basis
 from mpsys.systems import (
     ConservativityError,
     MultiSystem,
@@ -38,7 +38,16 @@ from mpsys.systems import (
 )
 from mpsys.tolerances import RESOLVENT_COND_LIMIT, RESOLVENT_SCREEN
 
-from pairs import full_taylor_coefficients, is_closely_connected, taylor_test_systems
+from pairs import (
+    blockwise_adjoint,
+    blockwise_compress_to,
+    blockwise_realize_germ,
+    blockwise_scale_output,
+    full_taylor_coefficients,
+    is_closely_connected,
+    same_blocks,
+    taylor_test_systems,
+)
 
 
 def random_system(rng, n, dx, du, dy, scale=0.4):
@@ -318,9 +327,46 @@ def test_pencil_blocks_are_the_block_matrices():
     for n, dx, du, dy in ((3, 9, 3, 3), (2, 3, 1, 2), (2, 0, 2, 1)):
         s = random_system(rng, n, dx, du, dy)
         gs = pencil_blocks(s)
-        assert len(gs) == n
+        assert isinstance(gs, np.ndarray) and gs.shape == (n, dx + dy, dx + du)
         for k, g in enumerate(gs):
             assert np.array_equal(g, np.block([[s.a[k], s.b[k]], [s.c[k], s.d[k]]]))
+
+
+# degree 0 (no coefficient), 1, 2 and 3; dim_u != dim_y where both are set
+GERMS = [
+    PolyGerm(2, 1, 2, {}),
+    PolyGerm(3, 2, 1, {(1, 0, 0): [[0.5, 1j]], (0, 0, 1): [[-0.25, 0.0]]}),
+    PolyGerm(2, 1, 2, {(1, 1): [[0.5], [1j]], (2, 0): [[0.25], [0.0]], (0, 1): [[1.0], [2.0]]}),
+    PolyGerm(1, 2, 1, {(3,): [[0.3, -0.1]], (1,): [[1.0, 0.0]]}),
+]
+
+
+def test_from_pencil_reads_back_the_blocks_bit_for_bit():
+    rng = np.random.default_rng(9)
+    cases = [random_system(rng, n, dx, du, dy)
+             for n, dx, du, dy in ((3, 9, 3, 3), (2, 3, 1, 2), (2, 0, 2, 1), (1, 2, 3, 0))]
+    for s in cases + [random_conservative(2, 0, 2, 2, seed=1), realize_germ(GERMS[2])]:
+        back = systems._from_pencil(pencil_blocks(s), s.dim_x)
+        assert same_blocks(back, s), (s.n_params, s.dim_x, s.dim_u, s.dim_y)
+
+
+def test_transformations_equal_their_blockwise_forms():
+    rng = np.random.default_rng(10)
+    systems_ = [random_system(rng, n, dx, du, dy)
+                for n, dx, du, dy in ((3, 5, 3, 2), (2, 0, 2, 1), (1, 4, 1, 3))]
+    systems_.append(random_conservative(2, 3, 2, 2, seed=4))
+    for s in systems_:
+        assert same_blocks(adjoint(s), blockwise_adjoint(s))
+        for factor in (1.5, 1e-13, 2 - 3j):
+            assert same_blocks(scale_output(s, factor), blockwise_scale_output(s, factor))
+        for q in (np.eye(s.dim_x), orthonormal_basis(rng.standard_normal((s.dim_x, 2))).basis,
+                  np.zeros((s.dim_x, 0))):
+            sub = Subspace(s.dim_x, q)
+            ours, ref = compress_to(s, sub), blockwise_compress_to(s, sub.basis)
+            for x, y in ((ours.a, ref.a), (ours.b, ref.b), (ours.c, ref.c), (ours.d, ref.d)):
+                assert np.abs(np.array(x) - np.array(y)).max(initial=0.0) < 1e-13
+    for g in GERMS:
+        assert same_blocks(realize_germ(g), blockwise_realize_germ(g)), g.coeffs
 
 
 def test_taylor_degree_one_is_d():
