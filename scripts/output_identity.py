@@ -22,6 +22,8 @@ Records, for one source tree:
 * the JSON report bodies (``timing_s`` removed) and the standard error of
   a fixed set of CLI commands run with relative paths in a fresh directory,
   and for each command with ``--out-dir`` whether it made that directory.
+  They include ``agler`` on the realization of the degree-3, N = 2 germ
+  0.9 z1 + 0.9 z1 z2^2, whose A_T is nilpotent with ||A_T||_2 above 1.
 
 Usage::
 
@@ -207,6 +209,8 @@ COMMANDS = [
     ["factor", "z29.json", "--mode", "homogeneous", "--out-dir", "h29"],
     ["agler", "sys.json", "--trials", "10", "--seed", "9"],
     ["agler", "scaled.json", "--trials", "10", "--seed", "9"],
+    ["generate", "germ-realization", "--germ", "germ3.json", "--out", "real3.json"],
+    ["agler", "real3.json", "--trials", "50", "--seed", "0"],
 ]
 
 
@@ -236,6 +240,8 @@ def cli_reports() -> dict:
     ser.save_json("x2.json", ser.subspace_to_dict(Subspace(6, np.eye(6)[:, :2])))
     ser.save_json("germ.json", ser.germ_to_dict(
         PolyGerm(2, 1, 1, {(1, 1): np.array([[0.5]]), (2, 0): np.array([[0.25]])})))
+    ser.save_json("germ3.json", ser.germ_to_dict(
+        PolyGerm(2, 1, 1, {(1, 0): np.array([[0.9]]), (1, 2): np.array([[0.9]])})))
 
     reports = {}
     for argv in COMMANDS:

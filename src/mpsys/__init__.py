@@ -26,7 +26,6 @@ from .systems import (
     adjoint,
     closely_connected_subspace,
     compress_to,
-    germ_eval,
     is_conservative,
     is_dissipative_sampled,
     pencil_blocks,

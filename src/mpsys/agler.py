@@ -8,27 +8,29 @@ with ``eval_at_tuple``, which evaluates theta(rT) exactly on any finite
 commuting contraction tuple by one resolvent solve of the tensorized
 realization: a norm that exceeds 1 by more than its recomputed error bound
 is a certified NON-membership witness, a pass is only a failure to falsify.
+
+Both stages take a ``MultiSystem`` (a polynomial germ enters as
+``systems.realize_germ`` of it) and share one resolvent policy: the 2-norm
+condition of I - zA, or of I - A_T, is at most RESOLVENT_COND_LIMIT.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .systems import (
     MultiSystem,
-    PolyGerm,
     ResolventError,
     _spectral_norms,
-    germ_eval,
     haar_unitary,
     pencil_blocks,
     transfer_eval,
 )
-from .tolerances import AGLER_TOL, COMMUTATOR_TOL, CONTRACTION_TOL
+from .tolerances import AGLER_TOL, COMMUTATOR_TOL, CONTRACTION_TOL, RESOLVENT_COND_LIMIT
 
 
 class TupleInvariantError(ValueError):
@@ -152,39 +154,22 @@ def _tensor(blocks: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return sum(products, np.zeros((p, h, q, h), dtype=complex)).reshape(p * h, q * h)
 
 
-def eval_at_tuple(f: Union[PolyGerm, MultiSystem], t: ContractionTuple,
-                  r: float) -> TupleEvaluation:
+def eval_at_tuple(s: MultiSystem, t: ContractionTuple, r: float) -> TupleEvaluation:
     """Evaluate theta(rT) exactly.
 
-    Germ input: the finite sum of coeff_t (x) (rT)^t over the stored
-    coefficients; ``error_bound`` is 0.  System input: the tensorized
-    realization D_T + C_T (I - A_T)^(-1) B_T with X_T = sum_k X_k (x) rT_k,
-    exact because the T_k commute.  The four blocks are read off one
-    tensorized pencil G_T = sum_k G_k (x) rT_k (``_tensor``).  ResolventError is
-    raised unless ||A_T||_2 < 1; then ``error_bound`` is the forward bound
-    ||C_T||_F ||B_T - (I - A_T) X||_F / (1 - ||A_T||_2) on the value, from
-    the residual of the computed solve X.  For a conservative system
-    ||A_T||_2 <= r.
+    The tensorized realization D_T + C_T (I - A_T)^(-1) B_T with
+    X_T = sum_k X_k (x) rT_k is exact because the T_k commute.  The four
+    blocks are read off one tensorized pencil G_T = sum_k G_k (x) rT_k
+    (``_tensor``).  The resolvent policy is ``transfer_eval``'s:
+    ResolventError is raised unless the 2-norm condition of I - A_T is at
+    most RESOLVENT_COND_LIMIT (a zero smallest singular value counts as
+    singular), so on a 1 x 1 tuple both decide the same points.  Then
+    ``error_bound`` is the forward bound
+    ||C_T||_F ||B_T - (I - A_T) X||_F / sigma_min(I - A_T) on the value,
+    from the residual of the computed solve X.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    if isinstance(f, PolyGerm):
-        if f.n_params != t.n_params:
-            raise ValueError("n_params mismatch between germ and tuple")
-        h = t.dim
-        factors = []
-        for idx in f.coeffs:
-            factor = np.eye(h, dtype=complex) * (r ** sum(idx))
-            for k, power in enumerate(idx):
-                for _ in range(power):
-                    factor = factor @ t.mats[k]
-            factors.append(factor)
-        count = len(factors)
-        coeffs = np.array(list(f.coeffs.values())).reshape(count, f.dim_y, f.dim_u)
-        value = _tensor(coeffs, np.array(factors).reshape(count, h, h))
-        return TupleEvaluation(value, 0.0)
-
-    s = f
     if s.n_params != t.n_params:
         raise ValueError("n_params mismatch between system and tuple")
     g_t = _tensor(pencil_blocks(s), r * np.array(t.mats))
@@ -193,13 +178,14 @@ def eval_at_tuple(f: Union[PolyGerm, MultiSystem], t: ContractionTuple,
     if s.dim_x == 0:
         return TupleEvaluation(d_t, 0.0)
     a_t, b_t, c_t = g_t[:split, :split], g_t[:split, split:], g_t[split:, :split]
-    a_norm = float(_spectral_norms(a_t))
-    if not a_norm < 1.0:
-        raise ResolventError(f"||A_T||_2 = {a_norm:.6f} is not below 1")
-    lhs = np.eye(a_t.shape[0]) - a_t
+    lhs = np.eye(split) - a_t
+    sigma = np.linalg.svd(lhs, compute_uv=False)
+    if not (sigma[-1] > 0.0 and sigma[0] <= RESOLVENT_COND_LIMIT * sigma[-1]):
+        raise ResolventError(f"I - A_T is near-singular (singular values "
+                             f"{sigma[0]:.3e} and {sigma[-1]:.3e})")
     x = np.linalg.solve(lhs, b_t)
     residual = float(np.linalg.norm(b_t - lhs @ x))
-    bound = float(np.linalg.norm(c_t)) * residual / (1.0 - a_norm)
+    bound = float(np.linalg.norm(c_t)) * residual / float(sigma[-1])
     return TupleEvaluation(d_t + c_t @ x, bound)
 
 
@@ -215,32 +201,30 @@ class AglerReport:
         return self.witness is not None
 
 
-def agler_test(f: Union[PolyGerm, MultiSystem], trials: int = 50,
-               r: float = 0.9, tol: float = AGLER_TOL, seed: int = 0) -> AglerReport:
+def agler_test(s: MultiSystem, trials: int = 50, r: float = 0.9,
+               tol: float = AGLER_TOL, seed: int = 0) -> AglerReport:
     """Try to falsify ||theta(rz)|| <= 1 at ``trials`` points z of the closed polydisk.
 
     Each coordinate of a point has modulus 1 with probability 1/2, else uniform
-    on [0, 1), and a uniform phase.  One batched ``transfer_eval`` (``germ_eval``
-    for a germ) gives every norm; its resolvent guard alone decides which
-    points a system evaluates at, and ResolventError names the first it
-    rejects.  Points above 1 + tol are re-evaluated in draw order by
-    ``eval_at_tuple`` on their 1 x 1 ``ContractionTuple``, under its own
-    guard; the first whose norm less its error bound exceeds
-    1 + tol is the certified witness, and ``trials`` and ``max_norm`` count
-    the draws up to it.  Raises ValueError for ``trials < 1`` or r outside
-    (0, 1).
+    on [0, 1), and a uniform phase.  One batched ``transfer_eval`` gives every
+    norm; its resolvent guard decides which points evaluate, and
+    ResolventError names the first it rejects.  Points above 1 + tol are
+    re-evaluated in draw order by ``eval_at_tuple`` on their 1 x 1
+    ``ContractionTuple``, whose guard accepts the same points; the first
+    whose norm less its error bound exceeds 1 + tol is the certified
+    witness, and ``trials`` and ``max_norm`` count the draws up to it.
+    Raises ValueError for ``trials < 1`` or r outside (0, 1).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
-    interior, coin, phase = np.random.default_rng(seed).uniform(size=(3, trials, f.n_params))
+    interior, coin, phase = np.random.default_rng(seed).uniform(size=(3, trials, s.n_params))
     z = np.where(coin < 0.5, 1.0, interior) * np.exp(2j * np.pi * phase)
-    evaluate = germ_eval if isinstance(f, PolyGerm) else transfer_eval
-    norms = _spectral_norms(evaluate(f, r * z))
+    norms = _spectral_norms(transfer_eval(s, r * z))
     for i in np.flatnonzero(norms > 1.0 + tol):
         point = ContractionTuple(tuple(z[i, :, None, None]))
-        result = eval_at_tuple(f, point, r)
+        result = eval_at_tuple(s, point, r)
         norm = float(_spectral_norms(result.value))
         if norm - result.error_bound > 1.0 + tol:
             return AglerReport(max_norm=float(norms[:i + 1].max()), trials=int(i) + 1,

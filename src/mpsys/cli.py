@@ -60,8 +60,8 @@ MODE_FLAGS = {
         "germ-realization": {"germ": None},
     }),
     "check": ("what", "--what", {
-        "conservative": {"residual_tol": RESIDUAL_TOL},
-        "dissipative": {"residual_tol": RESIDUAL_TOL, "torus_samples": 100, "seed": 0},
+        "conservative": {"residual_tol": CONSERVATIVE_TOL},
+        "dissipative": {"residual_tol": CONSERVATIVE_TOL, "torus_samples": 100, "seed": 0},
         "closely-connected": {"rank_tol": RANK_TOL},
         "unitary-part": {},
         "multiplicity": {},

@@ -21,12 +21,13 @@ Every transformation of a system (compression, adjoint, output scaling,
 cascade and its decomposition, the resolvent tail) is one product or slice
 assignment on the stack.
 
-The evaluators (``combine``, ``transfer_eval``, ``germ_eval``) take one
-point of shape (N,) or a stack of P points of shape (P, N).  A stack is
-evaluated in one batch and gives a (P, rows, cols) array.  The resolvent
-guard of ``transfer_eval`` is certified in two steps: a batched Cholesky
-screen proves the whole stack well conditioned, and the SVD condition
-number decides every stack the screen leaves.
+The evaluators (``combine``, ``transfer_eval``) take one point of shape
+(N,) or a stack of P points of shape (P, N).  A stack is evaluated in one
+batch and gives a (P, rows, cols) array.  A polynomial germ is evaluated
+through its realization ``realize_germ``.  The resolvent guard of
+``transfer_eval`` is certified in two steps: a batched Cholesky screen
+proves the whole stack well conditioned, and the SVD condition number
+decides every stack the screen leaves.
 
 Conservativity ("the pencil zG is unitary for every z on the unit torus") is
 decided by finitely many matrix identities obtained by matching Fourier
@@ -325,15 +326,6 @@ class PolyGerm:
         if not self.coeffs:
             return 0
         return max(sum(t) for t in self.coeffs)
-
-
-def germ_eval(g: PolyGerm, z) -> np.ndarray:
-    """The polynomial at one point (N,) or at a stack of points (P, N)."""
-    z = _check_points(g.n_params, z)
-    out = np.zeros(z.shape[:-1] + (g.dim_y, g.dim_u), dtype=complex)
-    for t, m in g.coeffs.items():
-        out += np.prod(z ** np.array(t), axis=-1)[..., None, None] * m
-    return out
 
 
 def _unit(n: int, k: int) -> tuple:
@@ -700,7 +692,7 @@ __all__ = [
     "MultiSystem", "PolyGerm", "ConservativityReport", "DissipativityVerdict",
     "SystemShapeError", "ResolventError", "ConservativityError",
     "validate", "pencil_blocks", "combine", "transfer_eval",
-    "germ_eval", "taylor_coefficients", "is_conservative",
+    "taylor_coefficients", "is_conservative",
     "require_conservative", "is_dissipative_sampled", "sample_torus",
     "closely_connected_subspace", "compress_to",
     "restrict_to_cc", "unitary_part", "haar_unitary", "random_conservative",

@@ -2,7 +2,9 @@
 systems, the closely-connected cascade and the two candidate subspaces the
 paper builds from its factors; the executable form of "a closely connected
 cascade has closely connected factors"; a grid oracle for the sup-norm of a
-function on the polydisk; the whole-cap Taylor expansion that
+function on the polydisk; the point evaluator of a polynomial germ
+and the Kaijser-Varopoulos triple, on which a polynomial of sup-norm 1 on
+the polydisk has norm above 1; the whole-cap Taylor expansion that
 ``systems.taylor_coefficients`` and ``factorization.multiplicity`` are
 checked against; a randomized invariant-subspace search (the
 oracle the least element X* of ``invariant_subspace_candidates`` is checked
@@ -21,6 +23,7 @@ from typing import Union
 
 import numpy as np
 
+from mpsys.agler import ContractionTuple
 from mpsys.cascade import cascade, check_condition_i
 from mpsys.subspaces import (
     Subspace,
@@ -33,10 +36,10 @@ from mpsys.subspaces import (
 from mpsys.systems import (
     MultiSystem,
     PolyGerm,
+    _check_points,
     closely_connected_subspace,
     combine,
     compress_to,
-    germ_eval,
     haar_unitary,
     random_conservative,
     realize_germ,
@@ -125,6 +128,41 @@ def closcon_property_check(alpha2: MultiSystem,
             f"cascade is closely connected but a factor is not: {report}"
         )
     return report
+
+
+def germ_eval(g: PolyGerm, z) -> np.ndarray:
+    """The polynomial at one point (N,) or at a stack of points (P, N)."""
+    z = _check_points(g.n_params, z)
+    out = np.zeros(z.shape[:-1] + (g.dim_y, g.dim_u), dtype=complex)
+    for t, m in g.coeffs.items():
+        out += np.prod(z ** np.array(t), axis=-1)[..., None, None] * m
+    return out
+
+
+def kaijser_varopoulos() -> tuple:
+    """(T, p / 5): the Kaijser-Varopoulos commuting contractions on C^5 and
+    the quadratic p = sum_j z_j^2 - 2 sum_{j<k} z_j z_k, divided by its
+    sup-norm 5 on the polydisk (Varopoulos, J. Funct. Anal. 16, 1974).
+
+    With basis e, f_1, f_2, f_3, g: T_j e = f_j, T_j f_k = a_jk g and
+    T_j g = 0, for the symmetric a = (1/sqrt 3)[[1, -1, -1], [-1, 1, -1],
+    [-1, -1, 1]] whose rows are unit vectors.  Then p(T) e = 3 sqrt(3) g,
+    so ||p(T)|| / 5 = 3 sqrt(3) / 5 > 1: von Neumann's inequality fails for
+    three commuting contractions, and p / 5 is outside the Agler-Schur
+    class although it is bounded by 1 on the polydisk.
+    """
+    a = (2.0 * np.eye(3) - 1.0) / np.sqrt(3.0)
+    mats = []
+    for j in range(3):
+        t = np.zeros((5, 5))
+        t[1 + j, 0] = 1.0
+        t[4, 1:4] = a[j]
+        mats.append(t)
+    quadratic = {}
+    for j, k in itertools.combinations_with_replacement(range(3), 2):
+        index = tuple(int(i == j) + int(i == k) for i in range(3))
+        quadratic[index] = np.array([[(1.0 if j == k else -2.0) / 5.0]])
+    return ContractionTuple(tuple(mats)), PolyGerm(3, 1, 1, quadratic)
 
 
 def polydisk_sup_norm(f: Union[PolyGerm, MultiSystem], grid_per_axis: int = 12,

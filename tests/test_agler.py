@@ -23,7 +23,7 @@ from mpsys.systems import (
     scale_output,
     transfer_eval,
 )
-from pairs import counting, polydisk_sup_norm
+from pairs import counting, germ_eval, kaijser_varopoulos, polydisk_sup_norm
 
 
 def test_generated_tuples_satisfy_invariants():
@@ -86,7 +86,8 @@ def _kron_sum(blocks, mats):
 
 
 def _kron_reference(f, t, r):
-    """eval_at_tuple as sums of np.kron, kept as the reference."""
+    """eval_at_tuple as sums of np.kron, kept as the reference; for a germ,
+    the finite sum of coeff (x) (rT)^t over its coefficients."""
     if isinstance(f, PolyGerm):
         value = np.zeros((f.dim_y * t.dim, f.dim_u * t.dim), dtype=complex)
         for idx, coeff in f.coeffs.items():
@@ -137,8 +138,9 @@ def test_tensorized_evaluation_matches_the_kron_loop_bit_for_bit():
                                       _kron_reference(s, tup, r))
                 for germ in germs:
                     if germ.n_params == n:
-                        assert _same_bits(eval_at_tuple(germ, tup, r).value,
-                                          _kron_reference(germ, tup, r))
+                        value = eval_at_tuple(realize_germ(germ), tup, r).value
+                        expected = _kron_reference(germ, tup, r)
+                        assert np.abs(value - expected).max(initial=0.0) < 1e-13
     # the cases above tell the k-sum order apart, so a reversed sum fails
     assert order_matters
 
@@ -158,12 +160,12 @@ def test_germ_evaluation_is_exact():
     germ = PolyGerm(2, 1, 1, {(1, 0): np.array([[1.0]]),
                               (1, 1): np.array([[0.5]])})
     tup = gen_commuting_contractions(2, 2, "jointly-diagonal", seed=2)
-    r = 0.7
-    result = eval_at_tuple(germ, tup, r)
     t1, t2 = tup.mats
-    expected = r * t1 + 0.5 * r * r * (t1 @ t2)
-    np.testing.assert_allclose(result.value, expected, atol=1e-12)
-    assert result.error_bound == 0.0
+    for r in (0.7, 0.9, 0.99):
+        result = eval_at_tuple(realize_germ(germ), tup, r)
+        expected = r * t1 + 0.5 * r * r * (t1 @ t2)
+        np.testing.assert_allclose(result.value, expected, atol=1e-12)
+        assert result.error_bound < 1e-13
 
 
 def test_realized_germ_matches_germ_on_commuting_tuples():
@@ -176,36 +178,83 @@ def test_realized_germ_matches_germ_on_commuting_tuples():
         (1, 1): np.array([[-0.2, 0.1j]]),
         (1, 2): np.array([[0.05, -0.1]]),
     })
-    system = realize_germ(germ)
-    # ||A_T|| <= r sqrt(N) for the shift realization; r = 0.6 keeps it below 1
-    r = 0.6
-    for strategy in ("power-family", "jointly-diagonal"):
-        for seed in range(3):
-            tup = gen_commuting_contractions(2, 3, strategy, seed=seed)
-            result = eval_at_tuple(system, tup, r)
-            expected = eval_at_tuple(germ, tup, r).value
-            assert np.linalg.norm(result.value - expected, 2) < 1e-12
-            assert result.error_bound < 1e-12
+    short = PolyGerm(2, 1, 1, {(1, 0): np.array([[0.3]]), (1, 2): np.array([[0.5]])})
+    # A_T is nilpotent, so I - A_T is invertible at every r although
+    # ||A_T||_2 reaches r sqrt(N) for the shift realization
+    for g in (germ, short):
+        system = realize_germ(g)
+        for r in (0.6, 0.9, 0.99):
+            for strategy in ("power-family", "jointly-diagonal"):
+                for seed in range(3):
+                    tup = gen_commuting_contractions(2, 3, strategy, seed=seed)
+                    result = eval_at_tuple(system, tup, r)
+                    expected = _kron_reference(g, tup, r)
+                    assert np.linalg.norm(result.value - expected, 2) < 1e-12
+                    assert result.error_bound < 1e-12
 
 
-def test_eval_rejects_a_t_without_norm_below_one():
+def test_eval_rejects_a_singular_resolvent():
+    s = MultiSystem(a=[np.diag([0.0, 2.0])], b=[np.eye(2)], c=[np.eye(2)],
+                    d=[np.zeros((2, 2))])
+    with pytest.raises(ResolventError, match="A_T"):
+        eval_at_tuple(s, ContractionTuple((np.eye(1),)), 0.5)
+    assert np.isfinite(eval_at_tuple(s, ContractionTuple((np.eye(1),)), 0.4).value).all()
+
+
+def test_eval_follows_transfer_eval_past_norm_one():
+    # theta = z^2 / (1 - 1.5 z) has a pole in the disk, at z = 2/3; at
+    # r = 0.9 ||A_T||_2 = 1.35, but I - A_T is invertible and both
+    # evaluators give the same value
     s = MultiSystem(a=[np.array([[1.5]])], b=[np.array([[1.0]])],
                     c=[np.array([[1.0]])], d=[np.array([[0.0]])])
-    tup = ContractionTuple((np.eye(2),))
-    with pytest.raises(ResolventError, match="A_T"):
-        eval_at_tuple(s, tup, 0.9)
-    assert np.isfinite(eval_at_tuple(s, tup, 0.5).value).all()
+    result = eval_at_tuple(s, ContractionTuple((np.eye(1),)), 0.9)
+    assert np.array_equal(result.value, transfer_eval(s, [0.9]))
+    assert result.value[0, 0].real == pytest.approx(0.81 / (1.0 - 1.35))
 
 
-def test_agler_test_on_a_nilpotent_realization_agrees_with_its_germ():
+def test_agler_test_on_a_nilpotent_realization_agrees_with_its_germ(monkeypatch):
     # ||r zA||_2 reaches 1.27 here, but zA is nilpotent: the resolvent guard
     # of transfer_eval, not a norm bound, decides which points evaluate
+    points = []
+
+    def recording(s, z):
+        points.append(z)
+        return transfer_eval(s, z)
+
+    monkeypatch.setattr(agler, "transfer_eval", recording)
     germ = PolyGerm(2, 1, 1, {(1, 0): np.array([[0.3]]), (1, 2): np.array([[0.5]])})
     for seed in range(3):
         realized = agler_test(realize_germ(germ), trials=10, r=0.9, seed=seed)
-        direct = agler_test(germ, trials=10, r=0.9, seed=seed)
-        assert not realized.falsified and realized.trials == direct.trials == 10
-        assert abs(realized.max_norm - direct.max_norm) < 1e-15
+        direct = np.linalg.norm(germ_eval(germ, points[-1]), 2, axis=(1, 2)).max()
+        assert not realized.falsified and realized.trials == 10
+        assert abs(realized.max_norm - direct) < 1e-15
+
+
+def test_agler_test_certifies_a_realized_germ_outside_the_class():
+    # ||A_T||_2 reaches 1.22, but the witness stage shares the point stage's
+    # guard, so the realization is falsified by a certified witness whose
+    # norm is the germ's at that point
+    germ = PolyGerm(2, 1, 1, {(1, 0): np.array([[0.9]]), (1, 2): np.array([[0.9]])})
+    report = agler_test(realize_germ(germ), trials=50, r=0.9, seed=0)
+    assert report.falsified and report.trials == 3
+    assert abs(report.witness_norm - 1.0975973845028324) < 1e-12
+    z = np.array([m[0, 0] for m in report.witness.mats])
+    assert abs(np.linalg.norm(germ_eval(germ, 0.9 * z), 2) - report.witness_norm) < 1e-14
+
+
+def test_kaijser_varopoulos_triple_separates_the_classes():
+    # p / 5 is bounded by 1 on the polydisk, yet ||p(rT) / 5|| > 1 on the
+    # three commuting contractions T: outside the Agler-Schur class
+    tup, germ = kaijser_varopoulos()
+    system = realize_germ(germ)
+    for r, norm in ((0.99, 1.018550), (0.9, 0.841777)):
+        result = eval_at_tuple(system, tup, r)
+        assert abs(np.linalg.norm(result.value, 2) - norm) < 1e-6
+        assert result.error_bound < 1e-15
+    assert abs(polydisk_sup_norm(germ, radius=0.99) - 0.9801) < 1e-12
+    # points of the polydisk cannot separate the classes: the falsifier,
+    # one-sided, passes this non-member
+    assert not agler_test(system, trials=200, r=0.99).falsified
 
 
 def test_agler_test_forms_each_pencil_sum_once(monkeypatch):
@@ -233,19 +282,15 @@ def test_agler_test_rejects_bad_trials_and_r_before_any_tuple(monkeypatch):
         return np.zeros((len(z), f.dim_y, f.dim_u), dtype=complex)
 
     monkeypatch.setattr(agler, "transfer_eval", record)
-    monkeypatch.setattr(agler, "germ_eval", record)
     s = random_conservative(2, 3, 2, 2, seed=5)
-    germ = PolyGerm(2, 1, 1, {(1, 1): np.array([[0.5]])})
-    for f in (s, germ):
-        for kwargs in ({"trials": 0}, {"trials": -3}, {"r": 0.0}, {"r": 1.0},
-                       {"r": -0.5}):
-            with pytest.raises(ValueError):
-                agler_test(f, **kwargs)
+    for kwargs in ({"trials": 0}, {"trials": -3}, {"r": 0.0}, {"r": 1.0},
+                   {"r": -0.5}):
+        with pytest.raises(ValueError):
+            agler_test(s, **kwargs)
     assert evaluated == []
-    # the patched names are the point stage's evaluators: one batch per call
-    for f in (s, germ):
-        assert not agler_test(f, trials=7).falsified
-    assert evaluated == [(7, 2), (7, 2)]
+    # the patched name is the point stage's evaluator: one batch per call
+    assert not agler_test(s, trials=7).falsified
+    assert evaluated == [(7, 2)]
 
 
 def _random_contraction(rng, dim):

@@ -297,6 +297,36 @@ def test_agler_states_its_verdict_kind(scale, kind, verdict, code, tmp_path, cap
                                   "conservativity_tol": tolerances.CONSERVATIVE_TOL}
 
 
+def test_every_command_draws_the_conservative_line_at_one_threshold(tmp_path, capsys):
+    # the worst residual, 3e-10, lies between CONSERVATIVE_TOL and RESIDUAL_TOL
+    s = random_conservative(2, 3, 2, 2, seed=1)
+    path = tmp_path / "near.json"
+    write_system(path, MultiSystem(a=[s.a[0] + 3e-10 * np.eye(3), s.a[1]], b=s.b, c=s.c,
+                                   d=s.d))
+    code, stdout, _ = invoke(capsys, "check", str(path), "--what", "conservative")
+    body = report_body(stdout)
+    assert tolerances.CONSERVATIVE_TOL < body["residual"] < tolerances.RESIDUAL_TOL
+    assert code == 2 and body["verdict"] is False
+    code, stdout, _ = invoke(capsys, "agler", str(path), "--trials", "20")
+    assert code == 0 and report_body(stdout)["kind"] == "heuristic"
+
+
+def test_agler_certifies_a_realized_germ_outside_the_class(tmp_path, capsys):
+    # A_T of the realization is nilpotent with ||A_T||_2 above 1: the
+    # witness stage evaluates where the point stage does
+    from mpsys.systems import PolyGerm
+    germ = PolyGerm(2, 1, 1, {(1, 0): np.array([[0.9]]), (1, 2): np.array([[0.9]])})
+    gpath, real = tmp_path / "germ.json", tmp_path / "real.json"
+    ser.save_json(gpath, ser.germ_to_dict(germ))
+    code, _, _ = invoke(capsys, "generate", "germ-realization", "--germ", str(gpath),
+                        "--out", str(real))
+    assert code == 0
+    code, stdout, _ = invoke(capsys, "agler", str(real), "--trials", "50", "--seed", "0")
+    body = report_body(stdout)
+    assert code == 2 and (body["kind"], body["verdict"]) == ("certified", "not-member")
+    assert body["trials"] == 3 and abs(body["witness_norm"] - 1.0975973845028324) < 1e-12
+
+
 def test_agler_refuses_a_falsified_conservative_input(tmp_path, capsys, monkeypatch):
     s = random_conservative(2, 3, 2, 2, seed=23)
     path = tmp_path / "sys.json"
@@ -402,7 +432,9 @@ def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
                               random_conservative(2, 0, 2, 2, seed=4)))
     cases = [
         (("check", path, "--what", "conservative"),
-         {"residual_tol": tolerances.RESIDUAL_TOL}),
+         {"residual_tol": tolerances.CONSERVATIVE_TOL}),
+        (("check", path, "--what", "dissipative"),
+         {"residual_tol": tolerances.CONSERVATIVE_TOL}),
         (("check", path, "--what", "conservative", "--residual-tol", "5"),
          {"residual_tol": 5.0}),
         (("check", path, "--what", "unitary-part"),

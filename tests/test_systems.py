@@ -21,7 +21,6 @@ from mpsys.systems import (
     closely_connected_subspace,
     combine,
     compress_to,
-    germ_eval,
     haar_unitary,
     is_conservative,
     is_dissipative_sampled,
@@ -44,6 +43,7 @@ from pairs import (
     blockwise_realize_germ,
     blockwise_scale_output,
     full_taylor_coefficients,
+    germ_eval,
     is_closely_connected,
     same_blocks,
     taylor_test_systems,
