@@ -23,7 +23,10 @@ Records, for one source tree:
   a fixed set of CLI commands run with relative paths in a fresh directory,
   and for each command with ``--out-dir`` whether it made that directory.
   They include ``agler`` on the realization of the degree-3, N = 2 germ
-  0.9 z1 + 0.9 z1 z2^2, whose A_T is nilpotent with ||A_T||_2 above 1.
+  0.9 z1 + 0.9 z1 z2^2, whose A_T is nilpotent with ||A_T||_2 above 1,
+  and ``generate germ-realization`` of a degree-4, N = 3 germ with
+  dim_u = 1, whose ``dims`` pin the realized state layout (one slot per
+  multi-index t with 1 <= |t| <= 3: dim_x = 19).
 
 Usage::
 
@@ -211,6 +214,7 @@ COMMANDS = [
     ["agler", "scaled.json", "--trials", "10", "--seed", "9"],
     ["generate", "germ-realization", "--germ", "germ3.json", "--out", "real3.json"],
     ["agler", "real3.json", "--trials", "50", "--seed", "0"],
+    ["generate", "germ-realization", "--germ", "germ4.json", "--out", "real4.json"],
 ]
 
 
@@ -242,6 +246,9 @@ def cli_reports() -> dict:
         PolyGerm(2, 1, 1, {(1, 1): np.array([[0.5]]), (2, 0): np.array([[0.25]])})))
     ser.save_json("germ3.json", ser.germ_to_dict(
         PolyGerm(2, 1, 1, {(1, 0): np.array([[0.9]]), (1, 2): np.array([[0.9]])})))
+    ser.save_json("germ4.json", ser.germ_to_dict(
+        PolyGerm(3, 1, 1, {(1, 0, 0): np.array([[0.5]]), (1, 1, 0): np.array([[0.25]]),
+                           (2, 1, 1): np.array([[0.125]])})))
 
     reports = {}
     for argv in COMMANDS:

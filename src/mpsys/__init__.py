@@ -44,7 +44,6 @@ from .cascade import (
     CascadeError,
     ConditionIIResult,
     cascade,
-    check_condition_i,
     check_condition_ii,
     decompose,
     sample_polydisk,

@@ -71,13 +71,6 @@ def cascade(alpha2: MultiSystem, alpha1: MultiSystem) -> MultiSystem:
     return _from_pencil(g, dx)
 
 
-def check_condition_i(s: MultiSystem, x2: Subspace) -> bool:
-    """X2 invariant for every A_k."""
-    if x2.ambient_dim != s.dim_x:
-        raise CascadeError("x2 ambient dimension does not match dim_x")
-    return all(is_invariant(s.a[k], x2) for k in range(s.n_params))
-
-
 @dataclass(frozen=True)
 class ConditionIIResult:
     holds: bool
@@ -91,10 +84,13 @@ def check_condition_ii(s: MultiSystem, x2: Subspace) -> ConditionIIResult:
 
     Rank criterion: M = sum_k G_k*(X2 (+) Y) must have dimension
     dim X2 + dim Y; V = M (-) X2 is then returned (as a subspace of the
-    pencil's domain X (+) U).  Precondition, not checked here (``decompose``
-    checks it): ``s`` is conservative.
+    pencil's domain X (+) U).  Raises CascadeError when condition (i), X2
+    invariant for every A_k, fails.  Precondition, not checked here
+    (``decompose`` checks it): ``s`` is conservative.
     """
-    if not check_condition_i(s, x2):
+    if x2.ambient_dim != s.dim_x:
+        raise CascadeError("x2 ambient dimension does not match dim_x")
+    if not all(is_invariant(a, x2) for a in s.a):
         raise CascadeError("condition (i) fails: x2 is not invariant for all A_k")
     target = _direct_sum(x2.basis, np.eye(s.dim_y))  # X2 (+) Y
     m_space = orthonormal_basis(np.hstack(pencil_blocks(s).conj().swapaxes(1, 2) @ target))
@@ -186,6 +182,6 @@ def verify_factor_tf(alpha: MultiSystem, alpha2: MultiSystem, alpha1: MultiSyste
 
 __all__ = [
     "CascadeError", "ConditionIIResult", "CascadeDecomposition",
-    "cascade", "check_condition_i", "check_condition_ii", "decompose",
+    "cascade", "check_condition_ii", "decompose",
     "verify_factor_tf", "sample_polydisk",
 ]

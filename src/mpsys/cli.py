@@ -25,11 +25,11 @@ import numpy as np
 from .agler import agler_test
 from .cascade import cascade, decompose, sample_polydisk, verify_factor_tf
 from .factorization import (
+    _factor_left,
+    _factor_right,
     chain_eval,
     chain_to_germ,
     factor_homogeneous,
-    factor_left,
-    factor_right,
     multiplicity,
     solve_problem2,
     tail_eval,
@@ -249,7 +249,8 @@ def cmd_factor(ns, argv) -> tuple:
         )
         report = _report(argv, mode=ns.mode, degree=chain.length, out_dir=str(out_dir),
                          coefficient_residual=float(residual),
-                         tolerances={"coefficient_tol": COEFF_TOL})
+                         tolerances={"coefficient_tol": COEFF_TOL,
+                                     "taylor_drop_tol": TAYLOR_DROP_TOL})
         return report, PASS if residual < COEFF_TOL else FAIL
 
     tolerances = {"residual_tol": ns.residual_tol}
@@ -271,14 +272,14 @@ def cmd_factor(ns, argv) -> tuple:
                          seed=ns.seed, tolerances=tolerances)
         return report, PASS
 
-    m = multiplicity(system)
+    m = multiplicity(system)  # the one expansion of theta: m needs no re-check
     if m is None:
         raise CliError("transfer function vanishes identically")
     right = ns.mode == "right"
     if right:
-        tail, chain = factor_right(system, m)
+        tail, chain = _factor_right(system, m)
     else:
-        chain, tail = factor_left(system, m)
+        chain, tail = _factor_left(system, m)
     _save_all(out_dir, {
         "chain.json": ser.chain_to_dict(chain),
         "tail_constant.json": {"schema_version": ser.SCHEMA_VERSION, "kind": "matrix",
@@ -288,7 +289,7 @@ def cmd_factor(ns, argv) -> tuple:
     residual = _reconstruction_residual(system, chain, tail, right, ns.seed)
     report = _report(argv, mode=ns.mode, multiplicity=m, out_dir=str(out_dir),
                      reconstruction_residual=residual, seed=ns.seed,
-                     tolerances=tolerances)
+                     tolerances={**tolerances, "taylor_drop_tol": TAYLOR_DROP_TOL})
     return report, PASS if residual < ns.residual_tol else FAIL
 
 

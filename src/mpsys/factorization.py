@@ -40,7 +40,9 @@ from .systems import (
     MultiSystem,
     PolyGerm,
     SystemShapeError,
+    _advance,
     _from_pencil,
+    _kept,
     _taylor_levels,
     adjoint,
     combine,
@@ -48,7 +50,7 @@ from .systems import (
     restrict_to_cc,
     transfer_eval,
 )
-from .tolerances import CHAIN_DROP_TOL, RESIDUAL_TOL
+from .tolerances import RESIDUAL_TOL
 
 
 class MultiplicityError(ValueError):
@@ -108,24 +110,12 @@ def chain_eval(chain: LinearFactorChain, z) -> np.ndarray:
 
 
 def chain_to_germ(chain: LinearFactorChain) -> PolyGerm:
-    """Coefficientwise expansion of the chain product (all terms homogeneous)."""
-    n = chain.n_params
-    frontier = {(0,) * n: np.eye(chain.spaces[0], dtype=complex)}
+    """Coefficientwise expansion of the chain product (all terms homogeneous),
+    one lattice step per factor, under the drop rule of ``_taylor_levels``."""
+    frontier = {(0,) * chain.n_params: np.eye(chain.spaces[0], dtype=complex)}
     for tup in chain.factors:
-        new = {}
-        for t, m in frontier.items():
-            for k in range(n):
-                t_k = list(t)
-                t_k[k] += 1
-                t_k = tuple(t_k)
-                prod = m @ tup[k]
-                if t_k in new:
-                    new[t_k] = new[t_k] + prod
-                else:
-                    new[t_k] = prod
-        frontier = new
-    kept = {t: m for t, m in frontier.items() if np.linalg.norm(m) > CHAIN_DROP_TOL}
-    return PolyGerm(n, chain.spaces[-1], chain.spaces[0], kept)
+        frontier = _advance(frontier, tup)
+    return PolyGerm(chain.n_params, chain.spaces[-1], chain.spaces[0], _kept(frontier))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +164,29 @@ def _check_multiplicity(s: MultiSystem, m: int) -> None:
                                 f"nonzero Taylor term up to {m} is {found}")
 
 
+def _pencil_chain(s: MultiSystem, m: int) -> LinearFactorChain:
+    """The row slices of the pencil whose product is theta's degree-m head:
+    z[C D] for m = 1, and (C, A, ..., A, [A B]) for m > 1."""
+    dx = s.dim_x
+    g = pencil_blocks(s)
+    if m == 1:
+        factors = [tuple(g[:, dx:])]
+    else:
+        factors = [tuple(s.c), *[tuple(s.a)] * (m - 2), tuple(g[:, :dx])]
+    spaces = (s.dim_y,) + (dx,) * (m - 1) + (dx + s.dim_u,)
+    return LinearFactorChain(spaces=spaces, factors=tuple(factors))
+
+
+def _factor_left(s: MultiSystem, m: int) -> tuple:
+    """``factor_left`` for an ``m`` already known to be theta's multiplicity."""
+    dx, du = s.dim_x, s.dim_u
+    ab = pencil_blocks(s)[:, :dx]
+    zero = np.zeros((s.n_params, du, dx + du), dtype=complex)
+    tail = TailFunction(constant=np.vstack([np.zeros((dx, du)), np.eye(du)]).astype(complex),
+                        vanishing_part=_from_pencil(np.concatenate([ab, ab, zero], axis=1), dx))
+    return _pencil_chain(s, m), tail
+
+
 def factor_left(s: MultiSystem, m: int) -> tuple:
     """theta(z) = zL^(1) ... zL^(m) phi(z) with phi(0) != 0.
 
@@ -184,31 +197,12 @@ def factor_left(s: MultiSystem, m: int) -> tuple:
     [A B] stacked twice over a zero block.
     """
     _check_multiplicity(s, m)
-    dx, du, dy = s.dim_x, s.dim_u, s.dim_y
-    g = pencil_blocks(s)
-    ab = g[:, :dx]
-    zero = np.zeros((s.n_params, du, dx + du), dtype=complex)
-    tail = TailFunction(constant=np.vstack([np.zeros((dx, du)), np.eye(du)]).astype(complex),
-                        vanishing_part=_from_pencil(np.concatenate([ab, ab, zero], axis=1), dx))
-    if m == 1:
-        return LinearFactorChain(spaces=(dy, dx + du), factors=(tuple(g[:, dx:]),)), tail
-    factors = [tuple(s.c)]
-    factors.extend(tuple(s.a) for _ in range(m - 2))
-    factors.append(tuple(ab))
-    spaces = (dy,) + (dx,) * (m - 1) + (dx + du,)
-    return LinearFactorChain(spaces=spaces, factors=tuple(factors)), tail
+    return _factor_left(s, m)
 
 
-def factor_right(s: MultiSystem, m: int) -> tuple:
-    """theta(z) = psi(z) zR^(m) ... zR^(1) with psi(0) != 0.
-
-    Obtained by factoring the adjoint system on the left and taking
-    adjoints, using theta_adj(z) = theta(conj(z))*.  Returns (psi, chain);
-    the chain is stored so that chain_eval gives zR^(m) ... zR^(1), i.e.
-    theta(z) = tail_eval(psi, z) @ chain_eval(chain, z).
-    """
-    adj = adjoint(s)
-    left_chain, left_tail = factor_left(adj, m)
+def _factor_right(s: MultiSystem, m: int) -> tuple:
+    """``factor_right`` for an ``m`` already known to be theta's multiplicity."""
+    left_chain, left_tail = _factor_left(adjoint(s), m)
     psi = TailFunction(
         constant=left_tail.constant.conj().T,
         vanishing_part=adjoint(left_tail.vanishing_part),
@@ -221,12 +215,26 @@ def factor_right(s: MultiSystem, m: int) -> tuple:
     return psi, LinearFactorChain(spaces=spaces, factors=factors)
 
 
+def factor_right(s: MultiSystem, m: int) -> tuple:
+    """theta(z) = psi(z) zR^(m) ... zR^(1) with psi(0) != 0.
+
+    ``m`` must be theta's multiplicity.  Obtained by factoring the adjoint
+    system on the left and taking adjoints, using theta_adj(z) =
+    theta(conj(z))*.  Returns (psi, chain); the chain is stored so that
+    chain_eval gives zR^(m) ... zR^(1), i.e. theta(z) = tail_eval(psi, z) @
+    chain_eval(chain, z).
+    """
+    _check_multiplicity(s, m)
+    return _factor_right(s, m)
+
+
 def factor_homogeneous(s: MultiSystem) -> tuple:
     """Factor a homogeneous polynomial transfer function into linear pencils.
 
     Returns (chain, germ): ``germ`` holds theta's Taylor coefficients, all
-    of degree m, the least degree of a nonzero one.  For m = 1 the chain is
-    (D_k); for m > 1 it is (C, A, ..., A, B), so the product equals
+    of degree m, the least degree of a nonzero one.  The chain is
+    ``_pencil_chain``'s with its last factor restricted to the U columns:
+    (D_k) for m = 1, and (C, A, ..., A, B) for m > 1, so the product equals
     zC (zA)^(m-2) zB coefficientwise.  One pass over the Taylor levels
     finds m and proves homogeneity from the vanishing levels m + 1 ...
     m + dim_x (see the module docstring).  When the input system is
@@ -242,14 +250,10 @@ def factor_homogeneous(s: MultiSystem) -> tuple:
     if above:
         raise MultiplicityError(f"transfer function is not homogeneous of degree {m}: "
                                 f"nonzero term at {next(iter(above))}")
-    germ = PolyGerm(s.n_params, du, dy, coeffs)
-    if m == 1:
-        return LinearFactorChain(spaces=(dy, du), factors=(tuple(s.d),)), germ
-    factors = [tuple(s.c)]
-    factors.extend(tuple(s.a) for _ in range(m - 2))
-    factors.append(tuple(s.b))
-    spaces = (dy,) + (dx,) * (m - 1) + (du,)
-    return LinearFactorChain(spaces=spaces, factors=tuple(factors)), germ
+    head = _pencil_chain(s, m)
+    factors = head.factors[:-1] + (tuple(f[:, dx:] for f in head.factors[-1]),)
+    chain = LinearFactorChain(spaces=head.spaces[:-1] + (du,), factors=factors)
+    return chain, PolyGerm(s.n_params, du, dy, coeffs)
 
 
 def invariant_subspace_candidates(s: MultiSystem) -> list:

@@ -10,6 +10,12 @@ evaluation, Taylor (multi-index) expansion, conservativity and dissipativity
 checks, closely-connected and unitary-part subspace extraction, a generator
 of random conservative systems, and a shift realization of polynomial germs.
 
+Every polynomial construction lives on the lattice of multi-indices t:
+``_advance`` is its one step t -> t + e_k (the Taylor expansion and
+``factorization.chain_to_germ``), ``_kept`` its one drop rule, and
+``realize_germ`` keeps one copy of U per t with 1 <= |t| <= d - 1, so
+dim_x = dim_u (C(N + d - 1, N) - 1), read off with weight t! / |t|!.
+
 A ``MultiSystem`` is validated once, when it is built, so no function here
 re-checks its shapes.  Both subspace extractions are invariant closures
 (``subspaces.invariant_closure``) under the adjoint-closed set {A_k, A_k*}.
@@ -340,10 +346,28 @@ def _bump(t: tuple, k: int) -> tuple:
     return tuple(t_k)
 
 
+def _advance(frontier: dict, blocks) -> dict:
+    """One step on the multi-index lattice: {t + e_k: sum of m @ blocks[k]}
+    over the (t, m) of ``frontier``, the products added in frontier order
+    with k inner, and the new indices in the order they are first reached."""
+    out: dict = {}
+    for t, m in frontier.items():
+        for k, block in enumerate(blocks):
+            t_k = _bump(t, k)
+            out[t_k] = out[t_k] + m @ block if t_k in out else m @ block
+    return out
+
+
+def _kept(coeffs: dict) -> dict:
+    """The coefficients whose Frobenius norm is above TAYLOR_DROP_TOL: the
+    one drop rule of every expansion."""
+    return {t: m for t, m in coeffs.items() if np.linalg.norm(m) > TAYLOR_DROP_TOL}
+
+
 def _taylor_levels(s: MultiSystem, max_total_degree: int):
     """Yield (j, {t: coefficient}) for j = 1, 2, ... up to the cap, where the
-    dict holds the kept Taylor coefficients of total degree j (Frobenius
-    norm above TAYLOR_DROP_TOL), in the order they are first reached.
+    dict holds the kept Taylor coefficients of total degree j (``_kept``),
+    in the order they are first reached.
 
     Level j is complete once the frontier of degree j - 1 has been
     multiplied by the B_k, so a consumer that stops early pays only for the
@@ -351,33 +375,16 @@ def _taylor_levels(s: MultiSystem, max_total_degree: int):
     j + 1 is requested.
     """
     n = s.n_params
-
-    def kept(level: dict) -> dict:
-        return {t: m for t, m in level.items() if np.linalg.norm(m) > TAYLOR_DROP_TOL}
-
     zero = np.zeros((s.dim_y, s.dim_u), dtype=complex)
-    yield 1, kept({_unit(n, k): zero + s.d[k] for k in range(n)})
+    yield 1, _kept({_unit(n, k): zero + s.d[k] for k in range(n)})
     if s.dim_x == 0:
         return
     # frontier: abelianization of (k0, ..., k_i) -> sum of C_{k0} A_{k1} ... A_{k_i}
     frontier = {_unit(n, k): s.c[k] for k in range(n)}
     for j in range(2, max_total_degree + 1):
         if j > 2:
-            new_frontier: dict = {}
-            for t, m in frontier.items():
-                for k in range(n):
-                    t_k = _bump(t, k)
-                    if t_k in new_frontier:
-                        new_frontier[t_k] = new_frontier[t_k] + m @ s.a[k]
-                    else:
-                        new_frontier[t_k] = m @ s.a[k]
-            frontier = new_frontier
-        level: dict = {}
-        for t, m in frontier.items():
-            for k in range(n):
-                t_k = _bump(t, k)
-                level[t_k] = level.get(t_k, zero) + m @ s.b[k]
-        yield j, kept(level)
+            frontier = _advance(frontier, s.a)
+        yield j, _kept(_advance(frontier, s.b))
 
 
 def taylor_coefficients(s: MultiSystem, max_total_degree: int) -> PolyGerm:
@@ -636,55 +643,45 @@ def scale_output(s: MultiSystem, factor: complex) -> MultiSystem:
     return _from_pencil(g, s.dim_x)
 
 
-def _words_up_to(n: int, max_len: int):
-    """All words over {0..n-1} of length 1..max_len, sorted by (length, lex)."""
-    words = []
-    frontier = [()]
-    for _ in range(max_len):
-        frontier = [w + (k,) for w in frontier for k in range(n)]
-        words.extend(frontier)
-    return words
-
-
 def realize_germ(g: PolyGerm) -> MultiSystem:
-    """Word-indexed shift realization of a polynomial germ.
+    """Multi-index shift realization of a polynomial germ of total degree d.
 
-    State space: one copy of the input space per word over {1..N} of length
-    1..d-1, d the total degree of the germ (none when d <= 1).  B_k injects
-    into the word (k), A_k prepends the letter k (words of length d-1 are
-    annihilated), and C_k reads off the coefficient at abel(k . w), split
-    equally among the t!-pattern words with the same abelianization.  The
-    Taylor expansion of the result up to degree d reproduces the germ
-    exactly.
+    State space: one copy of U per multi-index t with 1 <= |t| <= d - 1
+    (none when d <= 1), by degree and then in descending lexicographic
+    order, so dim_x = dim_u (C(N + d - 1, N) - 1).  B_k injects U into slot
+    e_k, A_k moves slot t to slot t + e_k (slots of degree d - 1 are
+    annihilated), and C_k reads coeff(t + e_k) / multinom(t + e_k) off slot
+    t, multinom(t) = |t|! / (t_1! ... t_N!).  That is the share of each of
+    the multinom(t) words C_k0 A_k1 ... B_kj with abelianization t, so the
+    Taylor expansion of the result is the germ.
     """
     if any(sum(t) == 0 for t in g.coeffs):
         raise SystemShapeError("germ has a coefficient at |t| = 0; germs must vanish at 0")
     n, du, dy = g.n_params, g.dim_u, g.dim_y
-    degree = g.max_total_degree()
-    words = _words_up_to(n, degree - 1)
-    slot = {w: i for i, w in enumerate(words)}
-    dx = du * len(words)
+    level = dict.fromkeys(_unit(n, k) for k in range(n))
+    slots: list = []
+    for _ in range(g.max_total_degree() - 1):
+        slots.extend(level)
+        level = dict.fromkeys(_bump(t, k) for t in level for k in range(n))
+    slot = {t: i for i, t in enumerate(slots)}
+    dx = du * len(slots)
 
-    def rows(word):
-        i = slot[word]
-        return slice(i * du, (i + 1) * du)
+    def rows(t):
+        return slice(slot[t] * du, (slot[t] + 1) * du)
 
     pencil = np.zeros((n, dx + dy, dx + du), dtype=complex)
     eye_u = np.eye(du, dtype=complex)
     for k in range(n):
         pencil[k, dx:, dx:] = g.coeffs.get(_unit(n, k), 0)
-        if words:
-            pencil[k, rows((k,)), dx:] = eye_u
-        for w in words:
-            if len(w) <= degree - 2:
-                pencil[k, rows((k,) + w), rows(w)] = eye_u
-            t = _unit(n, k)
-            for letter in w:
-                t = _bump(t, letter)
-            coeff = g.coeffs.get(t)
-            if coeff is not None:
-                weight = np.prod([math.factorial(x) for x in t]) / math.factorial(sum(t))
-                pencil[k, dx:, rows(w)] = coeff * weight
+        if slots:
+            pencil[k, rows(_unit(n, k)), dx:] = eye_u
+        for t in slots:
+            t_k = _bump(t, k)
+            if t_k in slot:
+                pencil[k, rows(t_k), rows(t)] = eye_u
+            if t_k in g.coeffs:
+                multinom = math.factorial(sum(t_k)) // math.prod(map(math.factorial, t_k))
+                pencil[k, dx:, rows(t)] = g.coeffs[t_k] / multinom
     return _from_pencil(pencil, dx)
 
 

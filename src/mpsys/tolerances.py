@@ -7,8 +7,7 @@ SUBSPACE_TOL = 1e-8  # invariance, containment, spill and same-subspace distance
 CONSERVATIVE_TOL = 1e-10  # how far the pencil may miss unitarity / contractivity
 REQUIRED_CONSERVATIVE_TOL = 1e-8  # residual require_conservative allows (decompose, search)
 COEFF_TOL = 1e-10  # coefficient residual of factor --mode homogeneous
-TAYLOR_DROP_TOL = 1e-12  # norm below which a Taylor coefficient is dropped
-CHAIN_DROP_TOL = 1e-14  # norm below which a chain-product coefficient is dropped
+TAYLOR_DROP_TOL = 1e-12  # norm below which a Taylor or chain-product coefficient is dropped
 COMMUTATOR_TOL = 1e-10  # ||T_j T_k - T_k T_j|| a commuting tuple may show
 CONTRACTION_TOL = 1e-12  # norm excess over 1 of a contraction; power-family margin
 RESOLVENT_COND_LIMIT = 1e12  # largest condition of I - zA (transfer_eval) and I - A_T (eval_at_tuple)

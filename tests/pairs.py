@@ -24,11 +24,12 @@ from typing import Union
 import numpy as np
 
 from mpsys.agler import ContractionTuple
-from mpsys.cascade import cascade, check_condition_i
+from mpsys.cascade import cascade
 from mpsys.subspaces import (
     Subspace,
     SubspaceError,
     invariant_closure,
+    is_invariant,
     orthonormal_basis,
     projector_distance,
     subspace_sum,
@@ -66,6 +67,11 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     comp_b = orthonormal_basis(eye - b.projector())
     comp_sum = subspace_sum(comp_a, comp_b)
     return orthonormal_basis(eye - comp_sum.projector())
+
+
+def is_a_invariant(s: MultiSystem, x2: Subspace) -> bool:
+    """Condition (i) of a cascade decomposition: X2 invariant for every A_k."""
+    return all(is_invariant(a, x2) for a in s.a)
 
 
 def is_closely_connected(s: MultiSystem) -> bool:
@@ -281,7 +287,7 @@ def search_stream(s: MultiSystem, seed: int):
         add(invariant_closure(s.a, rng.standard_normal((dx, 1))
                               + 1j * rng.standard_normal((dx, 1))))
     yield from (c for c in sorted(known[1:], key=lambda c: c.dim)
-                if check_condition_i(s, c))
+                if is_a_invariant(s, c))
 
     # Each round sums, in lexicographic order, only the pairs with a member
     # found since the previous round: a pair summed before would only
@@ -294,7 +300,7 @@ def search_stream(s: MultiSystem, seed: int):
                 a, b = known[i], known[j]
                 merged = subspace_sum(a, b)
                 if (merged.dim not in (a.dim, b.dim) and add(merged)
-                        and check_condition_i(s, merged)):
+                        and is_a_invariant(s, merged)):
                     yield merged
         summed = size
 
@@ -419,8 +425,10 @@ def blockwise_scale_output(s: MultiSystem, factor: complex) -> MultiSystem:
 
 
 def blockwise_realize_germ(g: PolyGerm) -> MultiSystem:
-    """The word-indexed shift realization, with a stateless special case
-    for degree <= 1 and one block list per operator."""
+    """The multi-index shift realization, with a stateless special case for
+    degree <= 1 and one block list per operator: one slot per t with
+    1 <= |t| <= d - 1, by degree and then in descending lexicographic order,
+    and C_k reads coeff(t + e_k) / multinom(t + e_k) off slot t."""
     n, du, dy = g.n_params, g.dim_u, g.dim_y
     unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     d_blocks = [g.coeffs.get(unit[k], np.zeros((dy, du), dtype=complex)) for k in range(n)]
@@ -428,26 +436,29 @@ def blockwise_realize_germ(g: PolyGerm) -> MultiSystem:
     if degree <= 1:
         return MultiSystem(a=[np.zeros((0, 0))] * n, b=[np.zeros((0, du))] * n,
                            c=[np.zeros((dy, 0))] * n, d=d_blocks)
-    words = [w for length in range(1, degree)
-             for w in itertools.product(range(n), repeat=length)]
-    slot = {w: i for i, w in enumerate(words)}
-    dx = du * len(words)
+    slots = [t for j in range(1, degree)
+             for t in sorted((t for t in itertools.product(range(j + 1), repeat=n)
+                              if sum(t) == j), reverse=True)]
+    dx = du * len(slots)
 
-    def rows(word):
-        return slice(slot[word] * du, (slot[word] + 1) * du)
+    def rows(t):
+        return slice(slots.index(t) * du, (slots.index(t) + 1) * du)
+
+    def bump(t, k):
+        return tuple(x + unit[k][i] for i, x in enumerate(t))
 
     a_blocks = [np.zeros((dx, dx), dtype=complex) for _ in range(n)]
     b_blocks = [np.zeros((dx, du), dtype=complex) for _ in range(n)]
     c_blocks = [np.zeros((dy, dx), dtype=complex) for _ in range(n)]
     for k in range(n):
-        b_blocks[k][rows((k,)), :] = np.eye(du)
-        for w in words:
-            if len(w) <= degree - 2:
-                a_blocks[k][rows((k,) + w), rows(w)] = np.eye(du)
-            t = tuple(unit[k][i] + w.count(i) for i in range(n))
-            if t in g.coeffs:
-                weight = np.prod([math.factorial(x) for x in t]) / math.factorial(sum(t))
-                c_blocks[k][:, rows(w)] = g.coeffs[t] * weight
+        b_blocks[k][rows(unit[k]), :] = np.eye(du)
+        for t in slots:
+            if sum(t) <= degree - 2:
+                a_blocks[k][rows(bump(t, k)), rows(t)] = np.eye(du)
+            t_k = bump(t, k)
+            if t_k in g.coeffs:
+                multinom = math.factorial(sum(t_k)) // math.prod(map(math.factorial, t_k))
+                c_blocks[k][:, rows(t)] = g.coeffs[t_k] / multinom
     return MultiSystem(a=a_blocks, b=b_blocks, c=c_blocks, d=d_blocks)
 
 

@@ -14,7 +14,6 @@ from mpsys import serialization as ser
 from mpsys.agler import agler_test
 from mpsys.cascade import (
     cascade,
-    check_condition_i,
     check_condition_ii,
     decompose,
     sample_polydisk,
@@ -46,8 +45,8 @@ from mpsys.systems import (
     transfer_eval,
 )
 
-from pairs import (closcon_property_check, from_factorization, search_candidates,
-                   whole_space, zero_space)
+from pairs import (closcon_property_check, from_factorization, is_a_invariant,
+                   search_candidates, whole_space, zero_space)
 
 
 # ---------------------------------------------------------------- helpers
@@ -359,7 +358,7 @@ def test_criterion_09_factorization_pipeline():
         alpha1 = random_conservative(n, int(rng.integers(1, 4)), du, du, seed=950 + i)
         acc, p_closure, inter = from_factorization(alpha2, alpha1)
         for candidate in (p_closure, inter):
-            assert check_condition_i(acc, candidate), f"pair {i}: condition (i)"
+            assert is_a_invariant(acc, candidate), f"pair {i}: condition (i)"
             assert check_condition_ii(acc, candidate).holds, f"pair {i}: condition (ii)"
         outcome = solve_problem2(acc, seed=i)
         assert outcome.verdict == "factored", f"pair {i}: no cascade decomposition"

@@ -6,7 +6,6 @@ import pytest
 from mpsys.cascade import (
     CascadeError,
     cascade,
-    check_condition_i,
     check_condition_ii,
     decompose,
     sample_polydisk,
@@ -27,6 +26,7 @@ from pairs import (
     blockwise_cascade,
     blockwise_split,
     closcon_property_check,
+    is_a_invariant,
     is_closely_connected,
     same_blocks,
     zero_space,
@@ -115,14 +115,16 @@ def test_condition_i_on_cascade_block():
     alpha2, alpha1 = conservative_pair(2)
     combined = cascade(alpha2, alpha1)
     x2 = coordinate_block(combined.dim_x, alpha2.dim_x)
-    assert check_condition_i(combined, x2)
+    assert is_a_invariant(combined, x2)
     # a generic subspace is not invariant
     rng = np.random.default_rng(0)
     generic = orthonormal_basis(
         rng.standard_normal((combined.dim_x, 2))
         + 1j * rng.standard_normal((combined.dim_x, 2))
     )
-    assert not check_condition_i(combined, generic)
+    assert not is_a_invariant(combined, generic)
+    with pytest.raises(CascadeError, match=r"condition \(i\) fails"):
+        check_condition_ii(combined, generic)
 
 
 def test_condition_ii_holds_on_cascade_block_and_matches_oracle():

@@ -200,6 +200,21 @@ def test_factor_homogeneous_expands_theta_once(tmp_path, capsys, monkeypatch):
     assert body["degree"] == 3 and body["coefficient_residual"] < tolerances.COEFF_TOL
 
 
+def test_factor_left_and_right_expand_theta_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module in (systems, factorization):
+        monkeypatch.setattr(module, "_taylor_levels", counting(module._taylor_levels, calls))
+    path = tmp_path / "casc.json"  # multiplicity 2
+    write_system(path, cascade(random_conservative(2, 2, 2, 2, seed=5),
+                               random_conservative(2, 2, 2, 2, seed=7)))
+    for mode in ("left", "right"):
+        calls.clear()
+        code, stdout, _ = invoke(capsys, "factor", str(path), "--mode", mode,
+                                 "--out-dir", str(tmp_path / mode))
+        assert code == 0 and len(calls) == 1, mode
+        assert report_body(stdout)["multiplicity"] == 2
+
+
 def test_z9_has_multiplicity_nine_and_factors_on_the_left(tmp_path, capsys):
     path = tmp_path / "z9.json"  # theta = z^9 with dim_x = 8
     write_system(path, shift_power(1, 8))
@@ -442,9 +457,14 @@ def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
         (("check", path, "--what", "multiplicity"),
          {"taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
         (("factor", hom, "--mode", "homogeneous", "--out-dir", tmp_path / "h"),
-         {"coefficient_tol": tolerances.COEFF_TOL}),
+         {"coefficient_tol": tolerances.COEFF_TOL,
+          "taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
         (("factor", hom, "--mode", "left", "--out-dir", tmp_path / "l"),
-         {"residual_tol": tolerances.RESIDUAL_TOL}),
+         {"residual_tol": tolerances.RESIDUAL_TOL,
+          "taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
+        (("factor", hom, "--mode", "right", "--out-dir", tmp_path / "r"),
+         {"residual_tol": tolerances.RESIDUAL_TOL,
+          "taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
     ]
     for argv, applied in cases:
         code, stdout, _ = invoke(capsys, *map(str, argv))

@@ -13,7 +13,6 @@ from mpsys.cascade import (
     CascadeError,
     ConditionIIResult,
     cascade,
-    check_condition_i,
     check_condition_ii,
     decompose,
     sample_polydisk,
@@ -45,7 +44,7 @@ from mpsys.systems import (
     taylor_coefficients,
     transfer_eval,
 )
-from mpsys.tolerances import SUBSPACE_TOL
+from mpsys.tolerances import SUBSPACE_TOL, TAYLOR_DROP_TOL
 
 import pairs
 from pairs import (
@@ -53,6 +52,7 @@ from pairs import (
     from_factorization,
     full_taylor_coefficients,
     irreducible_realization,
+    is_a_invariant,
     block_triangular_zero,
     is_closely_connected,
     shift_power,
@@ -266,6 +266,16 @@ def test_factor_homogeneous_matches_germ_coefficientwise():
             assert np.linalg.norm(produced.coeffs[t] - expected.coeffs[t]) < 1e-10
 
 
+def test_chain_to_germ_drops_by_the_taylor_rule():
+    # the rule of _taylor_levels: a product coefficient of 5e-13 is dropped
+    # (a chain-only threshold of 1e-14 kept it), one of 2e-12 is kept
+    assert 5e-13 < TAYLOR_DROP_TOL < 2e-12
+    for small, kept in ((5e-13, {(2, 0)}), (2e-12, {(2, 0), (1, 1)})):
+        chain = LinearFactorChain(spaces=(1, 1, 1), factors=(([[1.0]], [[0.0]]),
+                                                             ([[1.0]], [[small]])))
+        assert set(chain_to_germ(chain).coeffs) == kept, small
+
+
 def test_factor_homogeneous_factors_are_contractive():
     for m in (2, 3):
         s = homogeneous_conservative(2, m, 2, seed=30 + m)
@@ -343,7 +353,7 @@ def test_invariant_candidates_are_invariant():
               irreducible_realization(4, seed=0)):
         candidates = invariant_subspace_candidates(s)
         assert len(candidates) == 1
-        assert check_condition_i(s, candidates[0])
+        assert is_a_invariant(s, candidates[0])
 
 
 def test_least_element_reduces_every_q_k():
@@ -362,7 +372,7 @@ def test_least_element_reduces_every_q_k():
                                d=[np.zeros((1, 1))] * 2))
     for s in systems:
         (least,) = invariant_subspace_candidates(s)
-        assert check_condition_i(s, least)
+        assert is_a_invariant(s, least)
         p = block_diag(least.projector(), np.eye(s.dim_y))
         for g in pencil_blocks(s):
             q = g @ g.conj().T
@@ -404,7 +414,7 @@ def test_invariant_candidate_stream_order_and_uniqueness(monkeypatch):
         assert len(closures) > 1 and closures == sorted(closures)
         assert all(n_sums > 0 for _, n_sums in stream[1 + len(closures):])
         for i, c in enumerate(candidates):
-            assert check_condition_i(s, c)
+            assert is_a_invariant(s, c)
             for d in candidates[:i]:
                 if d.dim == c.dim:
                     assert projector_distance(c, d) >= 1e-8
@@ -549,7 +559,7 @@ def test_from_factorization_candidates_pass_conditions():
         alpha1 = random_conservative(2, 2, 2, 2, seed=80 + seed)
         acc, p_closure, inter = from_factorization(alpha2, alpha1)
         for candidate in (p_closure, inter):
-            assert check_condition_i(acc, candidate)
+            assert is_a_invariant(acc, candidate)
             assert check_condition_ii(acc, candidate).holds
 
 

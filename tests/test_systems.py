@@ -1,5 +1,7 @@
 """Unit tests for system construction, transfer functions, and conservativity."""
 
+import itertools
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -332,12 +334,17 @@ def test_pencil_blocks_are_the_block_matrices():
             assert np.array_equal(g, np.block([[s.a[k], s.b[k]], [s.c[k], s.d[k]]]))
 
 
-# degree 0 (no coefficient), 1, 2 and 3; dim_u != dim_y where both are set
+# degree 0 (no coefficient), 1, 2, 3 and 4; dim_u != dim_y where both are
+# set; the last two have N >= 2 and degree >= 3, where a multi-index slot
+# stands for several words
 GERMS = [
     PolyGerm(2, 1, 2, {}),
     PolyGerm(3, 2, 1, {(1, 0, 0): [[0.5, 1j]], (0, 0, 1): [[-0.25, 0.0]]}),
     PolyGerm(2, 1, 2, {(1, 1): [[0.5], [1j]], (2, 0): [[0.25], [0.0]], (0, 1): [[1.0], [2.0]]}),
     PolyGerm(1, 2, 1, {(3,): [[0.3, -0.1]], (1,): [[1.0, 0.0]]}),
+    PolyGerm(2, 2, 1, {(2, 1): [[0.5, -1j]], (1, 0): [[1.0, 0.25]], (0, 2): [[0.0, 2.0]]}),
+    PolyGerm(3, 1, 2, {(2, 1, 1): [[0.3], [1j]], (0, 1, 2): [[-0.5], [0.0]],
+                       (1, 1, 0): [[0.25], [0.75]]}),
 ]
 
 
@@ -690,6 +697,24 @@ def test_compress_to_coordinate_block_slices_blocks():
     np.testing.assert_allclose(small.a[0], s.a[0][:3, :3])
     np.testing.assert_allclose(small.b[1], s.b[1][:3, :])
     np.testing.assert_allclose(small.c[0], s.c[0][:, :3])
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_realize_germ_is_exact_on_the_multi_index_state(n):
+    rng = np.random.default_rng(40 + n)
+    for degree in range(1, 6):
+        du, dy = (1, 2) if degree % 2 else (2, 1)
+        coeffs = {t: rng.standard_normal((dy, du)) + 1j * rng.standard_normal((dy, du))
+                  for t in itertools.product(range(degree + 1), repeat=n)
+                  if 1 <= sum(t) <= degree and (sum(t) == degree or rng.uniform() < 0.6)}
+        germ = PolyGerm(n, du, dy, coeffs)
+        s = realize_germ(germ)
+        assert s.dim_x == du * (math.comb(n + degree - 1, n) - 1), (n, degree)
+        # levels degree + 1 ... degree + dim_x vanish, so theta is the germ
+        recovered = taylor_coefficients(s, degree + s.dim_x)
+        assert set(recovered.coeffs) == set(germ.coeffs), (n, degree)
+        for t, m in germ.coeffs.items():
+            assert np.abs(recovered.coeffs[t] - m).max() <= 1e-14, (n, degree, t)
 
 
 def test_realize_germ_round_trip():
