@@ -6,12 +6,15 @@ derived on demand.  Every rank decision here is one rule, in one place
 (``_range_basis``): an SVD keeps the singular values above
 tol * (1 + the largest), with tol = ``tolerances.RANK_TOL`` by default.
 
-Every constructor canonicalizes the returned basis (pivoted QR of the
-orthoprojector plus a phase fix), so equal subspaces get the same basis
-up to rounding regardless of the path that produced them.  In particular
-the span of coordinate vectors comes back as those coordinate vectors, in
-index order.  ``invariant_closure`` iterates on raw SVD bases and
-canonicalizes once, on exit.
+Every constructor canonicalizes the returned basis (``_canonicalize``:
+the pivots of a column-pivoted QR of the orthoprojector, found by
+Gram-Schmidt on the rows of the basis with the largest recomputed residual
+norm as pivot and the first index winning an exact tie, plus a phase fix),
+so equal subspaces get the same basis up to rounding regardless of the
+path that produced them.  In particular the span of coordinate vectors
+comes back as those coordinate vectors, in index order, and the full space
+as the identity, exactly.  ``invariant_closure`` iterates on raw SVD bases
+and canonicalizes once, on exit.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .tolerances import GRAM_TOL, RANK_TOL, SUBSPACE_TOL
 
@@ -38,23 +40,34 @@ def _as_complex(m) -> np.ndarray:
 
 
 def _canonicalize(q: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of range(q), q already orthonormal."""
-    r = q.shape[1]
-    if r == 0:
-        return q
-    proj = q @ q.conj().T
-    qf, _, _ = scipy.linalg.qr(proj, pivoting=True)
-    basis = np.array(qf[:, :r])
-    peaks = np.empty(r, dtype=int)
-    for j in range(r):
-        i = int(np.argmax(np.abs(basis[:, j])))
-        peaks[j] = i
-        pivot = basis[i, j]
-        if abs(pivot) > 0:
-            basis[:, j] *= np.conj(pivot) / abs(pivot)
-    # pivoted QR breaks ties between equal pivots arbitrarily; ordering the
-    # columns by the row of their largest entry restores index order for
-    # coordinate-block subspaces
+    """Deterministic orthonormal basis of range(q), q already orthonormal.
+
+    Column j of the orthoprojector P = qq* is q c_j with c_j = q[j, :]*, and
+    q preserves norms, so column-pivoted Gram-Schmidt on the c_j picks the
+    pivots of a column-pivoted QR of P.  Each step takes the row with the
+    largest recomputed residual norm (the first such row on an exact tie,
+    where LAPACK's downdated norms may pick another) and appends its
+    normalized residual to W; the basis is q W.  Each column is then turned
+    so that its largest entry (the first, on a tie) is real and positive,
+    and the columns are sorted stably by the row of that entry.  The full
+    space (r = n) returns the identity exactly.
+    """
+    n, r = q.shape
+    if r == n:
+        return np.eye(n, dtype=complex)
+    residuals = q.conj().T  # a fresh array: conj() copies
+    w = np.empty((r, r), dtype=complex)
+    for k in range(r):
+        norms = np.sqrt((residuals.real ** 2 + residuals.imag ** 2).sum(axis=0))
+        pivot = norms.argmax()
+        w[:, k] = residuals[:, pivot] / norms[pivot]
+        residuals -= w[:, k, None] * (w[:, k].conj() @ residuals)
+    basis = q @ w
+    peaks = np.argmax(np.abs(basis), axis=0)
+    phases = basis[peaks, np.arange(r)]
+    basis *= phases.conj() / np.abs(phases)
+    # ordering the columns by the row of their largest entry restores index
+    # order for coordinate-block subspaces
     return basis[:, np.argsort(peaks, kind="stable")]
 
 

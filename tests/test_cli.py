@@ -625,3 +625,13 @@ def test_germ_realization_rejects_a_nan_coefficient(tmp_path, capsys):
                                "--germ", str(gpath), "--out", str(out))
     assert code == 1 and stdout == "" and not out.exists()
     assert "coefficient at (1, 1) has non-finite entries" in err
+
+
+def test_the_cli_chain_runs_with_scipy_blocked():
+    # the script sets sys.modules["scipy"] = None, so any scipy import raises
+    script = Path(__file__).resolve().parents[1] / "scripts" / "cli_without_scipy.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    codes = [line.rsplit(" -> ", 1)[1] for line in proc.stdout.splitlines()]
+    assert codes == ["0"] * 6

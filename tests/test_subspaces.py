@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mpsys.tolerances import GRAM_TOL
 from mpsys.subspaces import (
     Subspace,
     SubspaceError,
+    _canonicalize,
     invariant_closure,
     is_invariant,
     orthogonal_complement,
@@ -95,6 +97,88 @@ def test_coordinate_spans_come_back_as_coordinates():
     expected[1, 0] = 1.0
     expected[4, 1] = 1.0
     np.testing.assert_allclose(s.basis, expected, atol=1e-14)
+
+
+def pivoted_qr_canonicalize(q):
+    """The canonical basis by LAPACK's column-pivoted QR of P = qq*: the
+    first r columns of Q, each turned so that its largest entry is real and
+    positive, sorted stably by the row of that entry."""
+    r = q.shape[1]
+    if r == 0:
+        return q
+    qf, _, _ = scipy.linalg.qr(q @ q.conj().T, pivoting=True)
+    basis = np.array(qf[:, :r])
+    peaks = np.empty(r, dtype=int)
+    for j in range(r):
+        i = int(np.argmax(np.abs(basis[:, j])))
+        peaks[j] = i
+        pivot = basis[i, j]
+        if abs(pivot) > 0:
+            basis[:, j] *= np.conj(pivot) / abs(pivot)
+    return basis[:, np.argsort(peaks, kind="stable")]
+
+
+def haar_basis(rng, n, r):
+    m = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    return np.linalg.qr(m)[0]
+
+
+def test_canonical_basis_matches_the_pivoted_qr_oracle():
+    # generic subspaces have no tied pivots, so Gram-Schmidt with recomputed
+    # residual norms and LAPACK's downdated norms pick the same rows
+    rng = np.random.default_rng(22)
+    count = 0
+    for n in range(1, 25):
+        for r in range(n + 1):
+            for _ in range(2):
+                q = haar_basis(rng, n, r)
+                np.testing.assert_allclose(_canonicalize(q), pivoted_qr_canonicalize(q),
+                                           rtol=0, atol=1e-12, err_msg=f"n={n}, r={r}")
+                count += 1
+    assert count >= 500
+
+
+def test_the_full_space_is_the_identity_exactly():
+    rng = np.random.default_rng(23)
+    for n in range(25):
+        basis = _canonicalize(haar_basis(rng, n, n))
+        assert basis.dtype == complex and np.array_equal(basis, np.eye(n))
+
+
+def test_canonical_basis_of_ill_conditioned_generating_sets_is_orthonormal():
+    # generating sets with condition 1e8, all singular values kept by RANK_TOL
+    rng = np.random.default_rng(24)
+    for _ in range(50):
+        n = int(rng.integers(2, 25))
+        r = int(rng.integers(2, n + 1))
+        m = haar_basis(rng, n, r) @ np.diag(np.logspace(0, -8, r)) @ haar_basis(rng, r, r)
+        s = orthonormal_basis(m)
+        assert s.dim == r
+        assert np.linalg.norm(s.basis.conj().T @ s.basis - np.eye(r)) <= GRAM_TOL
+        np.testing.assert_allclose(s.basis, pivoted_qr_canonicalize(s.basis),
+                                   rtol=0, atol=1e-12)
+
+
+def test_tied_pivots_take_the_first_row_and_keep_the_span():
+    # in span{e_a + i e_b, ...} the rows a and b have equal residual norms.
+    # The first of them is the pivot; LAPACK downdates its column norms, so
+    # rounding can make it pick the other row and return another basis of
+    # the same span (8 of the 300 subspaces below, with scipy 1.17's LAPACK)
+    s = 1 / np.sqrt(2)
+    q = np.array([[s, 0], [1j * s, 0], [0, s], [0, 1j * s]])
+    assert np.array_equal(_canonicalize(q), q)
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        n = int(rng.integers(2, 13))
+        rows = rng.permutation(n)
+        cols = np.zeros((n, int(rng.integers(1, n // 2 + 1))), dtype=complex)
+        for j in range(cols.shape[1]):
+            cols[rows[2 * j], j], cols[rows[2 * j + 1], j] = 1.0, 1j
+        q = np.linalg.qr(cols)[0]
+        basis, oracle = _canonicalize(q), pivoted_qr_canonicalize(q)
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(q.shape[1])) <= GRAM_TOL
+        np.testing.assert_allclose(basis @ basis.conj().T, oracle @ oracle.conj().T,
+                                   rtol=0, atol=1e-12)
 
 
 def test_subspace_sum_commutative_idempotent():

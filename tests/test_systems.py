@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -412,12 +413,17 @@ def test_sample_torus_is_scipys_scrambled_halton():
 
 
 def test_mpsys_imports_without_scipy_stats():
+    # nor any other scipy module: scipy is a test oracle only
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = "import sys, mpsys, mpsys.cli; print('scipy.stats' in sys.modules)"
+    probe = ("import sys, mpsys, mpsys.cli; print('scipy.stats' in sys.modules); "
+             "print(sorted(name for name in sys.modules if name.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
                          text=True, check=True).stdout
-    assert out == "False\n"
+    assert out == "False\n[]\n"
     assert not [path for path in src.rglob("*.py") if "scipy.stats" in path.read_text()]
+    # the sample_torus docstring may still name scipy's Halton
+    imports = re.compile(r"^\s*(import|from)\s+scipy\b", re.MULTILINE)
+    assert not [path for path in src.rglob("*.py") if imports.search(path.read_text())]
 
 
 def test_sampled_dissipativity_matches_an_early_exit_loop():
