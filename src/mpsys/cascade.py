@@ -63,11 +63,12 @@ def cascade(alpha2: MultiSystem, alpha1: MultiSystem) -> MultiSystem:
         )
     x2, dv, x1 = alpha2.dim_x, alpha2.dim_u, alpha1.dim_x
     dx, dy = x2 + dv + x1, alpha2.dim_y
+    g2, g1 = pencil_blocks(alpha2), pencil_blocks(alpha1)
     g = np.zeros((alpha2.n_params, dx + dy, dx + alpha1.dim_u), dtype=complex)
     # rows X2, V, X1, Y and columns X2, V, X1, U: alpha2 maps X2 (+) V into
     # X2 (+) Y, and alpha1 maps X1 (+) U into X1 (+) V
-    g[:, np.r_[:x2, dx:dx + dy], :x2 + dv] = pencil_blocks(alpha2)
-    g[:, np.r_[x2 + dv:dx, x2:x2 + dv], x2 + dv:] = pencil_blocks(alpha1)
+    g[:, :x2, :x2 + dv], g[:, dx:, :x2 + dv] = g2[:, :x2], g2[:, x2:]
+    g[:, x2 + dv:dx, x2 + dv:], g[:, x2:x2 + dv, x2 + dv:] = g1[:, :x1], g1[:, x1:]
     return _from_pencil(g, dx)
 
 

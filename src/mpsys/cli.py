@@ -103,10 +103,6 @@ class CliError(Exception):
     pass
 
 
-def _complex_list(z) -> list:
-    return [[float(x.real), float(x.imag)] for x in np.asarray(z, dtype=complex).reshape(-1)]
-
-
 def _report(args, **fields) -> dict:
     body = {"command": " ".join(args), "schema_version": ser.SCHEMA_VERSION}
     body.update(fields)
@@ -163,7 +159,7 @@ def cmd_check(ns, argv) -> tuple:
         )
         report = _report(argv, what=ns.what, verdict=verdict.passed,
                          max_pencil_norm=verdict.max_norm,
-                         witness=_complex_list(verdict.witness) if verdict.witness is not None else None,
+                         witness=ser.matrix_to_json(verdict.witness) if verdict.witness is not None else None,
                          torus_samples=ns.torus_samples, seed=ns.seed,
                          tolerances=tolerances)
         return report, PASS if verdict.passed else FAIL

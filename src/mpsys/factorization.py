@@ -169,10 +169,7 @@ def _pencil_chain(s: MultiSystem, m: int) -> LinearFactorChain:
     z[C D] for m = 1, and (C, A, ..., A, [A B]) for m > 1."""
     dx = s.dim_x
     g = pencil_blocks(s)
-    if m == 1:
-        factors = [tuple(g[:, dx:])]
-    else:
-        factors = [tuple(s.c), *[tuple(s.a)] * (m - 2), tuple(g[:, :dx])]
+    factors = [tuple(g[:, dx:])] if m == 1 else [s.c, *[s.a] * (m - 2), tuple(g[:, :dx])]
     spaces = (s.dim_y,) + (dx,) * (m - 1) + (dx + s.dim_u,)
     return LinearFactorChain(spaces=spaces, factors=tuple(factors))
 
@@ -203,16 +200,9 @@ def factor_left(s: MultiSystem, m: int) -> tuple:
 def _factor_right(s: MultiSystem, m: int) -> tuple:
     """``factor_right`` for an ``m`` already known to be theta's multiplicity."""
     left_chain, left_tail = _factor_left(adjoint(s), m)
-    psi = TailFunction(
-        constant=left_tail.constant.conj().T,
-        vanishing_part=adjoint(left_tail.vanishing_part),
-    )
-    factors = tuple(
-        tuple(m_.conj().T for m_ in left_chain.factors[j])
-        for j in reversed(range(left_chain.length))
-    )
-    spaces = tuple(reversed(left_chain.spaces))
-    return psi, LinearFactorChain(spaces=spaces, factors=factors)
+    psi = TailFunction(left_tail.constant.conj().T, adjoint(left_tail.vanishing_part))
+    factors = tuple(tuple(f.conj().T for f in tup) for tup in reversed(left_chain.factors))
+    return psi, LinearFactorChain(spaces=left_chain.spaces[::-1], factors=factors)
 
 
 def factor_right(s: MultiSystem, m: int) -> tuple:

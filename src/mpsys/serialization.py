@@ -24,21 +24,25 @@ class FileFormatError(ValueError):
 
 
 def matrix_to_json(m: np.ndarray) -> list:
+    """[re, im] pairs, nested as the array (a matrix, or a point): one ``tolist``."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_json(rows, shape=None) -> np.ndarray:
+    """The matrix of rows of [re, im] number pairs, read as one array whose
+    bytes are the complex entries'; [] and rows of [] are empty matrices.
+    Strings, nulls, ragged rows and entries that are not pairs raise."""
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows],
-                     dtype=complex)
-    except (TypeError, ValueError) as exc:
+        pairs = np.array(rows)
+    except (TypeError, ValueError) as exc:  # ragged rows
         raise FileFormatError(f"malformed matrix entry: {exc}") from exc
-    if m.ndim == 1:  # empty matrix serialized as []
-        m = m.reshape(0, 0)
-    if shape is not None:
-        m = m.reshape(shape)
-    return m
+    if pairs.size == 0 and pairs.ndim in (1, 2):
+        pairs = pairs.reshape(len(pairs), 0, 2)
+    if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise FileFormatError("malformed matrix entry: expected rows of [re, im] number pairs")
+    m = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+    return m if shape is None else m.reshape(shape)
 
 
 def _header(payload: dict, kind: str) -> None:
@@ -77,10 +81,7 @@ def system_to_dict(s: MultiSystem) -> dict:
         "dim_x": s.dim_x,
         "dim_u": s.dim_u,
         "dim_y": s.dim_y,
-        "a": [matrix_to_json(m) for m in s.a],
-        "b": [matrix_to_json(m) for m in s.b],
-        "c": [matrix_to_json(m) for m in s.c],
-        "d": [matrix_to_json(m) for m in s.d],
+        **{name: [matrix_to_json(m) for m in getattr(s, name)] for name in "abcd"},
     }
 
 

@@ -16,16 +16,14 @@ Every polynomial construction lives on the lattice of multi-indices t:
 ``realize_germ`` keeps one copy of U per t with 1 <= |t| <= d - 1, so
 dim_x = dim_u (C(N + d - 1, N) - 1), read off with weight t! / |t|!.
 
-A ``MultiSystem`` is validated once, when it is built, so no function here
-re-checks its shapes.  Both subspace extractions are invariant closures
-(``subspaces.invariant_closure``) under the adjoint-closed set {A_k, A_k*}.
-
-The pencil stack G_k = [[A_k, B_k], [C_k, D_k]], of shape (N, dim_x + dim_y,
-dim_x + dim_u), is the one place the block layout is written:
-``pencil_blocks`` builds it and ``_from_pencil`` reads a system off it.
-Every transformation of a system (compression, adjoint, output scaling,
-cascade and its decomposition, the resolvent tail) is one product or slice
-assignment on the stack.
+A ``MultiSystem`` stores one read-only pencil stack G_k = [[A_k, B_k],
+[C_k, D_k]], of shape (N, dim_x + dim_y, dim_x + dim_u), validated once when
+the system is built; ``pencil_blocks`` returns it and A_k, ..., D_k are views
+into it.  Every transformation of a system (compression, adjoint, output
+scaling, cascade and its decomposition, the resolvent tail) is one product
+or slice assignment on the stack, adopted by ``_from_pencil``.  Both subspace
+extractions are invariant closures (``subspaces.invariant_closure``) under
+the adjoint-closed set {A_k, A_k*}.
 
 The evaluators (``combine``, ``transfer_eval``) take one point of shape
 (N,) or a stack of P points of shape (P, N).  A stack is evaluated in one
@@ -51,7 +49,7 @@ root of the largest Gram eigenvalue, after a power-of-two range scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -74,19 +72,6 @@ class ConservativityError(ValueError):
     """Raised when an operation requires a conservative system and the check fails."""
 
 
-def _blocks(mats, name: str) -> tuple:
-    out = []
-    for i, m in enumerate(mats):
-        m = np.array(m, dtype=complex)
-        if m.ndim != 2:
-            raise SystemShapeError(f"{name}[{i}] is not a matrix (ndim={m.ndim})")
-        if not np.isfinite(m).all():
-            raise SystemShapeError(f"{name}[{i}] has non-finite entries")
-        m.setflags(write=False)
-        out.append(m)
-    return tuple(out)
-
-
 @dataclass(frozen=True, eq=False)
 class MultiSystem:
     """An N-parametric system (N; A, B, C, D; C^dim_x, C^dim_u, C^dim_y).
@@ -95,19 +80,18 @@ class MultiSystem:
     dim_y x dim_x, D_k is dim_y x dim_u.  dim_x = 0 (stateless) is legal;
     the transfer function is then zD.
 
-    Validated once, on construction; the stored blocks are read-only
-    copies, so the shapes cannot be broken afterwards.
+    Built once: the blocks are copied into one read-only pencil stack,
+    validated, and a, b, c, d are tuples of views into it.
     """
 
     a: tuple
     b: tuple
     c: tuple
     d: tuple
+    _pencil: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in "abcd":
-            object.__setattr__(self, name, _blocks(getattr(self, name), name))
-        validate(self)
+        _adopt(self, *_assemble(self.a, self.b, self.c, self.d))
 
     @property
     def n_params(self) -> int:
@@ -115,37 +99,63 @@ class MultiSystem:
 
     @property
     def dim_x(self) -> int:
-        return self.a[0].shape[0] if self.a else 0
+        return self.a[0].shape[0]
 
     @property
     def dim_u(self) -> int:
-        return self.d[0].shape[1] if self.d else 0
+        return self.d[0].shape[1]
 
     @property
     def dim_y(self) -> int:
-        return self.d[0].shape[0] if self.d else 0
+        return self.d[0].shape[0]
+
+
+def _assemble(*lists) -> tuple:
+    """(g, dim_x): the pencil stack of the block lists a, b, c, d.  Raises
+    SystemShapeError naming the first block that is not a matrix, then an
+    empty or unequal list, then the first block (by k) of the wrong shape."""
+    lists = [[np.asarray(m, dtype=complex) for m in mats] for mats in lists]
+    for name, mats in zip("abcd", lists):
+        for i, m in enumerate(mats):
+            if m.ndim != 2:
+                raise SystemShapeError(f"{name}[{i}] is not a matrix (ndim={m.ndim})")
+    n = len(lists[0])
+    if n < 1:
+        raise SystemShapeError("a-list is empty; need n_params >= 1")
+    for name, mats in zip("bcd", lists[1:]):
+        if len(mats) != n:
+            raise SystemShapeError(f"{name}-list has length {len(mats)}, expected n_params={n}")
+    (dx, _), (dy, du) = lists[0][0].shape, lists[3][0].shape
+    for k in range(n):
+        for name, mats, shape in zip("abcd", lists, ((dx, dx), (dx, du), (dy, dx), (dy, du))):
+            if mats[k].shape != shape:
+                raise SystemShapeError(f"{name}[{k}] has shape {mats[k].shape}, expected {shape}")
+    g = np.empty((n, dx + dy, dx + du), dtype=complex)
+    g[:, :dx, :dx], g[:, :dx, dx:], g[:, dx:, :dx], g[:, dx:, dx:] = lists
+    return g, dx
+
+
+def _adopt(s: MultiSystem, g: np.ndarray, dim_x: int) -> MultiSystem:
+    """``s`` with the unshared stack ``g``, made read-only, as its pencil and
+    a, b, c, d the views of its blocks, validated."""
+    g.setflags(write=False)
+    object.__setattr__(s, "_pencil", g)
+    x, rest = slice(None, dim_x), slice(dim_x, None)
+    for name, rows, cols in (("a", x, x), ("b", x, rest), ("c", rest, x), ("d", rest, rest)):
+        object.__setattr__(s, name, tuple(g[:, rows, cols]))
+    validate(s)
+    return s
 
 
 def validate(s: MultiSystem) -> None:
-    """Check all shape invariants, raising a diagnostic naming the offender."""
-    n = len(s.a)
-    if n < 1:
+    """Check the stored pencil stack: n_params >= 1 and finite entries.  The
+    shapes hold by construction; a failure names the first offending block."""
+    if len(s._pencil) < 1:
         raise SystemShapeError("a-list is empty; need n_params >= 1")
-    for name, blocks in (("b", s.b), ("c", s.c), ("d", s.d)):
-        if len(blocks) != n:
-            raise SystemShapeError(
-                f"{name}-list has length {len(blocks)}, expected n_params={n}"
-            )
-    dx, du, dy = s.dim_x, s.dim_u, s.dim_y
-    for k in range(n):
-        if s.a[k].shape != (dx, dx):
-            raise SystemShapeError(f"a[{k}] has shape {s.a[k].shape}, expected {(dx, dx)}")
-        if s.b[k].shape != (dx, du):
-            raise SystemShapeError(f"b[{k}] has shape {s.b[k].shape}, expected {(dx, du)}")
-        if s.c[k].shape != (dy, dx):
-            raise SystemShapeError(f"c[{k}] has shape {s.c[k].shape}, expected {(dy, dx)}")
-        if s.d[k].shape != (dy, du):
-            raise SystemShapeError(f"d[{k}] has shape {s.d[k].shape}, expected {(dy, du)}")
+    if not np.isfinite(s._pencil).all():
+        name, k = next((name, k) for name in "abcd"
+                       for k, m in enumerate(getattr(s, name)) if not np.isfinite(m).all())
+        raise SystemShapeError(f"{name}[{k}] has non-finite entries")
 
 
 def _check_points(n_params: int, z) -> np.ndarray:
@@ -160,20 +170,15 @@ def _check_points(n_params: int, z) -> np.ndarray:
 
 def pencil_blocks(s: MultiSystem) -> np.ndarray:
     """The stack of G_k = [[A_k, B_k], [C_k, D_k]], of shape
-    (N, dim_x + dim_y, dim_x + dim_u): rows X (+) Y, columns X (+) U."""
-    dx = s.dim_x
-    g = np.empty((s.n_params, dx + s.dim_y, dx + s.dim_u), dtype=complex)
-    g[:, :dx, :dx] = s.a
-    g[:, :dx, dx:] = s.b
-    g[:, dx:, :dx] = s.c
-    g[:, dx:, dx:] = s.d
-    return g
+    (N, dim_x + dim_y, dim_x + dim_u): rows X (+) Y, columns X (+) U.  The
+    stack the system stores, not a copy: read-only, so a writer copies it."""
+    return s._pencil
 
 
 def _from_pencil(g: np.ndarray, dim_x: int) -> MultiSystem:
-    """The system whose pencil stack is ``g``, with state dimension dim_x."""
-    return MultiSystem(a=g[:, :dim_x, :dim_x], b=g[:, :dim_x, dim_x:],
-                       c=g[:, dim_x:, :dim_x], d=g[:, dim_x:, dim_x:])
+    """The system whose pencil stack is a copy of ``g``, with state
+    dimension dim_x; the blocks are views into that copy."""
+    return _adopt(object.__new__(MultiSystem), np.array(g, dtype=complex), dim_x)
 
 
 def _direct_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -189,12 +194,13 @@ def combine(blocks, z) -> np.ndarray:
 
     ``z`` is one point of shape (N,), giving one matrix, or a stack of
     shape (P, N), giving a (P, rows, cols) array.  The sum runs over k in
-    order, so each point's matrix is the same as a call with that point.
+    order, accumulated in place (``blocks``, say a stored pencil stack, is
+    only read), so each point's matrix is the same as a call with that point.
     """
     z = _check_points(len(blocks), z)
     out = z[..., 0, None, None] * blocks[0]
     for k in range(1, len(blocks)):
-        out = out + z[..., k, None, None] * blocks[k]
+        out += z[..., k, None, None] * blocks[k]
     return out
 
 
@@ -270,16 +276,21 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     or its 2-norm condition exceeds RESOLVENT_COND_LIMIT.  The guard is
     certified in two steps: ``_certified_well_conditioned`` proves the whole
     stack far below the limit, or else the SVD condition of every point
-    decides, so the points rejected are those of the SVD guard alone.
+    decides, so the points rejected are those of the SVD guard alone.  zG
+    is formed once; zA, zB, zC and zD are its blocks.
     """
     z = _check_points(s.n_params, z)
-    zd = combine(s.d, z)
-    if s.dim_x == 0:
-        return zd
-    resolvent_arg = np.eye(s.dim_x) - combine(s.a, z)
+    dx = s.dim_x
+    zg = combine(pencil_blocks(s), z)
+    if dx == 0:
+        return zg
+    # the small blocks are copied out, so that zG is freed before the guard runs
+    zb, zc, zd = zg[..., :dx, dx:].copy(), zg[..., dx:, :dx].copy(), zg[..., dx:, dx:].copy()
+    resolvent_arg = np.eye(dx) - zg[..., :dx, :dx]
+    del zg
     if not _certified_well_conditioned(resolvent_arg):
         # a non-finite matrix gets condition nan: the SVD would not converge
-        stack = resolvent_arg.reshape(-1, s.dim_x, s.dim_x)
+        stack = resolvent_arg.reshape(-1, dx, dx)
         finite = np.isfinite(stack).all(axis=(1, 2))
         cond = np.full(len(stack), np.nan)
         cond[finite] = np.linalg.cond(stack[finite])
@@ -290,7 +301,7 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
                 f"I - zA is near-singular at point {i} "
                 f"(z = {np.atleast_2d(z)[i]}, condition estimate {cond[i]:.3e})"
             )
-    return zd + combine(s.c, z) @ np.linalg.solve(resolvent_arg, combine(s.b, z))
+    return zd + zc @ np.linalg.solve(resolvent_arg, zb)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,21 +318,22 @@ class PolyGerm:
     coeffs: dict
 
     def __post_init__(self):
-        clean = {}
+        shape, coeffs = (self.dim_y, self.dim_u), {}
         for t, m in self.coeffs.items():
             t = tuple(int(x) for x in t)
             if len(t) != self.n_params or any(x < 0 for x in t):
                 raise SystemShapeError(f"bad multi-index {t} for n_params={self.n_params}")
-            m = np.asarray(m, dtype=complex)
-            if m.shape != (self.dim_y, self.dim_u):
-                raise SystemShapeError(
-                    f"coefficient at {t} has shape {m.shape}, expected {(self.dim_y, self.dim_u)}"
-                )
-            if not np.isfinite(m).all():
-                raise SystemShapeError(f"coefficient at {t} has non-finite entries")
-            if np.linalg.norm(m) > 0:
-                clean[t] = m
-        object.__setattr__(self, "coeffs", clean)
+            m = coeffs[t] = np.asarray(m, dtype=complex)
+            if m.shape != shape:
+                raise SystemShapeError(f"coefficient at {t} has shape {m.shape}, expected {shape}")
+        # one stacked copy, checked at once; an exactly zero coefficient is dropped
+        stack = np.array([*coeffs.values()]) if coeffs else np.empty((0, *shape), dtype=complex)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            t = [*coeffs][np.argmin(finite)]
+            raise SystemShapeError(f"coefficient at {t} has non-finite entries")
+        kept = zip(coeffs, stack, stack.any(axis=(1, 2)))
+        object.__setattr__(self, "coeffs", {t: m for t, m, nonzero in kept if nonzero})
 
     def min_total_degree(self) -> Optional[int]:
         if not self.coeffs:
@@ -588,15 +600,21 @@ def unitary_part(s: MultiSystem) -> Subspace:
     return orthonormal_basis(np.eye(s.dim_x) - outside.projector(), UNITARY_RANK_TOL)
 
 
+def _haar_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar unitaries n x n, shape (count, n, n): one batched QR of
+    complex Ginibre matrices (real, then imaginary part of each, drawn by one
+    call of ``rng``), the phases of R's diagonal moved into Q."""
+    if n == 0:
+        return np.zeros((count, 0, 0), dtype=complex)
+    x = rng.standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) / np.sqrt(2.0))
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary (QR of a complex Ginibre matrix)."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    return _haar_unitaries(1, n, rng)[0]
 
 
 def random_conservative(n_params: int, dim_x: int, dim_u: int, dim_y: int,
@@ -612,14 +630,9 @@ def random_conservative(n_params: int, dim_x: int, dim_u: int, dim_y: int,
         raise SystemShapeError("n_params must be >= 1")
     rng = np.random.default_rng(seed)
     n = dim_x + dim_u
-    w = haar_unitary(n, rng)
-    v = haar_unitary(n, rng)
-    if n >= n_params:
-        sizes = np.ones(n_params, dtype=int)
-        extra = rng.multinomial(n - n_params, np.full(n_params, 1.0 / n_params))
-        sizes += extra
-    else:
-        sizes = rng.multinomial(n, np.full(n_params, 1.0 / n_params))
+    w, v = _haar_unitaries(2, n, rng)
+    p = np.full(n_params, 1.0 / n_params)  # at least one column each, when there are enough
+    sizes = 1 + rng.multinomial(n - n_params, p) if n >= n_params else rng.multinomial(n, p)
     g = np.empty((n_params, n, n), dtype=complex)
     offset = 0
     for k in range(n_params):
@@ -639,8 +652,7 @@ def scale_output(s: MultiSystem, factor: complex) -> MultiSystem:
     """System whose transfer function is factor * theta_s: the output rows
     [C_k D_k] of the pencil scaled."""
     g = pencil_blocks(s)
-    g[:, s.dim_x:] = factor * g[:, s.dim_x:]
-    return _from_pencil(g, s.dim_x)
+    return _from_pencil(np.concatenate([g[:, :s.dim_x], factor * g[:, s.dim_x:]], axis=1), s.dim_x)
 
 
 def realize_germ(g: PolyGerm) -> MultiSystem:

@@ -264,7 +264,7 @@ def test_agler_test_forms_each_pencil_sum_once(monkeypatch):
             monkeypatch.setattr(module, "combine", counting(module.combine, calls))
     s = random_conservative(2, 3, 2, 2, seed=5)
     agler_test(s, trials=20)
-    assert len(calls) == 4  # zA, zB, zC and zD, inside transfer_eval
+    assert len(calls) == 1  # zG inside transfer_eval; zA, zB, zC and zD are its blocks
 
 
 def test_eval_requires_r_in_unit_interval():

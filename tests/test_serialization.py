@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from mpsys import serialization as ser
+from mpsys.cascade import cascade
 from mpsys.factorization import LinearFactorChain, factor_left
 from mpsys.subspaces import orthonormal_basis
+from mpsys.subspaces import Subspace
 from mpsys.systems import MultiSystem, PolyGerm, random_conservative
 
 
@@ -108,6 +110,76 @@ def test_malformed_matrix_entry_rejected():
     payload["a"][0][0][0] = "oops"
     with pytest.raises(ser.FileFormatError):
         ser.system_from_dict(payload)
+
+
+def per_entry_to_json(m):
+    """Oracle: the matrix writer that converts one entry at a time."""
+    m = np.asarray(m, dtype=complex)
+    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+
+def per_entry_from_json(rows, shape=None):
+    """Oracle: the matrix reader that converts one entry at a time; it
+    raises TypeError or ValueError on a malformed entry."""
+    m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+    if m.ndim == 1:
+        m = m.reshape(0, 0)
+    if shape is not None:
+        m = m.reshape(shape)
+    return m
+
+
+def codec_matrices():
+    rng = np.random.default_rng(11)
+    special = np.array([[-0.0, 0.0, np.inf, -np.inf],
+                        [np.nan, 5e-324, 1.7976931348623157e308, -1e-300]])
+    m = np.empty(special.shape, dtype=complex)
+    m.real, m.imag = special, special[::-1]
+    yield m
+    for shape in ((0, 0), (3, 0), (0, 2), (1, 1), (3, 4), (5, 1)):
+        yield rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    yield np.array([[1, -2]])  # integers are written as floats
+    yield np.array([[True, False]])
+
+
+def test_matrix_codec_matches_the_per_entry_oracle():
+    for m in codec_matrices():
+        rows = ser.matrix_to_json(m)
+        assert json.dumps(rows) == json.dumps(per_entry_to_json(m))
+        for text in (json.dumps(rows), json.dumps(rows).replace(".0,", ",")):
+            loaded = json.loads(text)
+            back, oracle = ser.matrix_from_json(loaded), per_entry_from_json(loaded)
+            assert back.dtype == complex and back.shape == oracle.shape
+            assert back.tobytes() == oracle.tobytes()
+    assert ser.matrix_from_json([[], []], (2, 0)).shape == (2, 0)
+
+
+def test_files_are_byte_identical_to_the_per_entry_writer(monkeypatch):
+    alpha2 = random_conservative(2, 8, 3, 3, seed=1)
+    s = cascade(alpha2, random_conservative(2, 5, 3, 3, seed=2))
+    payloads = (lambda: ser.system_to_dict(s),
+                lambda: ser.germ_to_dict(PolyGerm(2, 2, 1, {(1, 0): [[1.0, -0.0]],
+                                                           (1, 2): [[0.5j, 1e-300]]})),
+                lambda: ser.subspace_to_dict(orthonormal_basis(alpha2.b[0])),
+                lambda: ser.subspace_to_dict(Subspace(3, np.zeros((3, 0)))),
+                lambda: ser.chain_to_dict(factor_left(s, 2)[0]))
+    texts = [json.dumps(make(), sort_keys=True) for make in payloads]
+    monkeypatch.setattr(ser, "matrix_to_json", per_entry_to_json)
+    assert texts == [json.dumps(make(), sort_keys=True) for make in payloads]
+
+
+@pytest.mark.parametrize("rows", [
+    [[["1.5", 2.0]]], [[[1.0, "2"]]], [[["1", "2"]]], "ab",  # strings
+    [[[None, 0.0]]], [[[1.0, None]]], None,  # null
+    [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]], [[[1.0, 2.0]], []],  # ragged rows
+    [[[1.0, 2.0, 3.0]]], [[[1.0]]], [[1.0, 2.0]], [1.0, 2.0], 3.0,  # not pairs
+    [[[[1.0, 2.0]]]], [[{"re": 1.0, "im": 2.0}]],
+])
+def test_malformed_matrix_entries_raise_file_format_errors(rows):
+    with pytest.raises((TypeError, ValueError)):
+        per_entry_from_json(rows)
+    with pytest.raises(ser.FileFormatError, match="malformed matrix entry"):
+        ser.matrix_from_json(rows)
 
 
 def test_missing_n_params_rejected():

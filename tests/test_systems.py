@@ -125,6 +125,106 @@ def test_blocks_are_read_only_copies():
     np.testing.assert_array_equal(s.a[0], before)
 
 
+def test_blocks_are_read_only_views_of_the_stored_pencil():
+    rng = np.random.default_rng(1)
+    for s in (random_system(rng, 2, 3, 2, 1), random_system(rng, 2, 0, 2, 1),
+              random_conservative(3, 4, 2, 2, seed=1), realize_germ(GERMS[2])):
+        g = pencil_blocks(s)
+        assert pencil_blocks(s) is g and not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[...] = 0.0
+        for blocks in (s.a, s.b, s.c, s.d):
+            assert isinstance(blocks, tuple) and len(blocks) == s.n_params
+            for m in blocks:
+                assert m.size == 0 or np.shares_memory(m, g)
+                with pytest.raises(ValueError):
+                    m[...] = 0.0
+
+
+def test_from_pencil_adopts_a_copy_of_its_input():
+    g = np.array(pencil_blocks(random_conservative(2, 3, 2, 2, seed=2)))
+    before = g.copy()
+    s = systems._from_pencil(g, 3)
+    assert not np.shares_memory(pencil_blocks(s), g) and g.flags.writeable
+    g[...] = 0.0
+    assert pencil_blocks(s).tobytes() == before.tobytes()
+
+
+def test_scale_output_and_adjoint_leave_their_input_unchanged():
+    s = random_conservative(2, 3, 2, 2, seed=3)
+    before = pencil_blocks(s).copy()
+    for t in (scale_output(s, 0.5j), adjoint(s), scale_output(s, 1.0)):
+        assert not np.shares_memory(pencil_blocks(t), pencil_blocks(s))
+    assert pencil_blocks(s).tobytes() == before.tobytes()
+
+
+def two_draw_haar_unitary(n, rng):
+    """Oracle: one Haar unitary from its own two draws and its own QR."""
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex)
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r).copy()
+    return q * (phases / np.abs(phases))
+
+
+def two_draw_random_conservative(n_params, dim_x, dim_u, seed):
+    """Oracle: the pencil of ``random_conservative`` built from two
+    ``two_draw_haar_unitary`` calls, W and then V."""
+    rng = np.random.default_rng(seed)
+    n = dim_x + dim_u
+    w = two_draw_haar_unitary(n, rng)
+    v = two_draw_haar_unitary(n, rng)
+    if n >= n_params:
+        sizes = 1 + rng.multinomial(n - n_params, np.full(n_params, 1.0 / n_params))
+    else:
+        sizes = rng.multinomial(n, np.full(n_params, 1.0 / n_params))
+    ends = np.cumsum(sizes)
+    g = np.empty((n_params, n, n), dtype=complex)
+    for k in range(n_params):
+        cols = v[:, ends[k] - sizes[k]:ends[k]]
+        g[k] = cols @ (cols.conj().T @ w)
+    return g
+
+
+# (n_params, dim_x, dim_u): n_params > dim_x + dim_u in the last three, dim_x = 0 in three
+@pytest.mark.parametrize("shape", [(1, 4, 2), (2, 8, 4), (3, 6, 3), (2, 0, 2), (1, 3, 1),
+                                   (4, 1, 1), (5, 0, 2), (3, 0, 0)])
+def test_random_conservative_matches_the_two_draw_construction(shape):
+    n_params, dim_x, dim_u = shape
+    for seed in range(100):
+        s = random_conservative(n_params, dim_x, dim_u, dim_u, seed=seed)
+        assert s.dim_x == dim_x
+        oracle = two_draw_random_conservative(n_params, dim_x, dim_u, seed)
+        assert pencil_blocks(s).tobytes() == oracle.tobytes(), (shape, seed)
+
+
+def test_haar_unitary_matches_the_two_draw_construction():
+    for n in (0, 1, 2, 5, 9):
+        for seed in range(20):
+            q = haar_unitary(n, np.random.default_rng(seed))
+            assert q.tobytes() == two_draw_haar_unitary(n, np.random.default_rng(seed)).tobytes()
+
+
+def test_germ_keeps_its_error_messages_and_drops_exact_zeros():
+    for coeffs, message in (
+            ({(1, -1): [[1.0]]}, r"^bad multi-index \(1, -1\) for n_params=2$"),
+            ({(1,): [[1.0]]}, r"^bad multi-index \(1,\) for n_params=2$"),
+            ({(1, 0): np.ones((1, 1)), (0, 1): np.ones((2, 1))},
+             r"^coefficient at \(0, 1\) has shape \(2, 1\), expected \(1, 1\)$"),
+            ({(1, 0): [[1.0]], (0, 1): [[np.nan]], (1, 1): [[np.inf]]},
+             r"^coefficient at \(0, 1\) has non-finite entries$")):
+        with pytest.raises(SystemShapeError, match=message):
+            PolyGerm(2, 1, 1, coeffs)
+    germ = PolyGerm(2, 2, 1, {(1, 0): np.zeros((1, 2)), (0, 1): [[1.0, 0.0]],
+                              (2, 0): [[-0.0, 0.0]], (1, 1): [[0.0, 1e-170j]],
+                              (0, 2): np.zeros((1, 2), dtype=complex)})
+    assert list(germ.coeffs) == [(0, 1), (1, 1)]
+    assert germ.coeffs[(1, 1)][0, 1] == 1e-170j
+    assert PolyGerm(2, 1, 1, {}).coeffs == {}
+    assert PolyGerm(1, 0, 2, {(1,): np.zeros((2, 0))}).coeffs == {}
+
+
 def test_transfer_vanishes_at_origin():
     rng = np.random.default_rng(1)
     for n in (1, 2, 3):
