@@ -39,7 +39,9 @@ non-numeric report fields are equal, that every ``agler_test`` and
 ``run_eval`` record is bit-identical, and that every agler witness norm is
 within ``oracle.RESIDUAL_BOUND`` of the oracle's; it counts the
 ``agler_test`` calls whose verdict (falsified or not) differs apart from
-the other record differences.  Where the problem-2 digests differ it
+the other record differences, and for the ``agler_test`` and ``run_eval``
+records that differ it prints each differing field with its count and the
+largest relative gap of a float field.  Where the problem-2 digests differ it
 reports the largest entrywise difference of the witness and
 closely-connected projectors; over the report bodies it reports the
 largest difference of a float.  It exits 0 when all of that holds and both differences are at most
@@ -302,6 +304,28 @@ def _float_gap(a, b, where: str, mismatches: list) -> float:
     return 0.0
 
 
+FLOAT_FIELDS = ("max_norm", "witness_norm", "oracle_gap", *EVAL_RESIDUALS)
+
+
+def _field_report(a: dict, b: dict, keys) -> str:
+    """The fields that differ between the records ``keys`` of ``a`` and
+    ``b``, each with the number of records it differs in, and the largest
+    relative gap of a float field."""
+    counts, gap = {}, 0.0
+    for key in keys:
+        ra, rb = a[key], b.get(key, {})
+        for field in sorted(ra.keys() | rb.keys()):
+            x, y = ra.get(field), rb.get(field)
+            if x == y:
+                continue
+            counts[field] = counts.get(field, 0) + 1
+            if field in FLOAT_FIELDS and x is not None and y is not None:
+                x, y = (float.fromhex(v) if isinstance(v, str) else v for v in (x, y))
+                gap = max(gap, abs(x - y) / (max(abs(x), abs(y)) or 1.0))
+    fields = ", ".join(f"{field} {count}" for field, count in sorted(counts.items()))
+    return f"differing fields: {fields}; largest relative gap {gap:.3e}"
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     sys.path.insert(0, str(REPO / "bench"))
     import oracle
@@ -336,6 +360,8 @@ def compare(a_path: Path, b_path: Path) -> int:
     witnesses = sum(v["witness"] is not None for v in a["agler"].values())
     print(f"agler: {len(a['agler'])} agler_test calls compared, {witnesses} with a witness, "
           f"{len(changed)} not bit-identical")
+    if changed:
+        print(f"agler: {_field_report(a['agler'], b['agler'], changed)}")
     flipped = [key for key, ra in a["agler"].items()
                if (ra["witness"] is None) != (b["agler"][key]["witness"] is None)]
     bad += [f"agler {key}: verdict differs" for key in flipped]
@@ -351,6 +377,8 @@ def compare(a_path: Path, b_path: Path) -> int:
     changed = [key for key, ra in a["eval"].items() if b["eval"].get(key) != ra]
     bad += [f"eval {key}: record differs" for key in changed]
     print(f"eval: {len(a['eval'])} run_eval items compared, {len(changed)} not bit-identical")
+    if changed:
+        print(f"eval: {_field_report(a['eval'], b['eval'], changed)}")
 
     report_gap = 0.0
     for cmd in COMMANDS:

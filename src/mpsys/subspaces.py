@@ -13,8 +13,9 @@ norm as pivot and the first index winning an exact tie, plus a phase fix),
 so equal subspaces get the same basis up to rounding regardless of the
 path that produced them.  In particular the span of coordinate vectors
 comes back as those coordinate vectors, in index order, and the full space
-as the identity, exactly.  ``invariant_closure`` iterates on raw SVD bases
-and canonicalizes once, on exit.  The module needs numpy alone.
+as the identity, exactly.  ``invariant_closure`` iterates on raw SVD bases,
+stops as soon as they span the whole space, and canonicalizes once, on
+exit.  The module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -167,14 +168,18 @@ def invariant_closure(ops, seed_cols, tol: float = RANK_TOL) -> Subspace:
     invariant under every operator in ``ops``.
 
     Grows Q to span[Q, op_1 Q, op_2 Q, ...] until the dimension stops
-    growing, which takes at most ambient_dim + 1 rounds.  Q is the raw SVD
-    basis of each round: a unitary change of Q leaves the singular values of
-    [Q, op_1 Q, ...] unchanged, so every rank decision is that of the
-    canonical bases, and the basis is canonicalized once, on exit.
+    growing, which takes at most ambient_dim + 1 rounds, or until Q spans
+    the whole space, which every operator leaves invariant: no round runs
+    to confirm it.  Q is the raw SVD basis of each round: a unitary change
+    of Q leaves the singular values of [Q, op_1 Q, ...] unchanged, so every
+    rank decision is that of the canonical bases, and the basis is
+    canonicalized once, on exit.
     """
     ops = [_as_complex(op) for op in ops]
-    q = _range_basis(_as_complex(seed_cols), tol)
+    q = grown = _range_basis(_as_complex(seed_cols), tol)
     for _ in range(q.shape[0] + 1):
+        if q.shape[1] == q.shape[0]:
+            break
         grown = _range_basis(np.hstack([q] + [op @ q for op in ops]), tol)
         if grown.shape[1] == q.shape[1]:
             break

@@ -29,9 +29,11 @@ The evaluators (``combine``, ``transfer_eval``) take one point of shape
 (N,) or a stack of P points of shape (P, N).  A stack is evaluated in one
 batch and gives a (P, rows, cols) array.  A polynomial germ is evaluated
 through its realization ``realize_germ``.  The resolvent guard of
-``transfer_eval`` is certified in two steps: a batched Cholesky screen
-proves the whole stack well conditioned, and the SVD condition number
-decides every stack the screen leaves.
+``transfer_eval`` is certified in steps: for N = 1 one norm proves the
+whole stack well conditioned, since zA = z A_1 has norm |z| ||A_1||; else a
+batched Cholesky screen does; and the SVD condition number decides every
+stack that neither certifies.  For the same reason the N = 1 torus samples
+of ``is_dissipative_sampled`` share one norm, ||zG|| = |z| ||G_1||.
 
 Conservativity ("the pencil zG is unitary for every z on the unit torus") is
 decided by finitely many matrix identities obtained by matching Fourier
@@ -81,7 +83,9 @@ class MultiSystem:
     the transfer function is then zD.
 
     Built once: the blocks are copied into one read-only pencil stack,
-    validated, and a, b, c, d are tuples of views into it.
+    validated, and a, b, c, d are tuples of views into it.  A pickled or
+    copied system is rebuilt from its stack by ``_from_pencil``, so it
+    keeps that layout.
     """
 
     a: tuple
@@ -92,6 +96,9 @@ class MultiSystem:
 
     def __post_init__(self):
         _adopt(self, *_assemble(self.a, self.b, self.c, self.d))
+
+    def __reduce__(self):
+        return _from_pencil, (self._pencil, self.dim_x)
 
     @property
     def n_params(self) -> int:
@@ -267,6 +274,29 @@ def _certified_well_conditioned(m: np.ndarray) -> bool:
     return True
 
 
+def _norm_certified(s: MultiSystem, z: np.ndarray) -> bool:
+    """True only if N = 1 and, at every point of ``z``, the computed
+    I - zA provably has cond_2 < 1 / RESOLVENT_SCREEN; one norm decides.
+
+    For N = 1, zA = z A_1, so beta = |z| ||A_1|| is ||zA|| and the
+    singular values of I - zA lie in [1 - beta, 1 + beta].  With n = dim_x
+    and delta = 4 (n + 1)^2 eps the bound used is beta (1 + delta) + delta.
+    The factor covers the relative error of ``_spectral_norms`` (forming
+    the Gram matrix and taking its largest eigenvalue, a few n^2 eps
+    together) and of the product; the added delta covers the rounding of
+    the formed I - zA, at most about 2 sqrt(n) eps (1 + beta) in 2-norm
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.6).
+    A bound of at most 1 - 2 tau, tau = RESOLVENT_SCREEN, gives cond_2 <=
+    (1 + beta) / (1 - beta) <= (1 - tau) / tau.  A non-finite point gives
+    no bound and fails.
+    """
+    if s.n_params != 1:
+        return False
+    delta = 4 * (s.dim_x + 1) ** 2 * np.finfo(float).eps
+    beta = np.abs(z[..., 0]) * _spectral_norms(s.a[0]) * (1.0 + delta) + delta
+    return bool((beta <= 1.0 - 2.0 * RESOLVENT_SCREEN).all())
+
+
 def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     """theta(z) = zD + zC (I - zA)^(-1) zB; for dim_x = 0 just zD.
 
@@ -274,10 +304,12 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     shape (P, N), giving a (P, dim_y, dim_u) array from one batched solve.
     Raises ``ResolventError`` at the first point where I - zA is not finite
     or its 2-norm condition exceeds RESOLVENT_COND_LIMIT.  The guard is
-    certified in two steps: ``_certified_well_conditioned`` proves the whole
-    stack far below the limit, or else the SVD condition of every point
-    decides, so the points rejected are those of the SVD guard alone.  zG
-    is formed once; zA, zB, zC and zD are its blocks.
+    certified in steps: for N = 1, ``_norm_certified`` proves the whole
+    stack far below the limit from |z| ||A_1||; else
+    ``_certified_well_conditioned`` does by one batched Cholesky; or else
+    the SVD condition of every point decides.  A certified stack is one the
+    SVD guard accepts, so the points rejected are those of the SVD guard
+    alone.  zG is formed once; zA, zB, zC and zD are its blocks.
     """
     z = _check_points(s.n_params, z)
     dx = s.dim_x
@@ -288,7 +320,7 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     zb, zc, zd = zg[..., :dx, dx:].copy(), zg[..., dx:, :dx].copy(), zg[..., dx:, dx:].copy()
     resolvent_arg = np.eye(dx) - zg[..., :dx, :dx]
     del zg
-    if not _certified_well_conditioned(resolvent_arg):
+    if not (_norm_certified(s, z) or _certified_well_conditioned(resolvent_arg)):
         # a non-finite matrix gets condition nan: the SVD would not converge
         stack = resolvent_arg.reshape(-1, dx, dx)
         finite = np.isfinite(stack).all(axis=(1, 2))
@@ -530,25 +562,34 @@ def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
 
     A fail comes with a witness point; a pass is not a proof (the sup over
     the torus is only sampled).  The witness is the first sampled point
-    above 1 + tol, whose norm is the largest up to it.  The Gram matrices
-    (zG)*(zG) = sum_jk conj(z_j) z_k G_j* G_k of all points are one product
-    of (P, N^2) weights by the N^2 blocks G_j* G_k, scaled as in
-    ``_spectral_norms``.
+    above 1 + tol, whose norm is the largest up to it.  For N = 1, zG =
+    z G_1, so every sample's norm is |z| ||G_1||, from one ``_spectral_norms``.
+    Otherwise the Gram matrices (zG)*(zG) = sum_jk conj(z_j) z_k G_j* G_k
+    of all points are one product of (P, N^2) weights by the N^2 blocks
+    G_j* G_k, scaled as in ``_spectral_norms``.
     """
     points = sample_torus(s.n_params, n_samples, seed)
     g = pencil_blocks(s)
+    if s.n_params == 1:
+        norms = np.abs(points[:, 0]) * _spectral_norms(g[0])
+    else:
+        norms = _sampled_norms(g, points)
+    over = np.flatnonzero(norms > 1.0 + tol)
+    if over.size == 0:
+        return DissipativityVerdict(True, float(norms.max(initial=0.0)), None)
+    i = over[0]
+    return DissipativityVerdict(False, float(norms[i]), points[i])
+
+
+def _sampled_norms(g: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """||zG|| at each point, zG = sum_k z_k g[k], from the Gram matrices."""
     if g.shape[1] < g.shape[2]:
         g = g.swapaxes(1, 2)  # (zG)^T = sum_k z_k G_k^T has the smaller Gram matrix
     g, e = _scaled_to_unit(g)
     n, _, m = g.shape
     blocks = (g.conj().swapaxes(1, 2)[:, None] @ g[None]).reshape(n * n, m * m)
     weights = (points.conj()[:, :, None] * points[:, None, :]).reshape(-1, n * n)
-    norms = _gram_roots((weights @ blocks).reshape(-1, m, m), e)
-    over = np.flatnonzero(norms > 1.0 + tol)
-    if over.size == 0:
-        return DissipativityVerdict(True, float(norms.max(initial=0.0)), None)
-    i = over[0]
-    return DissipativityVerdict(False, float(norms[i]), points[i])
+    return _gram_roots((weights @ blocks).reshape(-1, m, m), e)
 
 
 def closely_connected_subspace(s: MultiSystem, tol: float = RANK_TOL) -> Subspace:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from mpsys import subspaces
 from mpsys.tolerances import GRAM_TOL
 from mpsys.subspaces import (
     Subspace,
     SubspaceError,
     _canonicalize,
+    _range_basis,
     invariant_closure,
     is_invariant,
     orthogonal_complement,
@@ -17,7 +19,7 @@ from mpsys.subspaces import (
     subspace_sum,
 )
 
-from pairs import subspace_intersection, whole_space, zero_space
+from pairs import counting, subspace_intersection, whole_space, zero_space
 
 
 def random_subspace(rng, ambient, dim):
@@ -307,6 +309,44 @@ def test_invariant_closure_returns_the_canonical_basis():
         assert closure.dim == (k if i % 2 else n)
         np.testing.assert_allclose(orthonormal_basis(closure.basis).basis, closure.basis,
                                    rtol=0, atol=1e-14)
+
+
+def confirmed_closure(ops, seeds, tol=1e-9):
+    """The closure loop that runs one more round to confirm a full-dimensional
+    basis: (its Subspace, the number of _range_basis calls)."""
+    q = _range_basis(seeds, tol)
+    calls = 1
+    for _ in range(q.shape[0] + 1):
+        grown = _range_basis(np.hstack([q] + [op @ q for op in ops]), tol)
+        calls += 1
+        if grown.shape[1] == q.shape[1]:
+            break
+        q = grown
+    return Subspace(q.shape[0], _canonicalize(grown)), calls
+
+
+def test_invariant_closure_stops_once_it_spans_the_whole_space(monkeypatch):
+    # a full-dimensional closure skips the confirming round and keeps the
+    # basis it gave bit for bit; a proper closure still confirms
+    rng = np.random.default_rng(12)
+    shift = np.eye(5, k=-1, dtype=complex)
+    cyclic = shift.copy()
+    cyclic[0, 4] = 1.0
+    cases = [([cyclic], np.eye(5)[:, :1]), ([shift], np.eye(5)[:, 2:3])]
+    for _ in range(10):
+        n = int(rng.integers(1, 12))
+        ops = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
+        cases.append((ops + [op.conj().T for op in ops], rng.standard_normal((n, 1))))
+    for ops, seeds in cases:
+        expected, expected_calls = confirmed_closure(ops, seeds)
+        calls = []
+        monkeypatch.setattr(subspaces, "_range_basis", counting(_range_basis, calls))
+        closure = invariant_closure(ops, seeds)
+        monkeypatch.undo()
+        full = expected.dim == expected.ambient_dim
+        assert len(calls) == expected_calls - full, (len(ops), seeds.shape)
+        assert closure.basis.tobytes() == expected.basis.tobytes()
+    assert invariant_closure([cyclic], np.eye(5)[:, :1]).dim == 5
 
 
 def test_invariant_closure_of_zero_seeds_is_zero():

@@ -1,7 +1,9 @@
 """Unit tests for system construction, transfer functions, and conservativity."""
 
+import copy
 import itertools
 import math
+import pickle
 import re
 import subprocess
 import sys
@@ -45,6 +47,7 @@ from pairs import (
     blockwise_compress_to,
     blockwise_realize_germ,
     blockwise_scale_output,
+    counting,
     full_taylor_coefficients,
     germ_eval,
     is_closely_connected,
@@ -148,6 +151,16 @@ def test_from_pencil_adopts_a_copy_of_its_input():
     assert not np.shares_memory(pencil_blocks(s), g) and g.flags.writeable
     g[...] = 0.0
     assert pencil_blocks(s).tobytes() == before.tobytes()
+
+
+def test_pickled_and_copied_systems_keep_read_only_views_of_one_stack():
+    s = random_conservative(2, 3, 2, 2, seed=1)
+    for t in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        g = pencil_blocks(t)
+        assert not g.flags.writeable and not np.shares_memory(g, pencil_blocks(s))
+        assert g.tobytes() == pencil_blocks(s).tobytes() and same_blocks(t, s)
+        for m in (*t.a, *t.b, *t.c, *t.d):
+            assert np.shares_memory(m, g) and not m.flags.writeable
 
 
 def test_scale_output_and_adjoint_leave_their_input_unchanged():
@@ -335,10 +348,10 @@ def test_resolvent_screen_certifies_only_well_conditioned_matrices():
 def test_transfer_eval_matches_the_svd_guard_bit_for_bit():
     # Random systems and points, some placed on or next to the singular set
     # of I - zA: values and ResolventError messages must be those of the
-    # SVD guard alone.  Each path (screen, SVD fallback accepting, SVD
-    # rejecting) must be taken.
+    # SVD guard alone.  Each path (the N = 1 norm, screen, SVD fallback
+    # accepting, SVD rejecting) must be taken.
     rng = np.random.default_rng(41)
-    paths = {"stateless": 0, "screened": 0, "fallback": 0, "rejected": 0}
+    paths = {"stateless": 0, "norm-certified": 0, "screened": 0, "fallback": 0, "rejected": 0}
     for trial in range(120):
         n, dx = int(rng.integers(1, 4)), int(rng.integers(0, 25))
         s = random_system(rng, n, dx, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
@@ -357,6 +370,8 @@ def test_transfer_eval_matches_the_svd_guard_bit_for_bit():
         assert evaluation_outcome(transfer_eval, s, z) == expected
         if dx == 0:
             paths["stateless"] += 1
+        elif systems._norm_certified(s, np.asarray(z)):
+            paths["norm-certified"] += 1
         elif systems._certified_well_conditioned(np.eye(dx) - combine(s.a, z)):
             paths["screened"] += 1
         else:
@@ -377,6 +392,43 @@ def test_an_ill_conditioned_point_falls_back_to_the_svd_with_the_same_values():
     assert systems._certified_well_conditioned(np.delete(stack, 2, axis=0))
     assert not systems._certified_well_conditioned(stack)
     assert transfer_eval(s, points).tobytes() == reference_transfer_eval(s, points).tobytes()
+
+
+def test_one_parameter_conservative_stacks_need_no_screen(monkeypatch):
+    # for N = 1, ||zA|| = |z| ||A_1|| <= |z| certifies every point inside the disk
+    rng = np.random.default_rng(43)
+    calls = []
+    monkeypatch.setattr(systems, "_certified_well_conditioned",
+                        counting(systems._certified_well_conditioned, calls))
+    for seed, (dx, du) in enumerate(((1, 1), (4, 2), (12, 3), (20, 4))):
+        s = random_conservative(1, dx, du, du, seed=seed)
+        z = rng.uniform(0.0, 0.99, (100, 1)) * np.exp(2j * np.pi * rng.uniform(size=(100, 1)))
+        for points in (z, z[0]):
+            assert transfer_eval(s, points).tobytes() == \
+                reference_transfer_eval(s, points).tobytes()
+    assert calls == []
+
+
+def test_one_parameter_stacks_beyond_the_norm_bound_reach_the_screen(monkeypatch):
+    # beta = |z| ||A_1|| above 1 - 2 tau at one point of the stack: the norm
+    # certifies nothing, the screen decides, and the values are the SVD guard's
+    s = random_conservative(1, 6, 2, 2, seed=4)
+    beta_one = 1.0 / systems._spectral_norms(s.a[0])  # |z| at which beta = 1
+    points = np.array([[0.2], [0.5j], [-0.3]])
+    calls = []
+    monkeypatch.setattr(systems, "_certified_well_conditioned",
+                        counting(systems._certified_well_conditioned, calls))
+    assert transfer_eval(s, points).tobytes() == reference_transfer_eval(s, points).tobytes()
+    assert calls == []
+    for modulus in (1.0 - 1.5 * RESOLVENT_SCREEN, 1.0, 1.01):
+        stack = np.vstack([points, [[modulus * beta_one * 1j]]])
+        assert not systems._norm_certified(s, stack)
+        calls.clear()
+        expected = evaluation_outcome(reference_transfer_eval, s, stack)
+        assert evaluation_outcome(transfer_eval, s, stack) == expected
+        assert len(calls) == 1
+    for bad in (np.nan, np.inf):
+        assert not systems._norm_certified(s, np.vstack([points, [[bad]]]))
 
 
 def test_evaluators_reject_points_of_the_wrong_length():
@@ -585,15 +637,18 @@ def test_spectral_norms_match_the_svd_norm():
             assert systems._spectral_norms(stack[0]) == norms[0]
 
 
-def test_sampled_dissipativity_matches_an_svd_loop_at_eval_sizes():
-    def reference(s, n_samples, tol, seed):
-        points = sample_torus(s.n_params, n_samples, seed)
-        norms = np.array([svd_norm(combine(pencil_blocks(s), z)) for z in points])
-        over = np.flatnonzero(norms > 1.0 + tol)
-        if over.size == 0:
-            return True, norms.max(), None
-        return False, norms[over[0]], points[over[0]]
+def svd_loop_dissipativity(s, n_samples, tol, seed):
+    """(passed, max_norm, witness) from one SVD per torus sample."""
+    points = sample_torus(s.n_params, n_samples, seed)
+    norms = np.array([svd_norm(combine(pencil_blocks(s), z)) for z in points])
+    over = np.flatnonzero(norms > 1.0 + tol)
+    if over.size == 0:
+        return True, norms.max(), None
+    return False, norms[over[0]], points[over[0]]
 
+
+def test_sampled_dissipativity_matches_an_svd_loop_at_eval_sizes():
+    reference = svd_loop_dissipativity
     rng = np.random.default_rng(42)
     # (N, dim_x, dim_u, dim_y): m = dim_x + dim_u up to 24, square and not
     for n, dx, du, dy in ((1, 4, 2, 2), (2, 10, 3, 3), (3, 20, 4, 4), (2, 6, 3, 1),
@@ -614,6 +669,32 @@ def test_sampled_dissipativity_matches_an_svd_loop_at_eval_sizes():
                 assert verdict.witness is None
             else:
                 np.testing.assert_array_equal(verdict.witness, witness)
+
+
+def test_one_parameter_dissipativity_takes_one_norm(monkeypatch):
+    # for N = 1 every torus sample has norm |z| ||G_1||: one Gram eigenproblem
+    matrices = []
+
+    def recording(gram):
+        matrices.append(math.prod(gram.shape[:-2]))
+        return eigvalsh(gram)
+
+    eigvalsh = np.linalg.eigvalsh
+    conservative = random_conservative(1, 10, 3, 3, seed=8)
+    over = scale_output(conservative, 1.0 + 1e-6)  # above 1 + tol at every sample
+    for s, passed in ((conservative, True), (over, False), (adjoint(over), False)):
+        matrices.clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        verdict = is_dissipative_sampled(s, 100, tol=1e-10, seed=3)
+        monkeypatch.undo()
+        assert matrices == [1]
+        expected_passed, worst, witness = svd_loop_dissipativity(s, 100, 1e-10, 3)
+        assert verdict.passed == expected_passed == passed
+        assert abs(verdict.max_norm - worst) <= 1e-13 * worst
+        if passed:
+            assert verdict.witness is None
+        else:
+            np.testing.assert_array_equal(verdict.witness, witness)
 
 
 def test_conservativity_matches_the_pairwise_loop_bit_for_bit():
