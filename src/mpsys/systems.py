@@ -29,11 +29,14 @@ The evaluators (``combine``, ``transfer_eval``) take one point of shape
 (N,) or a stack of P points of shape (P, N).  A stack is evaluated in one
 batch and gives a (P, rows, cols) array.  A polynomial germ is evaluated
 through its realization ``realize_germ``.  The resolvent guard of
-``transfer_eval`` is certified in steps: for N = 1 one norm proves the
-whole stack well conditioned, since zA = z A_1 has norm |z| ||A_1||; else a
-batched Cholesky screen does; and the SVD condition number decides every
-stack that neither certifies.  For the same reason the N = 1 torus samples
-of ``is_dissipative_sampled`` share one norm, ||zG|| = |z| ||G_1||.
+``transfer_eval`` is certified in steps, for every N: a bound on ||zA||
+from max_k |z_k| and the row-Gram constants of the X rows [A_k B_k],
+computed once per system, proves the whole stack well conditioned (for a
+conservative pencil, or one with scaled output rows, the bound is
+max_k |z_k| itself); else a batched Cholesky screen does; and the SVD
+condition number decides every stack that neither certifies.  For N = 1,
+zG = z G_1, so the torus samples of ``is_dissipative_sampled`` share one
+norm, ||zG|| = |z| ||G_1||.
 
 Conservativity ("the pencil zG is unitary for every z on the unit torus") is
 decided by finitely many matrix identities obtained by matching Fourier
@@ -50,6 +53,7 @@ root of the largest Gram eigenvalue, after a power-of-two range scaling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -85,7 +89,9 @@ class MultiSystem:
     Built once: the blocks are copied into one read-only pencil stack,
     validated, and a, b, c, d are tuples of views into it.  A pickled or
     copied system is rebuilt from its stack by ``_from_pencil``, so it
-    keeps that layout.
+    keeps that layout.  The first ``transfer_eval`` keeps the stack's
+    row-Gram constants (``_row_gram_constants``) in ``_row_gram``; a
+    pickled or copied system computes them again.
     """
 
     a: tuple
@@ -93,6 +99,7 @@ class MultiSystem:
     c: tuple
     d: tuple
     _pencil: np.ndarray = field(init=False, repr=False)
+    _row_gram: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _adopt(self, *_assemble(self.a, self.b, self.c, self.d))
@@ -274,27 +281,82 @@ def _certified_well_conditioned(m: np.ndarray) -> bool:
     return True
 
 
-def _norm_certified(s: MultiSystem, z: np.ndarray) -> bool:
-    """True only if N = 1 and, at every point of ``z``, the computed
-    I - zA provably has cond_2 < 1 / RESOLVENT_SCREEN; one norm decides.
+def _row_gram_constants(s: MultiSystem) -> tuple:
+    """(r, limit, w_jk for the pairs j < k in order), the constants of
+    ``_norm_certified``, from the X rows R_k = [A_k B_k] of the pencil.
 
-    For N = 1, zA = z A_1, so beta = |z| ||A_1|| is ||zA|| and the
-    singular values of I - zA lie in [1 - beta, 1 + beta].  With n = dim_x
-    and delta = 4 (n + 1)^2 eps the bound used is beta (1 + delta) + delta.
-    The factor covers the relative error of ``_spectral_norms`` (forming
-    the Gram matrix and taking its largest eigenvalue, a few n^2 eps
-    together) and of the product; the added delta covers the rounding of
-    the formed I - zA, at most about 2 sqrt(n) eps (1 + beta) in 2-norm
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.6).
-    A bound of at most 1 - 2 tau, tau = RESOLVENT_SCREEN, gives cond_2 <=
-    (1 + beta) / (1 - beta) <= (1 - tau) / tau.  A non-finite point gives
-    no bound and fails.
+    r = sqrt(h) and w_jk = c_jk / h, where h is the largest absolute row sum
+    of sum_k R_k R_k* and c_jk = ||R_j R_k*||_F (w = 0 when every R_k is 0);
+    limit = (1 - 2 RESOLVENT_SCREEN - delta) / (1 + delta) with delta = 4
+    n^3 eps, n = dim_x + dim_u + N.  They are computed on the stack scaled
+    by ``_scaled_to_unit``, so h >= 1/4 there and an underflow is negligible.
     """
-    if s.n_params != 1:
-        return False
-    delta = 4 * (s.dim_x + 1) ** 2 * np.finfo(float).eps
-    beta = np.abs(z[..., 0]) * _spectral_norms(s.a[0]) * (1.0 + delta) + delta
-    return bool((beta <= 1.0 - 2.0 * RESOLVENT_SCREEN).all())
+    n, dx = s.n_params, s.dim_x
+    x, e = _scaled_to_unit(s._pencil[:, :dx])
+    rows = x.reshape(n * dx, -1)  # R_1, ..., R_N stacked
+    gram = (rows @ rows.conj().T).reshape(n, dx, n, dx)  # [j, :, k] = R_j R_k*
+    h = float(np.abs(np.einsum("kikj->ij", gram)).sum(1).max())
+    fro = np.linalg.norm(gram, axis=(1, 3))
+    c = [float(fro[j, k]) for j, k in itertools.combinations(range(n), 2)]
+    delta = 4 * (dx + s.dim_u + n) ** 3 * float(np.finfo(float).eps)
+    limit = (1.0 - 2.0 * RESOLVENT_SCREEN - delta) / (1.0 + delta)
+    return (math.ldexp(math.sqrt(h), e), limit, *(c_jk / h if h else 0.0 for c_jk in c))
+
+
+def _norm_certified(s: MultiSystem, z: np.ndarray) -> bool:
+    """True only if, at every point of ``z``, the computed I - zA provably
+    has cond_2 < 1 / RESOLVENT_SCREEN; ``_row_gram_constants`` decide.
+
+    zA is the X-column block of zR = sum_k z_k R_k, R_k = [A_k B_k], so
+    ||zA|| <= ||zR||, and with m = max_k |z_k|
+
+        ||zR||^2 = ||sum_jk z_j conj(z_k) R_j R_k*||
+                 <= m^2 h + sum_{j<k} 2 |z_j| |z_k| c_jk,
+
+    since sum_k |z_k|^2 R_k R_k* <= m^2 sum_k R_k R_k* (Loewner order), the
+    2-norm of a Hermitian matrix is at most its largest absolute row sum h,
+    and ||R_j R_k*||_2 <= c_jk.  The root is computed as beta = r m
+    sqrt(1 + 2 sum_{j<k} rho_j rho_k w_jk), rho = |z| / m (0 at z = 0), so
+    no power of a point under- or overflows.  A conservative pencil has
+    sum_k R_k R_k* = I and R_j R_k* = 0: h = 1, c = 0 and beta = m, whatever
+    N is; scaling the output rows [C_k D_k] leaves R, so beta, unchanged.
+
+    Rounding.  Let n = dim_x + dim_u + N, u = eps / 2, and X_k = R_k / 2^e
+    the exactly scaled rows.  The computed products X_j X_k* (complex inner
+    products of length dim_x + dim_u) and the N-term sum S = sum_k X_k X_k*
+    err by at most 2 n u |X_j| |X_k|^T entrywise (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 3.1 and 3.6).  Since
+    sum_k ||X_k||_F^2 = trace(S) <= dim_x ||S||, that is at most 2 n
+    dim_x^(3/2) u ||S|| in the row-sum norm; the row sum adds (n + 2) u and
+    each Frobenius sum (dim_x^2 + 2) u relative; the errors of the cross
+    terms add up to at most 2 n u (sum_k |z_k| ||X_k||_F)^2 <= 2 n N dim_x
+    u m^2 ||S||; forming r, w and beta adds (N^2 + 8) u.  So the computed
+    beta is below the exact bound by a relative 3 n^3 eps at most.  The
+    formed zA (``combine``'s sum of N complex products) errs by (N + 3) u
+    sum_k |z_k| |A_k|, at most (N + 3) sqrt(N dim_x) u beta in 2-norm, the
+    formed I - zA by a further sqrt(dim_x) u (1 + beta), and an underflow
+    (of r, of |z_k| or of a product) adds at most N^2 2^-1074 max(r, m) <
+    4 N^2 eps absolutely.  So the formed I - zA is I - E with ||E|| <= b =
+    beta (1 + delta) + delta, delta = 4 n^3 eps, which covers all of these
+    with room (the rounding of limit included), and beta <= limit gives b
+    <= 1 - 2 tau, tau = RESOLVENT_SCREEN: the singular values of I - E lie
+    in [1 - b, 1 + b] and cond_2 <= (1 + b) / (1 - b) <= (1 - tau) / tau.  A
+    non-finite point gives a nan or inf beta and fails.
+    """
+    constants = s._row_gram
+    if constants is None:  # a property of the read-only stack: computed once, kept
+        constants = _row_gram_constants(s)
+        object.__setattr__(s, "_row_gram", constants)
+    r, limit, *weights = constants
+    moduli = np.abs(z)
+    m = moduli.max(-1)
+    beta = r * m
+    if weights:
+        rho = moduli / np.maximum(m, np.finfo(float).smallest_subnormal)[..., None]
+        pairs = zip(itertools.combinations(range(s.n_params), 2), weights)
+        cross = sum(rho[..., j] * rho[..., k] * w for (j, k), w in pairs)
+        beta = beta * np.sqrt(1.0 + 2.0 * cross)
+    return bool((beta <= limit).all())
 
 
 def transfer_eval(s: MultiSystem, z) -> np.ndarray:
@@ -304,8 +366,9 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     shape (P, N), giving a (P, dim_y, dim_u) array from one batched solve.
     Raises ``ResolventError`` at the first point where I - zA is not finite
     or its 2-norm condition exceeds RESOLVENT_COND_LIMIT.  The guard is
-    certified in steps: for N = 1, ``_norm_certified`` proves the whole
-    stack far below the limit from |z| ||A_1||; else
+    certified in steps, for every N: ``_norm_certified`` proves the whole
+    stack far below the limit from max_k |z_k| and the system's row-Gram
+    constants, computed on its first call and kept; else
     ``_certified_well_conditioned`` does by one batched Cholesky; or else
     the SVD condition of every point decides.  A certified stack is one the
     SVD guard accepts, so the points rejected are those of the SVD guard

@@ -1,5 +1,7 @@
 """Unit tests for the commuting-contraction falsifier."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,21 @@ def test_agler_test_forms_each_pencil_sum_once(monkeypatch):
     s = random_conservative(2, 3, 2, 2, seed=5)
     agler_test(s, trials=20)
     assert len(calls) == 1  # zG inside transfer_eval; zA, zB, zC and zD are its blocks
+
+
+def test_agler_test_runs_no_screen_on_conservative_systems_and_their_scalings(monkeypatch):
+    # every shape of the agler benchmark (N and dim_u in 1..3, dim_x in
+    # 1..4): the row-Gram bound of a conservative pencil, and of its 1.5x
+    # output scaling, is max_k |z_k| <= r, so no batch reaches the screen
+    calls = []
+    monkeypatch.setattr(systems, "_certified_well_conditioned",
+                        counting(systems._certified_well_conditioned, calls))
+    shapes = itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3, 4))
+    for seed, (n, du, dx) in enumerate(shapes):
+        s = random_conservative(n, dx, du, du, seed=seed)
+        assert not agler_test(s, trials=50, r=0.9, seed=seed).falsified
+        agler_test(scale_output(s, 1.5), trials=50, r=0.9, seed=seed)
+    assert calls == []
 
 
 def test_eval_requires_r_in_unit_interval():

@@ -13,7 +13,7 @@ import mpsys
 from mpsys import cli, factorization, systems
 from mpsys import serialization as ser
 from mpsys import tolerances
-from mpsys.cascade import cascade
+from mpsys.cascade import cascade, verify_factor_tf
 from mpsys.cli import run
 from mpsys.subspaces import Subspace
 from mpsys.agler import agler_test
@@ -377,6 +377,28 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 def process_env():
     return {**os.environ, "PYTHONPATH": str(Path(mpsys.__file__).resolve().parents[1])}
+
+
+def test_one_cascade_computes_its_row_gram_constants_once(monkeypatch):
+    # the cascade is evaluated by verify_factor_tf and by both reconstruction
+    # residuals of the eval benchmark; its constants, and those of every
+    # other system evaluated, are computed on the first call only
+    computed, compute = [], systems._row_gram_constants
+
+    def recording(s):
+        computed.append(s)
+        return compute(s)
+
+    monkeypatch.setattr(systems, "_row_gram_constants", recording)
+    alpha2, alpha1 = random_conservative(2, 3, 2, 2, seed=6), random_conservative(2, 4, 2, 2, seed=7)
+    c = cascade(alpha2, alpha1)
+    verify_factor_tf(c, alpha2, alpha1, n_points=20, seed=1)
+    m = factorization.multiplicity(c)
+    cli._reconstruction_residual(c, *factorization.factor_left(c, m), False, 1)
+    tail, chain = factorization.factor_right(c, m)
+    cli._reconstruction_residual(c, chain, tail, True, 1)
+    assert sum(t is c for t in computed) == 1
+    assert len({id(t) for t in computed}) == len(computed) == 5  # c, alpha2, alpha1, two tails
 
 
 def test_parser_is_built_once_per_process():

@@ -348,8 +348,8 @@ def test_resolvent_screen_certifies_only_well_conditioned_matrices():
 def test_transfer_eval_matches_the_svd_guard_bit_for_bit():
     # Random systems and points, some placed on or next to the singular set
     # of I - zA: values and ResolventError messages must be those of the
-    # SVD guard alone.  Each path (the N = 1 norm, screen, SVD fallback
-    # accepting, SVD rejecting) must be taken.
+    # SVD guard alone.  Each path (the row-Gram norm bound, screen, SVD
+    # fallback accepting, SVD rejecting) must be taken.
     rng = np.random.default_rng(41)
     paths = {"stateless": 0, "norm-certified": 0, "screened": 0, "fallback": 0, "rejected": 0}
     for trial in range(120):
@@ -394,26 +394,30 @@ def test_an_ill_conditioned_point_falls_back_to_the_svd_with_the_same_values():
     assert transfer_eval(s, points).tobytes() == reference_transfer_eval(s, points).tobytes()
 
 
-def test_one_parameter_conservative_stacks_need_no_screen(monkeypatch):
-    # for N = 1, ||zA|| = |z| ||A_1|| <= |z| certifies every point inside the disk
+def test_conservative_stacks_need_no_screen(monkeypatch):
+    # a conservative pencil, and one whose output rows are scaled, has h = 1
+    # and c = 0: max_k |z_k| <= 0.99 certifies every point, whatever N is
     rng = np.random.default_rng(43)
     calls = []
     monkeypatch.setattr(systems, "_certified_well_conditioned",
                         counting(systems._certified_well_conditioned, calls))
-    for seed, (dx, du) in enumerate(((1, 1), (4, 2), (12, 3), (20, 4))):
-        s = random_conservative(1, dx, du, du, seed=seed)
-        z = rng.uniform(0.0, 0.99, (100, 1)) * np.exp(2j * np.pi * rng.uniform(size=(100, 1)))
-        for points in (z, z[0]):
-            assert transfer_eval(s, points).tobytes() == \
-                reference_transfer_eval(s, points).tobytes()
+    shapes = itertools.product((1, 2, 3), ((1, 1), (4, 2), (12, 3), (20, 4)))
+    for seed, (n, (dx, du)) in enumerate(shapes):
+        s = random_conservative(n, dx, du, du, seed=seed)
+        z = rng.uniform(0.0, 0.99, (100, n)) * np.exp(2j * np.pi * rng.uniform(size=(100, n)))
+        for t in (s, scale_output(s, 1.5)):
+            for points in (z, z[0]):
+                assert transfer_eval(t, points).tobytes() == \
+                    reference_transfer_eval(t, points).tobytes()
     assert calls == []
 
 
 def test_one_parameter_stacks_beyond_the_norm_bound_reach_the_screen(monkeypatch):
-    # beta = |z| ||A_1|| above 1 - 2 tau at one point of the stack: the norm
-    # certifies nothing, the screen decides, and the values are the SVD guard's
+    # beta = r |z| above the limit 1 - 2 tau (less rounding) at one point of
+    # the stack: the bound certifies nothing, the screen decides, and the
+    # values are the SVD guard's
     s = random_conservative(1, 6, 2, 2, seed=4)
-    beta_one = 1.0 / systems._spectral_norms(s.a[0])  # |z| at which beta = 1
+    beta_one = 1.0 / systems._row_gram_constants(s)[0]  # |z| at which beta = 1
     points = np.array([[0.2], [0.5j], [-0.3]])
     calls = []
     monkeypatch.setattr(systems, "_certified_well_conditioned",
@@ -429,6 +433,92 @@ def test_one_parameter_stacks_beyond_the_norm_bound_reach_the_screen(monkeypatch
         assert len(calls) == 1
     for bad in (np.nan, np.inf):
         assert not systems._norm_certified(s, np.vstack([points, [[bad]]]))
+
+
+def row_gram_bound(s, z):
+    """Oracle: sqrt(m^2 h + sum_{j<k} 2 |z_j| |z_k| c_jk) at each point,
+    from unscaled products of the X rows R_k = [A_k B_k]."""
+    rows = pencil_blocks(s)[:, :s.dim_x]
+    h = np.abs(sum(r @ r.conj().T for r in rows)).sum(1).max()
+    moduli = np.abs(np.atleast_2d(z))
+    square = moduli.max(1) ** 2 * h
+    for j, k in itertools.combinations(range(s.n_params), 2):
+        square += 2 * moduli[:, j] * moduli[:, k] * np.linalg.norm(rows[j] @ rows[k].conj().T)
+    return np.sqrt(square)
+
+
+def test_norm_certificate_is_sound_and_exactly_the_row_gram_bound(monkeypatch):
+    # Property: whenever the bound certifies a point, the SVD condition of
+    # the formed I - zA is at most (1 - tau) / tau.  Systems: random at
+    # scales 0.01-2, conservative, and conservative perturbed by 1e-6 to
+    # 1e-2; each point is scaled so that the oracle bound is (1 - 2 tau)
+    # (1 + eps), |eps| <= 1e-3: certified exactly when eps < 0.
+    tau = RESOLVENT_SCREEN
+    rng = np.random.default_rng(47)
+    certified = refused = 0
+    worst = 0.0
+    for trial in range(450):
+        n, dx, du = int(rng.integers(1, 4)), int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        if trial % 3 == 0:
+            s = random_system(rng, n, dx, du, du, scale=rng.uniform(0.01, 2.0))
+        else:
+            s = random_conservative(n, dx, du, du, seed=trial)
+            if trial % 3 == 2:
+                g = pencil_blocks(s)
+                noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+                s = systems._from_pencil(g + 10.0 ** rng.uniform(-6, -2) * noise, dx)
+        direction = rng.uniform(0.0, 1.0, (6, n)) * np.exp(2j * np.pi * rng.uniform(size=(6, n)))
+        eps = rng.choice([-1.0, 1.0], 6) * 10.0 ** rng.uniform(-8, -3, 6)
+        z = direction * ((1.0 - 2.0 * tau) * (1.0 + eps) / row_gram_bound(s, direction))[:, None]
+        for point, e in zip(z, eps):
+            ok = systems._norm_certified(s, point)
+            assert ok == (e < 0), (trial, e)
+            if ok:
+                cond = np.linalg.cond(np.eye(dx) - combine(pencil_blocks(s), point)[:dx, :dx])
+                assert cond <= (1.0 - tau) / tau, (trial, cond)
+                worst = max(worst, cond * tau / (1.0 - tau))
+            certified += ok
+            refused += not ok
+        assert systems._norm_certified(s, z) == bool((eps < 0).all())
+    assert certified > 1000 and refused > 1000 and worst < 0.1, (certified, refused, worst)
+    # positive control: G_1 = G_2 = G / sqrt(2), G unitary, dim_x = 4, has
+    # h = 1 and c_12 = ||I / 2||_F = 1, so at z = (0.9, 0.9) the bound is
+    # 0.9 sqrt(3) > 1: the screen runs once and the outcome is the SVD guard's
+    w = haar_unitary(6, np.random.default_rng(5)) / np.sqrt(2.0)
+    s = systems._from_pencil(np.stack([w, w]), 4)
+    point = np.array([0.9, 0.9])
+    assert row_gram_bound(s, point)[0] == pytest.approx(0.9 * np.sqrt(3.0))
+    assert not systems._norm_certified(s, point)
+    calls = []
+    monkeypatch.setattr(systems, "_certified_well_conditioned",
+                        counting(systems._certified_well_conditioned, calls))
+    expected = evaluation_outcome(reference_transfer_eval, s, point)
+    assert evaluation_outcome(transfer_eval, s, point) == expected
+    assert len(calls) == 1
+
+
+def test_pickled_and_copied_systems_compute_the_row_gram_constants_again():
+    s = random_conservative(3, 4, 2, 2, seed=8)
+    z = 0.5 * sample_torus(3, 10, seed=1)
+    assert s._row_gram is None
+    transfer_eval(s, z)
+    kept = s._row_gram
+    assert len(kept) == 2 + 3 and all(type(x) is float for x in kept)
+    for t in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert t._row_gram is None
+        transfer_eval(t, z)
+        assert np.array(t._row_gram).tobytes() == np.array(kept).tobytes()
+
+
+def test_transfer_eval_keeps_its_constants_without_validating_again(monkeypatch):
+    validated, computed = [], []
+    monkeypatch.setattr(systems, "validate", counting(systems.validate, validated))
+    monkeypatch.setattr(systems, "_row_gram_constants",
+                        counting(systems._row_gram_constants, computed))
+    s = random_conservative(2, 3, 2, 2, seed=9)
+    for z in (0.5 * sample_torus(2, 20, seed=2), [0.1, 0.2j], [0.3, -0.4]):
+        transfer_eval(s, z)
+    assert len(validated) == 1 and len(computed) == 1
 
 
 def test_evaluators_reject_points_of_the_wrong_length():
