@@ -10,7 +10,6 @@ from .subspaces import (
     Subspace,
     SubspaceError,
     is_invariant,
-    orthogonal_complement,
     orthonormal_basis,
     projector_distance,
     subspace_sum,

@@ -18,6 +18,12 @@ every (zG)*(X2 (+) Y) is contained in M, and for a conservative system each
 has dimension dim X2 + dim Y; so the spaces coincide for every z exactly
 when dim M = dim X2 + dim Y.  A torus-sampling oracle in the test suite
 cross-checks this reduction.
+
+Each space of the test and the split is computed from one basis:
+condition (i) is one batched residual over the stacked A_k; M is the raw
+SVD basis of the stacked G_k*(X2 (+) Y), whose rank is the test, never
+canonicalized; V is the basis of (I - P_(X2 (+) 0)) M, and X1 that of
+I - P_X2 - P_V, since X2 and V are orthogonal.
 """
 
 from __future__ import annotations
@@ -27,13 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .subspaces import (
-    Subspace,
-    is_invariant,
-    orthogonal_complement,
-    orthonormal_basis,
-    subspace_sum,
-)
+from .subspaces import Subspace, _range_basis, orthonormal_basis
 from .systems import (
     MultiSystem,
     _direct_sum,
@@ -43,7 +43,7 @@ from .systems import (
     require_conservative,
     transfer_eval,
 )
-from .tolerances import SUBSPACE_TOL
+from .tolerances import RANK_TOL, SUBSPACE_TOL
 
 
 class CascadeError(ValueError):
@@ -84,25 +84,32 @@ def check_condition_ii(s: MultiSystem, x2: Subspace) -> ConditionIIResult:
     """Decide whether the defect spaces V_z coincide for all torus points z.
 
     Rank criterion: M = sum_k G_k*(X2 (+) Y) must have dimension
-    dim X2 + dim Y; V = M (-) X2 is then returned (as a subspace of the
-    pencil's domain X (+) U).  Raises CascadeError when condition (i), X2
-    invariant for every A_k, fails.  Precondition, not checked here
-    (``decompose`` checks it): ``s`` is conservative.
+    dim X2 + dim Y and contain X2 (+) 0; V = M (-) X2 is then returned (as a
+    subspace of the pencil's domain X (+) U).  Raises CascadeError when
+    condition (i) fails, that is, unless ||(I - P_X2) A_k Q|| < SUBSPACE_TOL
+    for every k, Q the basis of X2.  Each space comes from one basis (see
+    the module docstring).  Precondition, not checked here (``decompose``
+    checks it): ``s`` is conservative.
     """
     if x2.ambient_dim != s.dim_x:
         raise CascadeError("x2 ambient dimension does not match dim_x")
-    if not all(is_invariant(a, x2) for a in s.a):
-        raise CascadeError("condition (i) fails: x2 is not invariant for all A_k")
-    target = _direct_sum(x2.basis, np.eye(s.dim_y))  # X2 (+) Y
-    m_space = orthonormal_basis(np.hstack(pencil_blocks(s).conj().swapaxes(1, 2) @ target))
-    expected = x2.dim + s.dim_y
-    if m_space.dim != expected:
-        return ConditionIIResult(False, None, m_space.dim, expected)
-    x2_embedded = Subspace(s.dim_x + s.dim_u, _direct_sum(x2.basis, np.zeros((s.dim_u, 0))))
-    if x2_embedded.containment_residual(m_space) > SUBSPACE_TOL:
-        return ConditionIIResult(False, None, m_space.dim, expected)
-    v = orthogonal_complement(x2_embedded, within=m_space)
-    return ConditionIIResult(True, v, m_space.dim, expected)
+    g = pencil_blocks(s)
+    q = x2.basis
+    if x2.dim:
+        image = g[:, :s.dim_x, :s.dim_x] @ q
+        residuals = image - x2.projector() @ image
+        if not (np.linalg.svd(residuals, compute_uv=False)[:, 0] < SUBSPACE_TOL).all():
+            raise CascadeError("condition (i) fails: x2 is not invariant for all A_k")
+    target = _direct_sum(q, np.eye(s.dim_y))  # X2 (+) Y
+    m = _range_basis(np.hstack(g.conj().swapaxes(1, 2) @ target), RANK_TOL)
+    dim_m, expected = m.shape[1], x2.dim + s.dim_y
+    if dim_m != expected:
+        return ConditionIIResult(False, None, dim_m, expected)
+    x2_embedded = _direct_sum(q, np.zeros((s.dim_u, 0)))  # X2 (+) 0
+    if x2.dim and np.linalg.norm(x2_embedded - m @ (m.conj().T @ x2_embedded), 2) > SUBSPACE_TOL:
+        return ConditionIIResult(False, None, dim_m, expected)
+    outside = np.eye(len(m), dtype=complex) - x2_embedded @ x2_embedded.conj().T
+    return ConditionIIResult(True, orthonormal_basis(outside @ m), dim_m, expected)
 
 
 @dataclass(frozen=True)
@@ -150,9 +157,7 @@ def _split(s: MultiSystem, x2: Subspace, v_raw: Subspace) -> CascadeDecompositio
             f"(input-component norm {spill:.3e})"
         )
     v = orthonormal_basis(v_raw.basis[:dx, :])
-    x2pv = subspace_sum(x2, v)
-    eye = np.eye(dx, dtype=complex)
-    x1 = orthonormal_basis(eye - x2pv.projector())
+    x1 = orthonormal_basis(np.eye(dx, dtype=complex) - x2.projector() - v.projector())
 
     q2, qv, q1 = x2.basis, v.basis, x1.basis
     g = pencil_blocks(s)

@@ -175,12 +175,15 @@ def _pencil_chain(s: MultiSystem, m: int) -> LinearFactorChain:
 
 
 def _factor_left(s: MultiSystem, m: int) -> tuple:
-    """``factor_left`` for an ``m`` already known to be theta's multiplicity."""
+    """``factor_left`` for an ``m`` already known to be theta's multiplicity.
+    The tail's X rows are the system's [A_k B_k], so it takes the system's
+    row-Gram constants."""
     dx, du = s.dim_x, s.dim_u
     ab = pencil_blocks(s)[:, :dx]
     zero = np.zeros((s.n_params, du, dx + du), dtype=complex)
+    vanishing = _from_pencil(np.concatenate([ab, ab, zero], axis=1), dx, rows_of=s)
     tail = TailFunction(constant=np.vstack([np.zeros((dx, du)), np.eye(du)]).astype(complex),
-                        vanishing_part=_from_pencil(np.concatenate([ab, ab, zero], axis=1), dx))
+                        vanishing_part=vanishing)
     return _pencil_chain(s, m), tail
 
 

@@ -3,6 +3,11 @@
 Complex entries are serialized as [re, im] pairs of decimal floats, which
 round-trip bit-exactly for finite doubles.  Every file carries
 schema_version "1" and a ``kind`` discriminator.
+
+A system file holds the block lists a, b, c and d.  It is written from one
+conversion of the pencil stack, whose nested rows are sliced into the four
+lists, and read with one conversion per block list, whose shape is checked
+whole before the pencil stack is filled from the four.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from .factorization import LinearFactorChain
 from .subspaces import Subspace
-from .systems import MultiSystem, PolyGerm
+from .systems import MultiSystem, PolyGerm, _from_pencil, _n_params_of, pencil_blocks
 
 SCHEMA_VERSION = "1"
 
@@ -74,28 +79,50 @@ def _fields():
 
 
 def system_to_dict(s: MultiSystem) -> dict:
+    dx = s.dim_x
+    x, rest = slice(None, dx), slice(dx, None)
+    g = matrix_to_json(pencil_blocks(s))  # [k][row][column] = [re, im]
+    blocks = (("a", x, x), ("b", x, rest), ("c", rest, x), ("d", rest, rest))
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "system",
         "n_params": s.n_params,
-        "dim_x": s.dim_x,
+        "dim_x": dx,
         "dim_u": s.dim_u,
         "dim_y": s.dim_y,
-        **{name: [matrix_to_json(m) for m in getattr(s, name)] for name in "abcd"},
+        **{name: [[row[cols] for row in g_k[rows]] for g_k in g] for name, rows, cols in blocks},
     }
+
+
+def _block_list(entries, name: str, shape: tuple) -> np.ndarray:
+    """The (n, rows, cols) stack of a list of n matrices of ``shape`` given
+    as rows of [re, im] number pairs, read as one array.  Anything of
+    another shape raises, so no matrix is reshaped or broadcast; numpy
+    stops nesting at the first empty list, so a stack with an empty side
+    is read up to that list."""
+    try:
+        pairs = np.array(entries)
+    except (TypeError, ValueError) as exc:  # ragged lists
+        raise FileFormatError(f"malformed matrix entry in the {name}-list: {exc}") from exc
+    full = pairs.shape[:1] + (*shape, 2)
+    written = full[:full.index(0) + 1] if 0 in full else full
+    if pairs.dtype.kind not in "biuf" or pairs.shape != written:
+        raise FileFormatError(f"malformed {name}-list: expected {shape[0]} x {shape[1]} "
+                              f"matrices of [re, im] number pairs, read shape {pairs.shape}")
+    return np.ascontiguousarray(pairs, dtype=float).reshape(full).view(complex)[..., 0]
 
 
 def system_from_dict(payload: dict) -> MultiSystem:
     _header(payload, "system")
     with _fields():
         dx, du, dy = payload["dim_x"], payload["dim_u"], payload["dim_y"]
-        blocks = {
-            name: [matrix_from_json(m, shape) for m in payload[name]]
-            for name, shape in (("a", (dx, dx)), ("b", (dx, du)),
-                                ("c", (dy, dx)), ("d", (dy, du)))
-        }
+        stacks = [_block_list(payload[name], name, shape)
+                  for name, shape in (("a", (dx, dx)), ("b", (dx, du)),
+                                      ("c", (dy, dx)), ("d", (dy, du)))]
         n_params = payload["n_params"]
-    s = MultiSystem(**blocks)
+    g = np.empty((_n_params_of([len(x) for x in stacks]), dx + dy, dx + du), dtype=complex)
+    g[:, :dx, :dx], g[:, :dx, dx:], g[:, dx:, :dx], g[:, dx:, dx:] = stacks
+    s = _from_pencil(g, dx)
     if s.n_params != n_params:
         raise FileFormatError("n_params does not match the block lists")
     return s

@@ -135,20 +135,6 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return orthonormal_basis(np.hstack([a.basis, b.basis]))
 
 
-def orthogonal_complement(a: Subspace, within: Subspace) -> Subspace:
-    """Complement of ``a`` inside ``within``, i.e. b with a + b = within, a _|_ b."""
-    if a.ambient_dim != within.ambient_dim:
-        raise SubspaceError("ambient dimension mismatch")
-    resid = a.containment_residual(within)
-    if resid > SUBSPACE_TOL:
-        raise SubspaceError(
-            f"subspace not contained in the enclosing space (residual {resid:.3e})"
-        )
-    n = a.ambient_dim
-    reduced = (np.eye(n, dtype=complex) - a.projector()) @ within.basis
-    return orthonormal_basis(reduced)
-
-
 def is_invariant(m, s: Subspace) -> bool:
     """True iff m maps s into s: ||(I - P_s) m basis_s|| < SUBSPACE_TOL."""
     m = _as_complex(m)

@@ -91,7 +91,9 @@ class MultiSystem:
     copied system is rebuilt from its stack by ``_from_pencil``, so it
     keeps that layout.  The first ``transfer_eval`` keeps the stack's
     row-Gram constants (``_row_gram_constants``) in ``_row_gram``; a
-    pickled or copied system computes them again.
+    pickled or copied system computes them again.  A system built by
+    ``_from_pencil`` with ``rows_of`` (its X rows are those of that system)
+    takes that system's constants instead, through its cache.
     """
 
     a: tuple
@@ -100,6 +102,7 @@ class MultiSystem:
     d: tuple
     _pencil: np.ndarray = field(init=False, repr=False)
     _row_gram: Optional[tuple] = field(default=None, init=False, repr=False)
+    _rows_of: Optional[MultiSystem] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _adopt(self, *_assemble(self.a, self.b, self.c, self.d))
@@ -133,12 +136,7 @@ def _assemble(*lists) -> tuple:
         for i, m in enumerate(mats):
             if m.ndim != 2:
                 raise SystemShapeError(f"{name}[{i}] is not a matrix (ndim={m.ndim})")
-    n = len(lists[0])
-    if n < 1:
-        raise SystemShapeError("a-list is empty; need n_params >= 1")
-    for name, mats in zip("bcd", lists[1:]):
-        if len(mats) != n:
-            raise SystemShapeError(f"{name}-list has length {len(mats)}, expected n_params={n}")
+    n = _n_params_of([len(mats) for mats in lists])
     (dx, _), (dy, du) = lists[0][0].shape, lists[3][0].shape
     for k in range(n):
         for name, mats, shape in zip("abcd", lists, ((dx, dx), (dx, du), (dy, dx), (dy, du))):
@@ -147,6 +145,19 @@ def _assemble(*lists) -> tuple:
     g = np.empty((n, dx + dy, dx + du), dtype=complex)
     g[:, :dx, :dx], g[:, :dx, dx:], g[:, dx:, :dx], g[:, dx:, dx:] = lists
     return g, dx
+
+
+def _n_params_of(lengths) -> int:
+    """N of the block lists a, b, c, d of these lengths.  Raises
+    SystemShapeError on an empty a-list, then on the first other list of
+    another length."""
+    n = lengths[0]
+    if n < 1:
+        raise SystemShapeError("a-list is empty; need n_params >= 1")
+    for name, length in zip("bcd", lengths[1:]):
+        if length != n:
+            raise SystemShapeError(f"{name}-list has length {length}, expected n_params={n}")
+    return n
 
 
 def _adopt(s: MultiSystem, g: np.ndarray, dim_x: int) -> MultiSystem:
@@ -189,10 +200,14 @@ def pencil_blocks(s: MultiSystem) -> np.ndarray:
     return s._pencil
 
 
-def _from_pencil(g: np.ndarray, dim_x: int) -> MultiSystem:
+def _from_pencil(g: np.ndarray, dim_x: int, rows_of: Optional[MultiSystem] = None) -> MultiSystem:
     """The system whose pencil stack is a copy of ``g``, with state
-    dimension dim_x; the blocks are views into that copy."""
-    return _adopt(object.__new__(MultiSystem), np.array(g, dtype=complex), dim_x)
+    dimension dim_x; the blocks are views into that copy.  ``rows_of`` is a
+    system whose X rows [A_k B_k] are those of ``g``: the new system takes
+    its row-Gram constants (``_kept_row_gram``)."""
+    s = _adopt(object.__new__(MultiSystem), np.array(g, dtype=complex), dim_x)
+    object.__setattr__(s, "_rows_of", rows_of)
+    return s
 
 
 def _direct_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -303,6 +318,17 @@ def _row_gram_constants(s: MultiSystem) -> tuple:
     return (math.ldexp(math.sqrt(h), e), limit, *(c_jk / h if h else 0.0 for c_jk in c))
 
 
+def _kept_row_gram(s: MultiSystem) -> tuple:
+    """``_row_gram_constants(s)``, a property of the read-only stack:
+    computed on first use and kept, or taken from ``s._rows_of``, whose X
+    rows, so constants, are the same, through that system's cache."""
+    if s._row_gram is None:
+        source = s._rows_of
+        constants = _row_gram_constants(s) if source is None else _kept_row_gram(source)
+        object.__setattr__(s, "_row_gram", constants)
+    return s._row_gram
+
+
 def _norm_certified(s: MultiSystem, z: np.ndarray) -> bool:
     """True only if, at every point of ``z``, the computed I - zA provably
     has cond_2 < 1 / RESOLVENT_SCREEN; ``_row_gram_constants`` decide.
@@ -343,11 +369,7 @@ def _norm_certified(s: MultiSystem, z: np.ndarray) -> bool:
     in [1 - b, 1 + b] and cond_2 <= (1 + b) / (1 - b) <= (1 - tau) / tau.  A
     non-finite point gives a nan or inf beta and fails.
     """
-    constants = s._row_gram
-    if constants is None:  # a property of the read-only stack: computed once, kept
-        constants = _row_gram_constants(s)
-        object.__setattr__(s, "_row_gram", constants)
-    r, limit, *weights = constants
+    r, limit, *weights = _kept_row_gram(s)
     moduli = np.abs(z)
     m = moduli.max(-1)
     beta = r * m
@@ -524,25 +546,25 @@ class ConservativityReport:
         return self.is_isometric_family and self.is_coisometric_family
 
 
-def _unitarity_defects(blocks) -> tuple:
-    """The isometric and coisometric defects of the pencil sum_k z_k M_k.
+def _unitarity_defects(g: np.ndarray) -> tuple:
+    """The isometric and coisometric defects of the pencil sum_k z_k G_k of
+    the stack ``g``, each family a stack.
 
-    Returns (iso, coiso): iso[0] = sum_k M_k* M_k - I and coiso[0] =
-    sum_k M_k M_k* - I, then M_j* M_k and M_j M_k* for the pairs j != k in
+    Returns (iso, coiso): iso[0] = sum_k G_k* G_k - I and coiso[0] =
+    sum_k G_k G_k* - I, then G_j* G_k and G_j G_k* for the pairs j != k in
     lexicographic order.  The pencil is unitary on the torus exactly when
-    all of them vanish (see module docstring); each list is closed under
-    adjoints.
+    all of them vanish (see module docstring); each family is closed under
+    adjoints.  Every product comes from one batched product per family,
+    [j, k] = G_j* G_k or G_j G_k*, and the sums add its diagonal in order.
     """
-    n = len(blocks)
-    rows, cols = blocks[0].shape
-    iso = [sum(m.conj().T @ m for m in blocks) - np.eye(cols)]
-    coiso = [sum(m @ m.conj().T for m in blocks) - np.eye(rows)]
-    for j in range(n):
-        for k in range(n):
-            if j != k:
-                iso.append(blocks[j].conj().T @ blocks[k])
-                coiso.append(blocks[j] @ blocks[k].conj().T)
-    return iso, coiso
+    n, rows, cols = g.shape
+    gh = g.conj().swapaxes(1, 2)
+    off_diagonal = ~np.eye(n, dtype=bool)  # the pairs j != k, in lexicographic order
+    defects = []
+    for products, size in ((gh[:, None] @ g[None], cols), (g[:, None] @ gh[None], rows)):
+        total = sum(products[k, k] for k in range(n)) - np.eye(size)
+        defects.append(np.concatenate([total[None], products[off_diagonal]]))
+    return tuple(defects)
 
 
 def is_conservative(s: MultiSystem, tol: float = CONSERVATIVE_TOL) -> ConservativityReport:
@@ -550,9 +572,8 @@ def is_conservative(s: MultiSystem, tol: float = CONSERVATIVE_TOL) -> Conservati
     n = s.n_params
     pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
     # row 0: the sum minus I; row 1 + i: the cross term of pairs[i]
-    iso, coiso = _unitarity_defects(pencil_blocks(s))
-    iso_r = np.linalg.norm(np.stack(iso), 2, axis=(1, 2))
-    coiso_r = np.linalg.norm(np.stack(coiso), 2, axis=(1, 2))
+    iso_r, coiso_r = (np.linalg.svd(defects, compute_uv=False)[:, 0]
+                      for defects in _unitarity_defects(pencil_blocks(s)))
     # the first largest residual in the order: both sums, then each pair's
     # isometric and coisometric cross terms
     residuals = np.column_stack([iso_r, coiso_r]).ravel()
@@ -698,8 +719,8 @@ def unitary_part(s: MultiSystem) -> Subspace:
     under the adjoint-closed set {A_k, A_k*}, so the answer is the
     complement of the invariant closure of the defects' ranges.
     """
-    iso, coiso = _unitarity_defects(s.a)
-    outside = invariant_closure(_with_adjoints(s.a), np.hstack(iso + coiso),
+    iso, coiso = _unitarity_defects(pencil_blocks(s)[:, :s.dim_x, :s.dim_x])
+    outside = invariant_closure(_with_adjoints(s.a), np.hstack([*iso, *coiso]),
                                 UNITARY_RANK_TOL)
     return orthonormal_basis(np.eye(s.dim_x) - outside.projector(), UNITARY_RANK_TOL)
 

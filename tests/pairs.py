@@ -1,4 +1,5 @@
-"""Test helpers: the zero and whole subspaces; on pairs of conservative
+"""Test helpers: the zero and whole subspaces, the intersection of two
+subspaces and the complement of one inside another; on pairs of conservative
 systems, the closely-connected cascade and the two candidate subspaces the
 paper builds from its factors; the executable form of "a closely connected
 cascade has closely connected factors"; a grid oracle for the sup-norm of a
@@ -67,6 +68,20 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     comp_b = orthonormal_basis(eye - b.projector())
     comp_sum = subspace_sum(comp_a, comp_b)
     return orthonormal_basis(eye - comp_sum.projector())
+
+
+def orthogonal_complement(a: Subspace, within: Subspace) -> Subspace:
+    """Complement of ``a`` inside ``within``, i.e. b with a + b = within, a _|_ b."""
+    if a.ambient_dim != within.ambient_dim:
+        raise SubspaceError("ambient dimension mismatch")
+    resid = a.containment_residual(within)
+    if resid > SUBSPACE_TOL:
+        raise SubspaceError(
+            f"subspace not contained in the enclosing space (residual {resid:.3e})"
+        )
+    n = a.ambient_dim
+    reduced = (np.eye(n, dtype=complex) - a.projector()) @ within.basis
+    return orthonormal_basis(reduced)
 
 
 def is_a_invariant(s: MultiSystem, x2: Subspace) -> bool:

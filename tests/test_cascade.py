@@ -11,7 +11,7 @@ from mpsys.cascade import (
     sample_polydisk,
     verify_factor_tf,
 )
-from mpsys.subspaces import orthonormal_basis, projector_distance
+from mpsys.subspaces import is_invariant, orthonormal_basis, projector_distance
 from mpsys.systems import (
     ConservativityError,
     MultiSystem,
@@ -144,6 +144,81 @@ def test_condition_ii_verdict_matches_oracle_on_zero_subspace():
         x2 = zero_space(s.dim_x)
         result = check_condition_ii(s, x2)
         assert result.holds == condition_ii_oracle(s, x2)
+
+
+def test_condition_i_is_checked_for_every_a_k():
+    # X2 = the alpha2 block is invariant for A_1 and, after adding a map
+    # from X2 to X1, not for A_2: condition (i) fails in either order
+    alpha2, alpha1 = conservative_pair(5)
+    combined = cascade(alpha2, alpha1)
+    x2 = coordinate_block(combined.dim_x, alpha2.dim_x)
+    leak = np.zeros((combined.dim_x,) * 2)
+    leak[-1, 0] = 0.1
+    moved = [combined.a[0], combined.a[1] + leak]
+    assert is_invariant(moved[0], x2) and not is_invariant(moved[1], x2)
+    for a in (moved, moved[::-1]):
+        s = MultiSystem(a=a, b=combined.b, c=combined.c, d=combined.d)
+        with pytest.raises(CascadeError, match=r"condition \(i\) fails"):
+            check_condition_ii(s, x2)
+
+
+def test_condition_ii_fails_with_dim_m_when_the_rank_falls_short():
+    # N = 1 with two equal output rows: G*(X2 (+) Y) has rank dim X2 + 1
+    base = random_conservative(1, 3, 2, 2, seed=40)
+    c, d = base.c[0].copy(), base.d[0].copy()
+    c[1], d[1] = c[0], d[0]
+    s = MultiSystem(a=base.a, b=base.b, c=[c], d=[d])
+    eigenvectors = np.linalg.eig(base.a[0])[1]
+    for x2 in (zero_space(3), orthonormal_basis(eigenvectors[:, :1])):
+        result = check_condition_ii(s, x2)
+        target = np.vstack([np.hstack([x2.basis, np.zeros((3, 2))]),
+                            np.hstack([np.zeros((2, x2.dim)), np.eye(2)])])
+        rank = np.linalg.matrix_rank(pencil_blocks(s)[0].conj().T @ target)
+        assert not result.holds and result.intermediate is None
+        assert result.dim_m == rank == x2.dim + 1
+        assert result.dim_expected == x2.dim + 2
+
+
+def test_condition_ii_fails_when_x2_is_not_in_m():
+    # a generic non-conservative N = 1 pencil and X2 spanned by an
+    # eigenvector of A: M has the expected rank but misses X2 (+) 0
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((1, 5, 5)) + 1j * rng.standard_normal((1, 5, 5))
+    s = MultiSystem(a=g[:, :3, :3], b=g[:, :3, 3:], c=g[:, 3:, :3], d=g[:, 3:, 3:])
+    assert not is_conservative(s).is_conservative
+    x2 = orthonormal_basis(np.linalg.eig(s.a[0])[1][:, :1])
+    result = check_condition_ii(s, x2)
+    m = orthonormal_basis(g[0].conj().T @ np.vstack([np.hstack([x2.basis, np.zeros((3, 2))]),
+                                                     np.hstack([np.zeros((2, 1)), np.eye(2)])]))
+    x2_embedded = orthonormal_basis(np.vstack([x2.basis, np.zeros((2, 1))]))
+    assert x2_embedded.containment_residual(m) > 1e-3
+    assert not result.holds and result.intermediate is None
+    assert result.dim_m == result.dim_expected == m.dim == 3
+
+
+def test_condition_ii_intermediate_completes_x2_to_m():
+    # V is orthogonal to X2 (+) 0 and the two span M, on rotated cascades
+    rng = np.random.default_rng(42)
+    for n in (1, 2, 3):
+        alpha2, alpha1 = conservative_pair(50 + n, n=n)
+        combined = cascade(alpha2, alpha1)
+        rot = np.linalg.qr(rng.standard_normal((combined.dim_x,) * 2))[0]
+        s = MultiSystem(a=[rot @ a @ rot.T for a in combined.a],
+                        b=[rot @ b for b in combined.b],
+                        c=[c @ rot.T for c in combined.c], d=combined.d)
+        x2 = orthonormal_basis(rot[:, :alpha2.dim_x])
+        result = check_condition_ii(s, x2)
+        assert result.holds
+        du, dy = s.dim_u, s.dim_y
+        target = np.vstack([np.hstack([x2.basis, np.zeros((s.dim_x, dy))]),
+                            np.hstack([np.zeros((dy, x2.dim)), np.eye(dy)])])
+        m = orthonormal_basis(np.hstack(pencil_blocks(s).conj().swapaxes(1, 2) @ target))
+        x2_embedded = np.vstack([x2.basis, np.zeros((du, x2.dim))])
+        v = result.intermediate.basis
+        assert result.dim_m == m.dim == x2.dim + result.intermediate.dim
+        assert np.abs(x2_embedded.conj().T @ v).max() < 1e-12
+        spanned = orthonormal_basis(np.hstack([x2_embedded, v]))
+        assert projector_distance(spanned, m) < 1e-12
 
 
 def test_decompose_recovers_cascade_factors():

@@ -382,7 +382,8 @@ def process_env():
 def test_one_cascade_computes_its_row_gram_constants_once(monkeypatch):
     # the cascade is evaluated by verify_factor_tf and by both reconstruction
     # residuals of the eval benchmark; its constants, and those of every
-    # other system evaluated, are computed on the first call only
+    # other system evaluated, are computed on the first call only, and the
+    # left tail, whose X rows are the cascade's, takes the cascade's
     computed, compute = [], systems._row_gram_constants
 
     def recording(s):
@@ -394,11 +395,13 @@ def test_one_cascade_computes_its_row_gram_constants_once(monkeypatch):
     c = cascade(alpha2, alpha1)
     verify_factor_tf(c, alpha2, alpha1, n_points=20, seed=1)
     m = factorization.multiplicity(c)
-    cli._reconstruction_residual(c, *factorization.factor_left(c, m), False, 1)
+    left_chain, left_tail = factorization.factor_left(c, m)
+    cli._reconstruction_residual(c, left_chain, left_tail, False, 1)
     tail, chain = factorization.factor_right(c, m)
     cli._reconstruction_residual(c, chain, tail, True, 1)
     assert sum(t is c for t in computed) == 1
-    assert len({id(t) for t in computed}) == len(computed) == 5  # c, alpha2, alpha1, two tails
+    assert len({id(t) for t in computed}) == len(computed) == 4  # c, alpha2, alpha1, right tail
+    assert left_tail.vanishing_part._row_gram is c._row_gram
 
 
 def test_parser_is_built_once_per_process():

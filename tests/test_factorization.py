@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import sys
 from itertools import islice
 
 import numpy as np
@@ -427,8 +428,13 @@ def test_solve_problem2_builds_nothing_when_zero_space_succeeds(monkeypatch):
     closures, sums = [], []
     monkeypatch.setattr(factorization, "invariant_closure",
                         counting(factorization.invariant_closure, closures))
-    # the package rebinds the name ``mpsys.cascade`` to the function
-    for module in (subspaces, importlib.import_module("mpsys.cascade")):
+    # every package module that still binds the name; the package rebinds
+    # the name ``mpsys.cascade`` to the function, so the modules come from
+    # sys.modules
+    bound = [module for name, module in sorted(sys.modules.items())
+             if name.split(".")[0] == "mpsys" and hasattr(module, "subspace_sum")]
+    assert subspaces in bound
+    for module in bound:
         monkeypatch.setattr(module, "subspace_sum", counting(module.subspace_sum, sums))
     s = cascade_of(1, 2, 2, 2, seed=60)
     assert [c.dim for c in invariant_subspace_candidates(s)] == [0]

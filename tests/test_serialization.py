@@ -10,7 +10,8 @@ from mpsys.cascade import cascade
 from mpsys.factorization import LinearFactorChain, factor_left
 from mpsys.subspaces import orthonormal_basis
 from mpsys.subspaces import Subspace
-from mpsys.systems import MultiSystem, PolyGerm, random_conservative
+from mpsys.systems import (MultiSystem, PolyGerm, SystemShapeError, pencil_blocks,
+                           random_conservative)
 
 
 def test_matrix_round_trip_is_exact():
@@ -52,6 +53,15 @@ def test_stateless_system_round_trip(tmp_path):
     path = tmp_path / "sys.json"
     ser.save_json(path, ser.system_to_dict(s))
     assert ser.load_system(path).dim_x == 0
+    # empty blocks: no state, or no input
+    wide = MultiSystem(a=[np.zeros((2, 2))] * 2, b=[np.zeros((2, 0))] * 2,
+                       c=[np.ones((1, 2))] * 2, d=[np.zeros((1, 0))] * 2)
+    for system in (s, wide):
+        ser.save_json(path, ser.system_to_dict(system))
+        loaded = ser.load_system(path)
+        assert loaded.n_params == system.n_params
+        assert pencil_blocks(loaded).shape == pencil_blocks(system).shape
+        assert pencil_blocks(loaded).tobytes() == pencil_blocks(system).tobytes()
 
 
 def test_germ_round_trip(tmp_path):
@@ -154,11 +164,25 @@ def test_matrix_codec_matches_the_per_entry_oracle():
     assert ser.matrix_from_json([[], []], (2, 0)).shape == (2, 0)
 
 
+def per_block_system_payload(s):
+    """Oracle: the system file written block by block, one entry at a time."""
+    return {"schema_version": "1", "kind": "system", "n_params": s.n_params,
+            "dim_x": s.dim_x, "dim_u": s.dim_u, "dim_y": s.dim_y,
+            **{name: [per_entry_to_json(m) for m in getattr(s, name)] for name in "abcd"}}
+
+
 def test_files_are_byte_identical_to_the_per_entry_writer(monkeypatch):
     alpha2 = random_conservative(2, 8, 3, 3, seed=1)
     s = cascade(alpha2, random_conservative(2, 5, 3, 3, seed=2))
-    payloads = (lambda: ser.system_to_dict(s),
-                lambda: ser.germ_to_dict(PolyGerm(2, 2, 1, {(1, 0): [[1.0, -0.0]],
+    # the system writer converts the whole pencil at once, so its oracle is
+    # built block by block; the other writers convert each matrix
+    stateless = random_conservative(3, 0, 2, 2, seed=3)
+    wide = MultiSystem(a=[np.zeros((2, 2))], b=[np.zeros((2, 0))],
+                       c=[[[1.0, -0.0], [0.5j, 1e-300]]], d=[np.zeros((2, 0))])
+    for system in (s, stateless, wide):
+        assert (json.dumps(ser.system_to_dict(system), sort_keys=True)
+                == json.dumps(per_block_system_payload(system), sort_keys=True))
+    payloads = (lambda: ser.germ_to_dict(PolyGerm(2, 2, 1, {(1, 0): [[1.0, -0.0]],
                                                            (1, 2): [[0.5j, 1e-300]]})),
                 lambda: ser.subspace_to_dict(orthonormal_basis(alpha2.b[0])),
                 lambda: ser.subspace_to_dict(Subspace(3, np.zeros((3, 0)))),
@@ -166,6 +190,59 @@ def test_files_are_byte_identical_to_the_per_entry_writer(monkeypatch):
     texts = [json.dumps(make(), sort_keys=True) for make in payloads]
     monkeypatch.setattr(ser, "matrix_to_json", per_entry_to_json)
     assert texts == [json.dumps(make(), sort_keys=True) for make in payloads]
+
+
+def test_a_matrix_of_the_wrong_shape_in_a_block_list_is_rejected():
+    s = random_conservative(2, 3, 2, 2, seed=7)
+    # one matrix transposed (ragged), every matrix transposed (same size),
+    # and one matrix with a row short
+    one = ser.system_to_dict(s)
+    one["b"][1] = ser.matrix_to_json(s.b[1].T)
+    every = ser.system_to_dict(s)
+    every["b"] = [ser.matrix_to_json(m.T) for m in s.b]
+    short = ser.system_to_dict(s)
+    short["c"][0][1] = short["c"][0][1][:-1]
+    for payload in (one, every, short):
+        with pytest.raises(ser.FileFormatError, match="b-list|c-list"):
+            ser.system_from_dict(payload)
+
+
+def test_a_block_list_of_the_wrong_length_is_rejected():
+    s = random_conservative(2, 3, 2, 2, seed=7)
+    payload = ser.system_to_dict(s)
+    payload["c"] = payload["c"][:1]
+    with pytest.raises(SystemShapeError, match="c-list has length 1, expected n_params=2"):
+        ser.system_from_dict(payload)
+    payload = ser.system_to_dict(s)
+    payload["a"] = payload["b"] = payload["c"] = payload["d"] = []
+    with pytest.raises(SystemShapeError, match="a-list is empty"):
+        ser.system_from_dict(payload)
+    # every list one matrix short: the lists agree, n_params does not
+    payload = ser.system_to_dict(s)
+    for name in "abcd":
+        payload[name] = payload[name][:1]
+    with pytest.raises(ser.FileFormatError, match="n_params"):
+        ser.system_from_dict(payload)
+
+
+def test_a_rows_one_entry_short_and_b_rows_one_entry_long_are_rejected():
+    # the rows of [A_k B_k] keep their length, so only the per-list shape
+    # check sees that the blocks are cut in the wrong place
+    s = random_conservative(2, 3, 2, 2, seed=7)
+    payload = ser.system_to_dict(s)
+    for k in range(2):
+        for i in range(3):
+            row_a, row_b = payload["a"][k][i], payload["b"][k][i]
+            payload["a"][k][i], payload["b"][k][i] = row_a[:-1], row_a[-1:] + row_b
+    with pytest.raises(ser.FileFormatError, match="a-list"):
+        ser.system_from_dict(payload)
+
+
+def test_non_finite_blocks_in_a_file_name_the_block():
+    payload = ser.system_to_dict(random_conservative(2, 3, 2, 2, seed=7))
+    payload["d"][1][0][1] = [float("nan"), 0.0]
+    with pytest.raises(SystemShapeError, match=r"d\[1\] has non-finite entries"):
+        ser.system_from_dict(payload)
 
 
 @pytest.mark.parametrize("rows", [

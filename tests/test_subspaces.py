@@ -13,13 +13,13 @@ from mpsys.subspaces import (
     _range_basis,
     invariant_closure,
     is_invariant,
-    orthogonal_complement,
     orthonormal_basis,
     projector_distance,
     subspace_sum,
 )
 
-from pairs import counting, subspace_intersection, whole_space, zero_space
+from pairs import (counting, orthogonal_complement, subspace_intersection, whole_space,
+                   zero_space)
 
 
 def random_subspace(rng, ambient, dim):
