@@ -22,8 +22,8 @@ cross-checks this reduction.
 Each space of the test and the split is computed from one basis:
 condition (i) is one batched residual over the stacked A_k; M is the raw
 SVD basis of the stacked G_k*(X2 (+) Y), whose rank is the test, never
-canonicalized; V is the basis of (I - P_(X2 (+) 0)) M, and X1 that of
-I - P_X2 - P_V, since X2 and V are orthogonal.
+canonicalized; V is the raw SVD basis of (I - P_(X2 (+) 0)) M, which the
+split canonicalizes once; X1 is that of I - P_X2 - P_V (X2 and V are orthogonal).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def cascade(alpha2: MultiSystem, alpha1: MultiSystem) -> MultiSystem:
 @dataclass(frozen=True)
 class ConditionIIResult:
     holds: bool
-    intermediate: Optional[Subspace]  # V = M (-) X2, in C^(dim_x + dim_u)
+    intermediate: Optional[Subspace]  # V = M (-) X2 in C^(dim_x + dim_u), a raw SVD basis
     dim_m: int
     dim_expected: int
 
@@ -109,7 +109,8 @@ def check_condition_ii(s: MultiSystem, x2: Subspace) -> ConditionIIResult:
     if x2.dim and np.linalg.norm(x2_embedded - m @ (m.conj().T @ x2_embedded), 2) > SUBSPACE_TOL:
         return ConditionIIResult(False, None, dim_m, expected)
     outside = np.eye(len(m), dtype=complex) - x2_embedded @ x2_embedded.conj().T
-    return ConditionIIResult(True, orthonormal_basis(outside @ m), dim_m, expected)
+    v = _range_basis(outside @ m, RANK_TOL)  # orthonormal; _split canonicalizes it
+    return ConditionIIResult(True, Subspace(len(m), v), dim_m, expected)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,13 @@ cascade, decompose, factor, agler.  Every run prints a JSON report whose
 body is byte-identical across runs with the same command and seed (the
 timing field is the only exception and is excluded from that guarantee).
 
-Exit codes: 0 = pass, 2 = property fail (with witness where applicable),
-1 = usage, parse, or precondition error.  Seeds are flags only; no
-environment variable can override them.  ``generate``, ``check`` and
-``factor`` refuse a flag their mode does not read (``MODE_FLAGS``).
+One rule decides every exit code: a handler returns its report alone, and a
+report with a verdict states it as a string ``verdict`` whose ``kind``, one
+of ``KINDS``, says what it rests on.  ``run`` exits 2 exactly when the
+verdict is in ``FAILING``, 0 otherwise, and 1 on a usage, parse or
+precondition error.  Seeds are flags only; no environment variable can
+override them.  ``generate``, ``check`` and ``factor`` refuse a flag their
+mode does not read (``MODE_FLAGS``).
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ from .tolerances import (AGLER_TOL, COEFF_TOL, CONSERVATIVE_TOL, RANK_TOL, RESID
 from . import serialization as ser
 
 PASS, ERROR, FAIL = 0, 1, 2
+
+# What a verdict rests on: an algebraic identity or rank test, a witness
+# whose residual is recomputed, or samples that found no counterexample.
+KINDS = ("exact", "certified", "heuristic")
+# The verdicts that exit FAIL; every other report exits PASS.
+FAILING = frozenset({"not-conservative", "not-dissipative", "not-closely-connected",
+                     "has-unitary-part", "zero-function", "not-reproduced",
+                     "no-cascade-decomposition", "not-member"})
 
 # For generate, check and factor: the attribute that holds the mode, how an
 # error names it, and the flags each mode reads with their defaults (None:
@@ -104,9 +115,12 @@ class CliError(Exception):
 
 
 def _report(args, **fields) -> dict:
-    body = {"command": " ".join(args), "schema_version": ser.SCHEMA_VERSION}
-    body.update(fields)
-    return body
+    return {"command": " ".join(args), "schema_version": ser.SCHEMA_VERSION, **fields}
+
+
+def _reproduced(residual: float, tol: float) -> str:
+    """The verdict on a product checked by one residual."""
+    return "reproduced" if residual < tol else "not-reproduced"
 
 
 def _emit(report: dict, started: float) -> None:
@@ -114,11 +128,9 @@ def _emit(report: dict, started: float) -> None:
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def cmd_generate(ns, argv) -> tuple:
+def cmd_generate(ns, argv) -> dict:
     if ns.what == "conservative":
-        system = random_conservative(
-            ns.n_params, ns.dim_x, ns.dim_u, ns.dim_y, seed=ns.seed
-        )
+        system = random_conservative(ns.n_params, ns.dim_x, ns.dim_u, ns.dim_y, seed=ns.seed)
         report_fields = {"seed": ns.seed}
     else:  # germ-realization
         if ns.germ is None:
@@ -128,71 +140,65 @@ def cmd_generate(ns, argv) -> tuple:
         report_fields = {"germ": str(ns.germ)}
     ser.save_json(ns.out, ser.system_to_dict(system))
     conservativity = is_conservative(system)
-    report = _report(
-        argv,
-        kind=ns.what,
-        out=str(ns.out),
-        dims={"n_params": system.n_params, "dim_x": system.dim_x,
-              "dim_u": system.dim_u, "dim_y": system.dim_y},
-        conservative=conservativity.is_conservative,
-        conservativity_residual=conservativity.worst_residual,
-        tolerances={"conservativity_tol": CONSERVATIVE_TOL},
-        **report_fields,
-    )
-    return report, PASS
+    return _report(argv, system_kind=ns.what, out=str(ns.out),
+                   dims={"n_params": system.n_params, "dim_x": system.dim_x,
+                         "dim_u": system.dim_u, "dim_y": system.dim_y},
+                   conservative=conservativity.is_conservative,
+                   conservativity_residual=conservativity.worst_residual,
+                   tolerances={"conservativity_tol": CONSERVATIVE_TOL}, **report_fields)
 
 
-def cmd_check(ns, argv) -> tuple:
+def cmd_check(ns, argv) -> dict:
     system = ser.load_system(ns.path)
     # each report echoes only the thresholds its verdict used
     tolerances = {"residual_tol": ns.residual_tol}
     if ns.what == "conservative":
         rep = is_conservative(system, ns.residual_tol)
-        report = _report(argv, what=ns.what, verdict=rep.is_conservative,
-                         residual=rep.worst_residual,
-                         failing_pair=list(rep.failing_pair) if rep.failing_pair else None,
-                         tolerances=tolerances)
-        return report, PASS if rep.is_conservative else FAIL
+        return _report(argv, what=ns.what, kind="exact",
+                       verdict="conservative" if rep.is_conservative else "not-conservative",
+                       residual=rep.worst_residual,
+                       failing_pair=list(rep.failing_pair) if rep.failing_pair else None,
+                       tolerances=tolerances)
     if ns.what == "dissipative":
-        verdict = is_dissipative_sampled(
-            system, n_samples=ns.torus_samples, tol=ns.residual_tol, seed=ns.seed
-        )
-        report = _report(argv, what=ns.what, verdict=verdict.passed,
-                         max_pencil_norm=verdict.max_norm,
-                         witness=ser.matrix_to_json(verdict.witness) if verdict.witness is not None else None,
-                         torus_samples=ns.torus_samples, seed=ns.seed,
-                         tolerances=tolerances)
-        return report, PASS if verdict.passed else FAIL
+        sampled = is_dissipative_sampled(system, n_samples=ns.torus_samples,
+                                         tol=ns.residual_tol, seed=ns.seed)
+        # a pass only failed to find a point; a fail names its witness point
+        return _report(argv, what=ns.what,
+                       kind="heuristic" if sampled.passed else "certified",
+                       verdict="not-falsified" if sampled.passed else "not-dissipative",
+                       max_pencil_norm=sampled.max_norm,
+                       witness=ser.matrix_to_json(sampled.witness) if sampled.witness is not None else None,
+                       torus_samples=ns.torus_samples, seed=ns.seed,
+                       tolerances=tolerances)
     if ns.what == "closely-connected":
         sub = closely_connected_subspace(system, ns.rank_tol)
-        verdict = sub.dim == system.dim_x
-        report = _report(argv, what=ns.what, verdict=verdict, cc_dim=sub.dim,
-                         dim_x=system.dim_x, tolerances={"rank_tol": ns.rank_tol})
-        return report, PASS if verdict else FAIL
+        return _report(argv, what=ns.what, kind="exact",
+                       verdict="closely-connected" if sub.dim == system.dim_x
+                       else "not-closely-connected",
+                       cc_dim=sub.dim, dim_x=system.dim_x, tolerances={"rank_tol": ns.rank_tol})
     if ns.what == "unitary-part":
         part = unitary_part(system)
-        verdict = part.dim == 0  # pass = pencil is completely non-unitary
-        report = _report(argv, what=ns.what, verdict=verdict,
-                         unitary_part_dim=part.dim, dim_x=system.dim_x,
-                         tolerances={"rank_tol": UNITARY_RANK_TOL})
-        return report, PASS if verdict else FAIL
+        return _report(argv, what=ns.what, kind="exact",
+                       verdict="completely-non-unitary" if part.dim == 0 else "has-unitary-part",
+                       unitary_part_dim=part.dim, dim_x=system.dim_x,
+                       tolerances={"rank_tol": UNITARY_RANK_TOL})
     # multiplicity
     m = multiplicity(system)
-    report = _report(argv, what=ns.what, multiplicity=m if m is not None else "zero-function",
-                     tolerances={"taylor_drop_tol": TAYLOR_DROP_TOL})
-    return report, PASS if m is not None else FAIL
+    return _report(argv, what=ns.what, kind="exact",
+                   verdict="nonzero" if m is not None else "zero-function", multiplicity=m,
+                   tolerances={"taylor_drop_tol": TAYLOR_DROP_TOL})
 
 
-def cmd_cascade(ns, argv) -> tuple:
+def cmd_cascade(ns, argv) -> dict:
     alpha2 = ser.load_system(ns.path2)
     alpha1 = ser.load_system(ns.path1)
     combined = cascade(alpha2, alpha1)
     ser.save_json(ns.out, ser.system_to_dict(combined))
     residual = verify_factor_tf(combined, alpha2, alpha1, seed=ns.seed)
-    report = _report(argv, out=str(ns.out), dim_x=combined.dim_x,
-                     transfer_product_residual=residual, seed=ns.seed,
-                     tolerances={"residual_tol": ns.residual_tol})
-    return report, PASS if residual < ns.residual_tol else FAIL
+    return _report(argv, kind="heuristic", verdict=_reproduced(residual, ns.residual_tol),
+                   out=str(ns.out), dim_x=combined.dim_x,
+                   transfer_product_residual=residual, seed=ns.seed,
+                   tolerances={"residual_tol": ns.residual_tol})
 
 
 def _save_all(out_dir: Path, files: dict) -> None:
@@ -202,7 +208,7 @@ def _save_all(out_dir: Path, files: dict) -> None:
         ser.save_json(out_dir / name, data)
 
 
-def cmd_decompose(ns, argv) -> tuple:
+def cmd_decompose(ns, argv) -> dict:
     system = ser.load_system(ns.path)
     x2 = ser.load_subspace(ns.x2)
     dec = decompose(system, x2)
@@ -212,12 +218,11 @@ def cmd_decompose(ns, argv) -> tuple:
                         "intermediate.json": ser.subspace_to_dict(dec.intermediate),
                         "x1.json": ser.subspace_to_dict(dec.x1)})
     residual = verify_factor_tf(system, dec.alpha2, dec.alpha1, seed=ns.seed)
-    report = _report(argv, out_dir=str(out_dir),
-                     dims={"x2": x2.dim, "intermediate": dec.intermediate.dim,
-                           "x1": dec.x1.dim},
-                     transfer_product_residual=residual, seed=ns.seed,
-                     tolerances={"residual_tol": ns.residual_tol})
-    return report, PASS if residual < ns.residual_tol else FAIL
+    return _report(argv, kind="heuristic", verdict=_reproduced(residual, ns.residual_tol),
+                   out_dir=str(out_dir),
+                   dims={"x2": x2.dim, "intermediate": dec.intermediate.dim, "x1": dec.x1.dim},
+                   transfer_product_residual=residual, seed=ns.seed,
+                   tolerances={"residual_tol": ns.residual_tol})
 
 
 def _reconstruction_residual(system, chain, tail, right: bool, seed: int) -> float:
@@ -230,7 +235,7 @@ def _reconstruction_residual(system, chain, tail, right: bool, seed: int) -> flo
     return float(_spectral_norms(diff).max())
 
 
-def cmd_factor(ns, argv) -> tuple:
+def cmd_factor(ns, argv) -> dict:
     system = ser.load_system(ns.path)
     out_dir = Path(ns.out_dir)  # made only once there is something to write
 
@@ -238,35 +243,31 @@ def cmd_factor(ns, argv) -> tuple:
         chain, target = factor_homogeneous(system)
         _save_all(out_dir, {"chain.json": ser.chain_to_dict(chain)})
         produced = chain_to_germ(chain)
-        residual = max(
-            (np.linalg.norm(produced.coeffs.get(t, 0) - target.coeffs.get(t, 0))
-             for t in set(produced.coeffs) | set(target.coeffs)),
-            default=0.0,
-        )
-        report = _report(argv, mode=ns.mode, degree=chain.length, out_dir=str(out_dir),
-                         coefficient_residual=float(residual),
-                         tolerances={"coefficient_tol": COEFF_TOL,
-                                     "taylor_drop_tol": TAYLOR_DROP_TOL})
-        return report, PASS if residual < COEFF_TOL else FAIL
+        residual = max((np.linalg.norm(produced.coeffs.get(t, 0) - target.coeffs.get(t, 0))
+                        for t in set(produced.coeffs) | set(target.coeffs)), default=0.0)
+        return _report(argv, mode=ns.mode, kind="exact",
+                       verdict=_reproduced(residual, COEFF_TOL), degree=chain.length,
+                       out_dir=str(out_dir), coefficient_residual=float(residual),
+                       tolerances={"coefficient_tol": COEFF_TOL,
+                                   "taylor_drop_tol": TAYLOR_DROP_TOL})
 
     tolerances = {"residual_tol": ns.residual_tol}
     if ns.mode == "problem2":
         outcome = solve_problem2(system, seed=ns.seed, tol=ns.residual_tol)
         if outcome.verdict != "factored":
             # exact for this closely-connected realization, not for all of theta's
-            report = _report(argv, mode=ns.mode, verdict=outcome.verdict,
-                             cc_dim=outcome.cc_dim, least_x2_dim=outcome.least_x2.dim,
-                             seed=ns.seed, tolerances=tolerances)
-            return report, FAIL
+            return _report(argv, mode=ns.mode, kind="exact", verdict=outcome.verdict,
+                           cc_dim=outcome.cc_dim, least_x2_dim=outcome.least_x2.dim,
+                           seed=ns.seed, tolerances=tolerances)
         _save_all(out_dir, {"theta2.json": ser.system_to_dict(outcome.theta2),
                             "theta1.json": ser.system_to_dict(outcome.theta1),
                             "witness_x2.json": ser.subspace_to_dict(outcome.least_x2)})
-        report = _report(argv, mode=ns.mode, verdict=outcome.verdict, out_dir=str(out_dir),
-                         intermediate_dim=outcome.intermediate_dim,
-                         witness_x2_dim=outcome.least_x2.dim,
-                         reconstruction_residual=outcome.residual,
-                         seed=ns.seed, tolerances=tolerances)
-        return report, PASS
+        # accepted on the sampled residual of verify_factor_tf
+        return _report(argv, mode=ns.mode, kind="heuristic", verdict=outcome.verdict,
+                       out_dir=str(out_dir), intermediate_dim=outcome.intermediate_dim,
+                       witness_x2_dim=outcome.least_x2.dim,
+                       reconstruction_residual=outcome.residual,
+                       seed=ns.seed, tolerances=tolerances)
 
     m = multiplicity(system)  # the one expansion of theta: m needs no re-check
     if m is None:
@@ -283,13 +284,13 @@ def cmd_factor(ns, argv) -> tuple:
         "tail_vanishing.json": ser.system_to_dict(tail.vanishing_part),
     })
     residual = _reconstruction_residual(system, chain, tail, right, ns.seed)
-    report = _report(argv, mode=ns.mode, multiplicity=m, out_dir=str(out_dir),
-                     reconstruction_residual=residual, seed=ns.seed,
-                     tolerances={**tolerances, "taylor_drop_tol": TAYLOR_DROP_TOL})
-    return report, PASS if residual < ns.residual_tol else FAIL
+    return _report(argv, mode=ns.mode, kind="heuristic",
+                   verdict=_reproduced(residual, ns.residual_tol), multiplicity=m,
+                   out_dir=str(out_dir), reconstruction_residual=residual, seed=ns.seed,
+                   tolerances={**tolerances, "taylor_drop_tol": TAYLOR_DROP_TOL})
 
 
-def cmd_agler(ns, argv) -> tuple:
+def cmd_agler(ns, argv) -> dict:
     system = ser.load_system(ns.path)
     outcome = agler_test(system, trials=ns.trials, r=ns.r, tol=ns.tol, seed=ns.seed)
     conservativity = is_conservative(system)
@@ -302,12 +303,11 @@ def cmd_agler(ns, argv) -> tuple:
                      ("heuristic", "not-falsified"))
     witness = ([ser.matrix_to_json(m) for m in outcome.witness.mats]
                if outcome.falsified else None)
-    report = _report(argv, kind=kind, verdict=verdict, trials=outcome.trials, r=ns.r,
-                     max_norm=outcome.max_norm, witness=witness,
-                     witness_norm=outcome.witness_norm,
-                     conservativity_residual=conservativity.worst_residual, seed=ns.seed,
-                     tolerances={"tol": ns.tol, "conservativity_tol": CONSERVATIVE_TOL})
-    return report, FAIL if outcome.falsified else PASS
+    return _report(argv, kind=kind, verdict=verdict, trials=outcome.trials, r=ns.r,
+                   max_norm=outcome.max_norm, witness=witness,
+                   witness_norm=outcome.witness_norm,
+                   conservativity_residual=conservativity.worst_residual, seed=ns.seed,
+                   tolerances={"tol": ns.tol, "conservativity_tol": CONSERVATIVE_TOL})
 
 
 def _add_common_tols(parser):
@@ -381,7 +381,7 @@ def run(argv) -> int:
         _apply_mode_flags(ns)
         # the handler is looked up on each call, not stored in the shared
         # parser, so a rebinding of cmd_<name> (a wrapper, a patch) is seen
-        report, code = globals()[f"cmd_{ns.cmd}"](ns, argv)
+        report = globals()[f"cmd_{ns.cmd}"](ns, argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
@@ -389,7 +389,7 @@ def run(argv) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return ERROR
     _emit(report, started)
-    return code
+    return FAIL if report.get("verdict") in FAILING else PASS
 
 
 def main() -> None:

@@ -6,8 +6,8 @@ schema_version "1" and a ``kind`` discriminator.
 
 A system file holds the block lists a, b, c and d.  It is written from one
 conversion of the pencil stack, whose nested rows are sliced into the four
-lists, and read with one conversion per block list, whose shape is checked
-whole before the pencil stack is filled from the four.
+lists, and read with one conversion per block list.  Every reader decodes
+through ``_block_list``, which checks whole shapes: no matrix is reshaped.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def matrix_from_json(rows, shape=None) -> np.ndarray:
+def matrix_from_json(rows) -> np.ndarray:
     """The matrix of rows of [re, im] number pairs, read as one array whose
     bytes are the complex entries'; [] and rows of [] are empty matrices.
     Strings, nulls, ragged rows and entries that are not pairs raise."""
@@ -46,8 +46,7 @@ def matrix_from_json(rows, shape=None) -> np.ndarray:
         pairs = pairs.reshape(len(pairs), 0, 2)
     if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
         raise FileFormatError("malformed matrix entry: expected rows of [re, im] number pairs")
-    m = np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-    return m if shape is None else m.reshape(shape)
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
 def _header(payload: dict, kind: str) -> None:
@@ -96,18 +95,18 @@ def system_to_dict(s: MultiSystem) -> dict:
 
 def _block_list(entries, name: str, shape: tuple) -> np.ndarray:
     """The (n, rows, cols) stack of a list of n matrices of ``shape`` given
-    as rows of [re, im] number pairs, read as one array.  Anything of
-    another shape raises, so no matrix is reshaped or broadcast; numpy
-    stops nesting at the first empty list, so a stack with an empty side
-    is read up to that list."""
+    as rows of [re, im] number pairs, read as one array; ``name`` names the
+    list in errors.  Anything of another shape raises, so no matrix is
+    reshaped or broadcast; numpy stops nesting at the first empty list, so
+    a stack with an empty side is read up to that list."""
     try:
         pairs = np.array(entries)
     except (TypeError, ValueError) as exc:  # ragged lists
-        raise FileFormatError(f"malformed matrix entry in the {name}-list: {exc}") from exc
+        raise FileFormatError(f"malformed matrix entry in the {name}: {exc}") from exc
     full = pairs.shape[:1] + (*shape, 2)
     written = full[:full.index(0) + 1] if 0 in full else full
     if pairs.dtype.kind not in "biuf" or pairs.shape != written:
-        raise FileFormatError(f"malformed {name}-list: expected {shape[0]} x {shape[1]} "
+        raise FileFormatError(f"malformed {name}: expected {shape[0]} x {shape[1]} "
                               f"matrices of [re, im] number pairs, read shape {pairs.shape}")
     return np.ascontiguousarray(pairs, dtype=float).reshape(full).view(complex)[..., 0]
 
@@ -116,7 +115,7 @@ def system_from_dict(payload: dict) -> MultiSystem:
     _header(payload, "system")
     with _fields():
         dx, du, dy = payload["dim_x"], payload["dim_u"], payload["dim_y"]
-        stacks = [_block_list(payload[name], name, shape)
+        stacks = [_block_list(payload[name], f"{name}-list", shape)
                   for name, shape in (("a", (dx, dx)), ("b", (dx, du)),
                                       ("c", (dy, dx)), ("d", (dy, du)))]
         n_params = payload["n_params"]
@@ -146,11 +145,9 @@ def germ_from_dict(payload: dict) -> PolyGerm:
     _header(payload, "germ")
     with _fields():
         dy, du = payload["dim_y"], payload["dim_u"]
-        coeffs = {
-            tuple(int(x) for x in entry["index"]):
-                matrix_from_json(entry["matrix"], (dy, du))
-            for entry in payload["coeffs"]
-        }
+        entries = payload["coeffs"]
+        matrices = _block_list([e["matrix"] for e in entries], "coefficient list", (dy, du))
+        coeffs = {tuple(int(x) for x in e["index"]): m for e, m in zip(entries, matrices)}
         n_params = payload["n_params"]
     return PolyGerm(n_params, du, dy, coeffs)
 
@@ -169,7 +166,7 @@ def subspace_from_dict(payload: dict) -> Subspace:
     _header(payload, "subspace")
     with _fields():
         ambient = payload["ambient_dim"]
-        basis = matrix_from_json(payload["basis"], (ambient, payload["dim"]))
+        basis = _block_list([payload["basis"]], "basis", (ambient, payload["dim"]))[0]
     return Subspace(ambient, basis)  # orthonormality re-verified on load
 
 
@@ -188,7 +185,7 @@ def chain_from_dict(payload: dict) -> LinearFactorChain:
     with _fields():
         spaces = tuple(int(x) for x in payload["spaces"])
         factors = tuple(
-            tuple(matrix_from_json(m, (spaces[j], spaces[j + 1])) for m in tup)
+            tuple(_block_list(tup, f"factor {j + 1} list", (spaces[j], spaces[j + 1])))
             for j, tup in enumerate(payload["factors"])
         )
     return LinearFactorChain(spaces=spaces, factors=factors)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (exit codes and files)."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -50,7 +51,7 @@ def test_generate_and_check_conservative(tmp_path, capsys):
 
     code, stdout, _ = invoke(capsys, "check", str(out), "--what", "conservative")
     assert code == 0
-    assert report_body(stdout)["verdict"] is True
+    assert report_body(stdout)["verdict"] == "conservative"
 
 
 def test_check_fails_on_broken_system(tmp_path, capsys):
@@ -61,7 +62,7 @@ def test_check_fails_on_broken_system(tmp_path, capsys):
     for what in ("conservative", "dissipative"):
         code, stdout, _ = invoke(capsys, "check", str(path), "--what", what)
         assert code == 2
-        assert report_body(stdout)["verdict"] is False
+        assert report_body(stdout)["verdict"] == f"not-{what}"
 
 
 def test_cascade_and_decompose_round_trip(tmp_path, capsys):
@@ -162,8 +163,8 @@ def test_factor_problem2_exact_no_computes_each_result_once(tmp_path, capsys, mo
     assert code == 2
     assert {name: len(counter) for name, counter in calls.items()} == dict.fromkeys(calls, 1)
     body = report_body(stdout)
-    assert sorted(body) == ["cc_dim", "command", "least_x2_dim", "mode", "schema_version",
-                            "seed", "tolerances", "verdict"]
+    assert sorted(body) == ["cc_dim", "command", "kind", "least_x2_dim", "mode",
+                            "schema_version", "seed", "tolerances", "verdict"]
     assert body["verdict"] == "no-cascade-decomposition"
     assert body["cc_dim"] == body["least_x2_dim"] == 4
 
@@ -234,7 +235,8 @@ def test_zero_function_is_exact(tmp_path, capsys):
     code, stdout, _ = invoke(capsys, "check", str(path), "--what", "multiplicity")
     assert code == 2
     body = report_body(stdout)
-    assert body["multiplicity"] == "zero-function" and "degree_cap" not in body
+    assert body["verdict"] == "zero-function" and body["multiplicity"] is None
+    assert "degree_cap" not in body
     code, stdout, err = invoke(capsys, "factor", str(path), "--mode", "left",
                                "--out-dir", str(tmp_path / "left"))
     assert code == 1 and stdout == "" and "vanishes identically" in err
@@ -321,7 +323,7 @@ def test_every_command_draws_the_conservative_line_at_one_threshold(tmp_path, ca
     code, stdout, _ = invoke(capsys, "check", str(path), "--what", "conservative")
     body = report_body(stdout)
     assert tolerances.CONSERVATIVE_TOL < body["residual"] < tolerances.RESIDUAL_TOL
-    assert code == 2 and body["verdict"] is False
+    assert code == 2 and body["verdict"] == "not-conservative"
     code, stdout, _ = invoke(capsys, "agler", str(path), "--trials", "20")
     assert code == 0 and report_body(stdout)["kind"] == "heuristic"
 
@@ -639,6 +641,18 @@ def test_germ_realization_generate(tmp_path, capsys):
     assert ser.load_system(out).dim_x == 2
 
 
+def test_germ_realization_rejects_a_transposed_coefficient(tmp_path, capsys):
+    # 2 x 3 written as 3 x 2: the entry count is right, the shape is not
+    payload = ser.germ_to_dict(systems.PolyGerm(2, 3, 2, {(1, 0): np.arange(6.0).reshape(2, 3)}))
+    payload["coeffs"][0]["matrix"] = ser.matrix_to_json(np.arange(6.0).reshape(3, 2))
+    gpath, out = tmp_path / "germ.json", tmp_path / "real.json"
+    ser.save_json(gpath, payload)
+    code, stdout, err = invoke(capsys, "generate", "germ-realization",
+                               "--germ", str(gpath), "--out", str(out))
+    assert (code, stdout) == (1, "") and not out.exists()
+    assert err.startswith("error: FileFormatError: malformed coefficient list: expected 2 x 3")
+
+
 def test_germ_realization_rejects_a_nan_coefficient(tmp_path, capsys):
     payload = {"schema_version": "1", "kind": "germ", "n_params": 2, "dim_u": 1,
                "dim_y": 1, "coeffs": [{"index": [1, 0], "matrix": [[[0.5, 0.0]]]},
@@ -655,8 +669,116 @@ def test_germ_realization_rejects_a_nan_coefficient(tmp_path, capsys):
 def test_the_cli_chain_runs_with_scipy_blocked():
     # the script sets sys.modules["scipy"] = None, so any scipy import raises
     script = Path(__file__).resolve().parents[1] / "scripts" / "cli_without_scipy.py"
+    spec = importlib.util.spec_from_file_location("cli_without_scipy", script)
+    chain = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(chain)  # reads the chain; main() is not run
+    assert {walk_mode(argv) for argv in chain.CHAIN} == every_mode()
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     codes = [line.rsplit(" -> ", 1)[1] for line in proc.stdout.splitlines()]
-    assert codes == ["0"] * 6
+    assert codes == ["0"] * len(chain.CHAIN)
+
+
+# (argv, kind, verdict) for every command and mode, and for every FAILING
+# verdict an input that reaches it: {d} is the directory of walk_inputs and
+# {o} a fresh directory for the outputs.  generate states no verdict.
+VERDICT_WALK = [
+    ("generate conservative --seed 3 --out {o}/g.json", None, None),
+    ("generate germ-realization --germ {d}/germ.json --out {o}/r.json", None, None),
+    ("check {d}/sys.json --what conservative", "exact", "conservative"),
+    ("check {d}/broken.json --what conservative", "exact", "not-conservative"),
+    ("check {d}/sys.json --what dissipative", "heuristic", "not-falsified"),
+    ("check {d}/broken.json --what dissipative", "certified", "not-dissipative"),
+    ("check {d}/sys.json --what closely-connected", "exact", "closely-connected"),
+    ("check {d}/padded.json --what closely-connected", "exact", "not-closely-connected"),
+    ("check {d}/sys.json --what unitary-part", "exact", "completely-non-unitary"),
+    ("check {d}/padded.json --what unitary-part", "exact", "has-unitary-part"),
+    ("check {d}/casc.json --what multiplicity", "exact", "nonzero"),
+    ("check {d}/zero.json --what multiplicity", "exact", "zero-function"),
+    ("cascade {d}/b2.json {d}/b1.json --out {o}/c.json", "heuristic", "reproduced"),
+    ("cascade {d}/b2.json {d}/b1.json --out {o}/c.json --residual-tol 0",
+     "heuristic", "not-reproduced"),
+    ("decompose {d}/casc.json --x2 {d}/x2.json --out-dir {o}/out", "heuristic", "reproduced"),
+    ("decompose {d}/casc.json --x2 {d}/x2.json --out-dir {o}/out --residual-tol 0",
+     "heuristic", "not-reproduced"),
+    ("factor {d}/casc.json --mode left --out-dir {o}/out", "heuristic", "reproduced"),
+    ("factor {d}/casc.json --mode left --out-dir {o}/out --residual-tol 0",
+     "heuristic", "not-reproduced"),
+    ("factor {d}/casc.json --mode right --out-dir {o}/out", "heuristic", "reproduced"),
+    ("factor {d}/casc.json --mode right --out-dir {o}/out --residual-tol 0",
+     "heuristic", "not-reproduced"),
+    ("factor {d}/hom.json --mode homogeneous --out-dir {o}/out", "exact", "reproduced"),
+    ("factor {d}/casc.json --mode problem2 --out-dir {o}/out", "heuristic", "factored"),
+    ("factor {d}/irreducible.json --mode problem2 --out-dir {o}/out",
+     "exact", "no-cascade-decomposition"),
+    ("agler {d}/sys.json --trials 10", "exact", "member"),
+    ("agler {d}/half.json --trials 10", "heuristic", "not-falsified"),
+    ("agler {d}/scaled.json --trials 50", "certified", "not-member"),
+]
+
+
+def walk_mode(argv) -> tuple:
+    """(command, mode) of an argument list; the mode is None for a command
+    outside ``cli.MODE_FLAGS``."""
+    cmd = argv[0]
+    if cmd not in cli.MODE_FLAGS:
+        return cmd, None
+    word = cli.MODE_FLAGS[cmd][1]
+    return cmd, argv[argv.index(word) + 1] if word.startswith("--") else argv[1]
+
+
+def every_mode() -> set:
+    """Every (command, mode) pair: each mode of ``cli.MODE_FLAGS``, and each
+    other command with a handler."""
+    commands = {name[len("cmd_"):] for name in vars(cli) if name.startswith("cmd_")}
+    return ({(cmd, mode) for cmd, (_, _, modes) in cli.MODE_FLAGS.items() for mode in modes}
+            | {(cmd, None) for cmd in commands - set(cli.MODE_FLAGS)})
+
+
+@pytest.fixture(scope="module")
+def walk_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("walk")
+    s = random_conservative(2, 3, 2, 2, seed=1)
+    casc = cascade(random_conservative(2, 2, 2, 2, seed=11),
+                   random_conservative(2, 2, 2, 2, seed=13))
+    # a state on which the pencil is unitary (A_1 = 0, A_2 = 1), decoupled
+    # from input and output
+    padded = MultiSystem(a=[np.block([[np.full((1, 1), k), np.zeros((1, 3))],
+                                      [np.zeros((3, 1)), s.a[k]]]) for k in range(2)],
+                         b=[np.vstack([np.zeros((1, 2)), b]) for b in s.b],
+                         c=[np.hstack([np.zeros((2, 1)), c]) for c in s.c], d=s.d)
+    hom = cascade(random_conservative(2, 0, 2, 2, seed=5), random_conservative(2, 0, 2, 2, seed=4))
+    for name, system in (("sys", s), ("broken", MultiSystem(a=[s.a[0] + 1e-3, s.a[1]], b=s.b,
+                                                             c=s.c, d=s.d)),
+                         ("scaled", scale_output(s, 1.5)), ("half", scale_output(s, 0.5)),
+                         ("b2", random_conservative(2, 2, 2, 2, seed=11)),
+                         ("b1", random_conservative(2, 2, 2, 2, seed=13)), ("casc", casc),
+                         ("hom", hom), ("padded", padded),
+                         ("irreducible", irreducible_realization(4, seed=0)),
+                         ("zero", block_triangular_zero(2, 3, 2, seed=5))):
+        write_system(d / f"{name}.json", system)
+    ser.save_json(d / "x2.json", ser.subspace_to_dict(Subspace(6, np.eye(6)[:, :2])))
+    ser.save_json(d / "germ.json", ser.germ_to_dict(
+        systems.PolyGerm(2, 1, 1, {(1, 1): np.array([[0.5]])})))
+    return d
+
+
+@pytest.mark.parametrize("argv, kind, verdict", VERDICT_WALK)
+def test_one_rule_decides_every_exit_code(argv, kind, verdict, walk_inputs, tmp_path, capsys):
+    args = [word.format(d=walk_inputs, o=tmp_path) for word in argv.split()]
+    code, stdout, err = invoke(capsys, *args)
+    body = report_body(stdout)
+    if verdict is None:
+        assert code == 0 and "verdict" not in body and "kind" not in body
+        assert body["system_kind"] == args[1]
+        return
+    assert body["kind"] in cli.KINDS and isinstance(body["verdict"], str)
+    assert code == (cli.FAIL if body["verdict"] in cli.FAILING else cli.PASS), err
+    assert (body["kind"], body["verdict"]) == (kind, verdict)
+
+
+def test_the_verdict_walk_reaches_every_mode_kind_and_failing_verdict():
+    assert {walk_mode(argv.split()) for argv, _, _ in VERDICT_WALK} == every_mode()
+    assert {kind for _, kind, _ in VERDICT_WALK} - {None} == set(cli.KINDS)
+    assert cli.FAILING <= {verdict for _, _, verdict in VERDICT_WALK}

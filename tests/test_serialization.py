@@ -161,7 +161,7 @@ def test_matrix_codec_matches_the_per_entry_oracle():
             back, oracle = ser.matrix_from_json(loaded), per_entry_from_json(loaded)
             assert back.dtype == complex and back.shape == oracle.shape
             assert back.tobytes() == oracle.tobytes()
-    assert ser.matrix_from_json([[], []], (2, 0)).shape == (2, 0)
+    assert ser.matrix_from_json([[], []]).shape == (2, 0)
 
 
 def per_block_system_payload(s):
@@ -282,3 +282,36 @@ def test_non_orthonormal_subspace_rejected_on_load():
     }
     with pytest.raises(SubspaceError):
         ser.subspace_from_dict(payload)
+
+
+def test_a_transposed_matrix_in_a_germ_chain_or_subspace_file_is_rejected():
+    # each edit keeps the entry count, so reshaping would load another matrix
+    chain = ser.chain_to_dict(factor_left(random_conservative(2, 3, 2, 2, seed=1), 1)[0])
+    assert chain["spaces"] == [2, 5]
+    chain["factors"][0][1] = ser.matrix_to_json(np.ones((5, 2)))
+    germ = ser.germ_to_dict(PolyGerm(2, 3, 2, {(1, 0): np.arange(6.0).reshape(2, 3)}))
+    germ["coeffs"][0]["matrix"] = ser.matrix_to_json(np.arange(6.0).reshape(3, 2))
+    # an orthonormal basis of C^6 whose transpose, reshaped, is orthonormal too
+    subspace = ser.subspace_to_dict(Subspace(6, np.eye(6)[:, :2]))
+    subspace["basis"] = ser.matrix_to_json(np.eye(6)[:2])
+    for payload, read, name in ((chain, ser.chain_from_dict, "factor 1 list"),
+                                (germ, ser.germ_from_dict, "coefficient list"),
+                                (subspace, ser.subspace_from_dict, "basis")):
+        with pytest.raises(ser.FileFormatError, match=name):
+            read(payload)
+    # every factor of the chain transposed: not ragged, the whole shape is wrong
+    chain["factors"][0][0] = chain["factors"][0][1]
+    with pytest.raises(ser.FileFormatError, match="expected 2 x 5 matrices"):
+        ser.chain_from_dict(chain)
+
+
+def test_germ_chain_and_subspace_files_round_trip_with_empty_sides():
+    germ = PolyGerm(2, 0, 3, {(1, 0): np.zeros((3, 0))})
+    chain = LinearFactorChain(spaces=(2, 0), factors=((np.zeros((2, 0)),),))
+    for write, read, value in ((ser.germ_to_dict, ser.germ_from_dict, germ),
+                               (ser.germ_to_dict, ser.germ_from_dict, PolyGerm(2, 1, 1, {})),
+                               (ser.chain_to_dict, ser.chain_from_dict, chain),
+                               (ser.subspace_to_dict, ser.subspace_from_dict,
+                                Subspace(3, np.zeros((3, 0))))):
+        back = read(json.loads(json.dumps(write(value))))
+        assert json.dumps(write(back)) == json.dumps(write(value))
