@@ -44,7 +44,8 @@ records that differ it prints each differing field with its count and the
 largest relative gap of a float field.  Where the problem-2 digests differ it
 reports the largest entrywise difference of the witness and
 closely-connected projectors; over the report bodies it reports the
-largest difference of a float.  It exits 0 when all of that holds and both differences are at most
+largest difference of a float, and names each field that one body lacks.
+It exits 0 when all of that holds and both differences are at most
 ``TOL``.  Differences in the reports' ``tolerances`` fields are listed, not
 counted.
 """
@@ -288,10 +289,13 @@ def _projector_gap(a: dict, b: dict) -> float:
 
 def _float_gap(a, b, where: str, mismatches: list) -> float:
     """Largest difference of two floats at the same place in two JSON values;
-    anything else that differs is appended to ``mismatches``."""
+    anything else that differs is appended to ``mismatches``, and so is each
+    dict key that one side lacks, named with the side that has it."""
     number = (int, float)
-    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        return max((_float_gap(a[k], b[k], f"{where}.{k}", mismatches) for k in a),
+    if isinstance(a, dict) and isinstance(b, dict):
+        mismatches += [f"{where}.{k} ({'first' if k in a else 'second'} only)"
+                       for k in sorted(a.keys() ^ b.keys())]
+        return max((_float_gap(a[k], b[k], f"{where}.{k}", mismatches) for k in a if k in b),
                    default=0.0)
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         return max((_float_gap(x, y, f"{where}[{i}]", mismatches)

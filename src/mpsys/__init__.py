@@ -54,7 +54,6 @@ from .factorization import (
     MultiplicityError,
     TailFunction,
     chain_eval,
-    chain_to_germ,
     factor_homogeneous,
     factor_left,
     factor_right,

@@ -40,9 +40,7 @@ from .systems import (
     MultiSystem,
     PolyGerm,
     SystemShapeError,
-    _advance,
     _from_pencil,
-    _kept,
     _taylor_levels,
     adjoint,
     combine,
@@ -107,15 +105,6 @@ def chain_eval(chain: LinearFactorChain, z) -> np.ndarray:
     for tup in chain.factors[1:]:
         out = out @ combine(tup, z)
     return out
-
-
-def chain_to_germ(chain: LinearFactorChain) -> PolyGerm:
-    """Coefficientwise expansion of the chain product (all terms homogeneous),
-    one lattice step per factor, under the drop rule of ``_taylor_levels``."""
-    frontier = {(0,) * chain.n_params: np.eye(chain.spaces[0], dtype=complex)}
-    for tup in chain.factors:
-        frontier = _advance(frontier, tup)
-    return PolyGerm(chain.n_params, chain.spaces[-1], chain.spaces[0], _kept(frontier))
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,7 +314,7 @@ def solve_problem2(s: MultiSystem, seed: int = 0,
 
 __all__ = [
     "MultiplicityError", "LinearFactorChain", "TailFunction",
-    "FactorizationOutcome", "chain_eval", "chain_to_germ", "tail_eval",
+    "FactorizationOutcome", "chain_eval", "tail_eval",
     "multiplicity", "factor_left", "factor_right",
     "factor_homogeneous", "invariant_subspace_candidates", "solve_problem2",
 ]

@@ -34,21 +34,6 @@ def matrix_to_json(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    """The matrix of rows of [re, im] number pairs, read as one array whose
-    bytes are the complex entries'; [] and rows of [] are empty matrices.
-    Strings, nulls, ragged rows and entries that are not pairs raise."""
-    try:
-        pairs = np.array(rows)
-    except (TypeError, ValueError) as exc:  # ragged rows
-        raise FileFormatError(f"malformed matrix entry: {exc}") from exc
-    if pairs.size == 0 and pairs.ndim in (1, 2):
-        pairs = pairs.reshape(len(pairs), 0, 2)
-    if pairs.dtype.kind not in "biuf" or pairs.ndim != 3 or pairs.shape[2] != 2:
-        raise FileFormatError("malformed matrix entry: expected rows of [re, im] number pairs")
-    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-
-
 def _header(payload: dict, kind: str) -> None:
     if not isinstance(payload, dict):
         raise FileFormatError(

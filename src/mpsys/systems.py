@@ -11,8 +11,7 @@ checks, closely-connected and unitary-part subspace extraction, a generator
 of random conservative systems, and a shift realization of polynomial germs.
 
 Every polynomial construction lives on the lattice of multi-indices t:
-``_advance`` is its one step t -> t + e_k (the Taylor expansion and
-``factorization.chain_to_germ``), ``_kept`` its one drop rule, and
+``_advance`` is its one step t -> t + e_k, ``_kept`` its one drop rule, and
 ``realize_germ`` keeps one copy of U per t with 1 <= |t| <= d - 1, so
 dim_x = dim_u (C(N + d - 1, N) - 1), read off with weight t! / |t|!.
 
@@ -47,8 +46,10 @@ coefficients of z -> (zG)*(zG) on the torus:
 plus the adjoint versions.  The torus-sampling oracle in the test suite
 validates this reduction independently.
 
-Every stacked 2-norm but ``is_conservative``'s is ``_spectral_norms``: the
-root of the largest Gram eigenvalue, after a power-of-two range scaling.
+The stacked 2-norms of the two exact tests, ``is_conservative``'s defects
+and the condition-(i) residuals of ``cascade.check_condition_ii``, are SVD
+norms; every other is ``_spectral_norms``: the root of the largest Gram
+eigenvalue, after a power-of-two range scaling.
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ from typing import Optional
 import numpy as np
 
 from .subspaces import Subspace, invariant_closure, orthonormal_basis
-from .tolerances import (CONSERVATIVE_TOL, RANK_TOL, REQUIRED_CONSERVATIVE_TOL,
-                         RESOLVENT_COND_LIMIT, RESOLVENT_SCREEN, TAYLOR_DROP_TOL,
-                         UNITARY_RANK_TOL)
+from .tolerances import (CONSERVATIVE_TOL, RANK_TOL, RESOLVENT_COND_LIMIT, RESOLVENT_SCREEN,
+                         TAYLOR_DROP_TOL)
 
 
 class SystemShapeError(ValueError):
@@ -586,7 +586,7 @@ def is_conservative(s: MultiSystem, tol: float = CONSERVATIVE_TOL) -> Conservati
 
 
 def require_conservative(s: MultiSystem) -> ConservativityReport:
-    report = is_conservative(s, REQUIRED_CONSERVATIVE_TOL)
+    report = is_conservative(s)
     if not report.is_conservative:
         raise ConservativityError(
             f"system is not conservative (worst residual {report.worst_residual:.3e})"
@@ -720,9 +720,8 @@ def unitary_part(s: MultiSystem) -> Subspace:
     complement of the invariant closure of the defects' ranges.
     """
     iso, coiso = _unitarity_defects(pencil_blocks(s)[:, :s.dim_x, :s.dim_x])
-    outside = invariant_closure(_with_adjoints(s.a), np.hstack([*iso, *coiso]),
-                                UNITARY_RANK_TOL)
-    return orthonormal_basis(np.eye(s.dim_x) - outside.projector(), UNITARY_RANK_TOL)
+    outside = invariant_closure(_with_adjoints(s.a), np.hstack([*iso, *coiso]))
+    return orthonormal_basis(np.eye(s.dim_x) - outside.projector())
 
 
 def _haar_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:

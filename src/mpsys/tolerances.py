@@ -1,13 +1,10 @@
 """Every numerical threshold of mpsys, named once; modules and CLI defaults read them here."""
 
 RANK_TOL = 1e-9  # singular values orthonormal_basis drops, relative to 1 + the largest
-UNITARY_RANK_TOL = 1e-8  # rank decisions inside unitary_part
 GRAM_TOL = 1e-10  # Frobenius norm of Q*Q - I a Subspace basis may show
 SUBSPACE_TOL = 1e-8  # invariance, containment, spill and same-subspace distances
 CONSERVATIVE_TOL = 1e-10  # how far the pencil may miss unitarity / contractivity
-REQUIRED_CONSERVATIVE_TOL = 1e-8  # residual require_conservative allows (decompose, search)
-COEFF_TOL = 1e-10  # coefficient residual of factor --mode homogeneous
-TAYLOR_DROP_TOL = 1e-12  # norm below which a Taylor or chain-product coefficient is dropped
+TAYLOR_DROP_TOL = 1e-12  # norm below which a Taylor coefficient is dropped
 COMMUTATOR_TOL = 1e-10  # ||T_j T_k - T_k T_j|| a commuting tuple may show
 CONTRACTION_TOL = 1e-12  # norm excess over 1 of a contraction; power-family margin
 RESOLVENT_COND_LIMIT = 1e12  # largest condition of I - zA (transfer_eval) and I - A_T (eval_at_tuple)

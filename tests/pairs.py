@@ -3,8 +3,9 @@ subspaces and the complement of one inside another; on pairs of conservative
 systems, the closely-connected cascade and the two candidate subspaces the
 paper builds from its factors; the executable form of "a closely connected
 cascade has closely connected factors"; a grid oracle for the sup-norm of a
-function on the polydisk; the point evaluator of a polynomial germ
-and the Kaijser-Varopoulos triple, on which a polynomial of sup-norm 1 on
+function on the polydisk; the point evaluator of a polynomial germ, the
+coefficientwise expansion of a linear-factor chain, and the
+Kaijser-Varopoulos triple, on which a polynomial of sup-norm 1 on
 the polydisk has norm above 1; the whole-cap Taylor expansion that
 ``systems.taylor_coefficients`` and ``factorization.multiplicity`` are
 checked against; a randomized invariant-subspace search (the
@@ -26,6 +27,7 @@ import numpy as np
 
 from mpsys.agler import ContractionTuple
 from mpsys.cascade import cascade
+from mpsys.factorization import LinearFactorChain
 from mpsys.subspaces import (
     Subspace,
     SubspaceError,
@@ -38,7 +40,9 @@ from mpsys.subspaces import (
 from mpsys.systems import (
     MultiSystem,
     PolyGerm,
+    _advance,
     _check_points,
+    _kept,
     closely_connected_subspace,
     combine,
     compress_to,
@@ -158,6 +162,15 @@ def germ_eval(g: PolyGerm, z) -> np.ndarray:
     for t, m in g.coeffs.items():
         out += np.prod(z ** np.array(t), axis=-1)[..., None, None] * m
     return out
+
+
+def chain_to_germ(chain: LinearFactorChain) -> PolyGerm:
+    """Coefficientwise expansion of the chain product (all terms homogeneous),
+    one lattice step per factor, under the drop rule of ``_taylor_levels``."""
+    frontier = {(0,) * chain.n_params: np.eye(chain.spaces[0], dtype=complex)}
+    for tup in chain.factors:
+        frontier = _advance(frontier, tup)
+    return PolyGerm(chain.n_params, chain.spaces[-1], chain.spaces[0], _kept(frontier))
 
 
 def kaijser_varopoulos() -> tuple:

@@ -22,7 +22,6 @@ from mpsys.cascade import (
 from mpsys.cli import run as cli_run
 from mpsys.factorization import (
     chain_eval,
-    chain_to_germ,
     factor_homogeneous,
     factor_left,
     factor_right,
@@ -45,7 +44,7 @@ from mpsys.systems import (
     transfer_eval,
 )
 
-from pairs import (closcon_property_check, from_factorization, is_a_invariant,
+from pairs import (chain_to_germ, closcon_property_check, from_factorization, is_a_invariant,
                    search_candidates, whole_space, zero_space)
 
 

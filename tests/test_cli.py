@@ -14,11 +14,13 @@ import mpsys
 from mpsys import cli, factorization, systems
 from mpsys import serialization as ser
 from mpsys import tolerances
-from mpsys.cascade import cascade, verify_factor_tf
+from mpsys.cascade import cascade, decompose, verify_factor_tf
 from mpsys.cli import run
 from mpsys.subspaces import Subspace
 from mpsys.agler import agler_test
-from mpsys.systems import MultiSystem, random_conservative, scale_output
+from mpsys.factorization import solve_problem2
+from mpsys.systems import (ConservativityError, MultiSystem, random_conservative,
+                           restrict_to_cc, scale_output)
 
 from pairs import (block_triangular_zero, counting, irreducible_realization, shift_power,
                    z2_plus_z9)
@@ -198,7 +200,8 @@ def test_factor_homogeneous_expands_theta_once(tmp_path, capsys, monkeypatch):
                              "--out-dir", str(tmp_path / "h"))
     assert code == 0 and len(calls) == 1
     body = report_body(stdout)
-    assert body["degree"] == 3 and body["coefficient_residual"] < tolerances.COEFF_TOL
+    assert body["degree"] == 3 and body["verdict"] == "reproduced"
+    assert "coefficient_residual" not in body
 
 
 def test_factor_left_and_right_expand_theta_once(tmp_path, capsys, monkeypatch):
@@ -326,6 +329,27 @@ def test_every_command_draws_the_conservative_line_at_one_threshold(tmp_path, ca
     assert code == 2 and body["verdict"] == "not-conservative"
     code, stdout, _ = invoke(capsys, "agler", str(path), "--trials", "20")
     assert code == 0 and report_body(stdout)["kind"] == "heuristic"
+    # a cascade moved off conservativity by 4.8e-10: the commands and calls
+    # that require a conservative input refuse what check calls not conservative
+    c = cascade(random_conservative(2, 2, 2, 2, seed=1), random_conservative(2, 2, 2, 2, seed=2))
+    moved = MultiSystem(a=[c.a[0] + 3e-10 * np.eye(c.dim_x), c.a[1]], b=c.b, c=c.c, d=c.d)
+    x2 = Subspace(c.dim_x, np.eye(c.dim_x)[:, :2])
+    path, x2_path = tmp_path / "moved.json", tmp_path / "x2.json"
+    write_system(path, moved)
+    ser.save_json(x2_path, ser.subspace_to_dict(x2))
+    code, stdout, _ = invoke(capsys, "check", str(path), "--what", "conservative")
+    body = report_body(stdout)
+    assert tolerances.CONSERVATIVE_TOL < body["residual"] < tolerances.RESIDUAL_TOL
+    assert code == 2 and body["verdict"] == "not-conservative"
+    for argv in (("decompose", path, "--x2", x2_path, "--out-dir", tmp_path / "d"),
+                 ("factor", path, "--mode", "problem2", "--out-dir", tmp_path / "p")):
+        code, stdout, err = invoke(capsys, *map(str, argv))
+        assert code == 1 and stdout == "", argv
+        assert err.startswith("error: ConservativityError: system is not conservative"), argv
+    for call in (lambda: solve_problem2(moved), lambda: decompose(moved, x2),
+                 lambda: restrict_to_cc(moved)):
+        with pytest.raises(ConservativityError):
+            call()
 
 
 def test_agler_certifies_a_realized_germ_outside_the_class(tmp_path, capsys):
@@ -480,12 +504,11 @@ def test_reports_echo_only_the_thresholds_they_apply(tmp_path, capsys):
         (("check", path, "--what", "conservative", "--residual-tol", "5"),
          {"residual_tol": 5.0}),
         (("check", path, "--what", "unitary-part"),
-         {"rank_tol": tolerances.UNITARY_RANK_TOL}),
+         {"rank_tol": tolerances.RANK_TOL}),
         (("check", path, "--what", "multiplicity"),
          {"taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
         (("factor", hom, "--mode", "homogeneous", "--out-dir", tmp_path / "h"),
-         {"coefficient_tol": tolerances.COEFF_TOL,
-          "taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
+         {"taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
         (("factor", hom, "--mode", "left", "--out-dir", tmp_path / "l"),
          {"residual_tol": tolerances.RESIDUAL_TOL,
           "taylor_drop_tol": tolerances.TAYLOR_DROP_TOL}),
@@ -666,18 +689,35 @@ def test_germ_realization_rejects_a_nan_coefficient(tmp_path, capsys):
     assert "coefficient at (1, 1) has non-finite entries" in err
 
 
+def load_script(name):
+    """The module ``scripts/<name>.py``, loaded without running its main()."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_the_cli_chain_runs_with_scipy_blocked():
     # the script sets sys.modules["scipy"] = None, so any scipy import raises
-    script = Path(__file__).resolve().parents[1] / "scripts" / "cli_without_scipy.py"
-    spec = importlib.util.spec_from_file_location("cli_without_scipy", script)
-    chain = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(chain)  # reads the chain; main() is not run
+    chain = load_script("cli_without_scipy")
     assert {walk_mode(argv) for argv in chain.CHAIN} == every_mode()
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, chain.__file__], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     codes = [line.rsplit(" -> ", 1)[1] for line in proc.stdout.splitlines()]
     assert codes == ["0"] * len(chain.CHAIN)
+
+
+def test_output_identity_measures_the_floats_beside_a_field_one_report_lacks():
+    identity = load_script("output_identity")
+    first = {"exit": 0, "body": {"verdict": "reproduced", "residual": 3.89e-17,
+                                 "coefficient_residual": 0.0}}
+    second = {"exit": 0, "body": {"verdict": "reproduced", "residual": 2.87e-17}}
+    for a, b, side in ((first, second, "first"), (second, first, "second")):
+        mismatches = []
+        assert identity._float_gap(a, b, "report", mismatches) == abs(3.89e-17 - 2.87e-17)
+        assert mismatches == [f"report.body.coefficient_residual ({side} only)"]
 
 
 # (argv, kind, verdict) for every command and mode, and for every FAILING

@@ -22,7 +22,6 @@ from mpsys.factorization import (
     LinearFactorChain,
     MultiplicityError,
     chain_eval,
-    chain_to_germ,
     factor_homogeneous,
     factor_left,
     factor_right,
@@ -49,6 +48,7 @@ from mpsys.tolerances import SUBSPACE_TOL, TAYLOR_DROP_TOL
 
 import pairs
 from pairs import (
+    chain_to_germ,
     counting,
     from_factorization,
     full_taylor_coefficients,
@@ -253,18 +253,22 @@ def test_declared_multiplicity_must_be_the_one_found():
 
 
 def test_factor_homogeneous_matches_germ_coefficientwise():
-    for m in (1, 2, 3):
-        s = homogeneous_conservative(2, m, 2, seed=20 + m)
-        chain, germ = factor_homogeneous(s)
-        assert chain.length == m
-        produced = chain_to_germ(chain)
-        expected = taylor_coefficients(s, m)
-        # the returned germ is the expansion's, keys in the same order
-        assert list(germ.coeffs) == list(expected.coeffs)
-        assert all(np.array_equal(germ.coeffs[t], expected.coeffs[t]) for t in germ.coeffs)
-        assert set(produced.coeffs) == set(expected.coeffs)
-        for t in expected.coeffs:
-            assert np.linalg.norm(produced.coeffs[t] - expected.coeffs[t]) < 1e-10
+    # the chain's expansion repeats the products of _taylor_levels on the
+    # same blocks, in the same order and under the same drop rule, so it is
+    # the returned germ bit for bit: factor --mode homogeneous relies on it
+    for n in (1, 2, 3):
+        for m in (1, 2, 3, 4):
+            s = homogeneous_conservative(n, m, 2, seed=10 * n + m)
+            chain, germ = factor_homogeneous(s)
+            assert chain.length == m
+            expected = taylor_coefficients(s, m)
+            # the returned germ is the expansion's, keys in the same order
+            assert list(germ.coeffs) == list(expected.coeffs)
+            assert all(np.array_equal(germ.coeffs[t], expected.coeffs[t]) for t in germ.coeffs)
+            produced = chain_to_germ(chain)
+            assert list(produced.coeffs) == list(germ.coeffs), (n, m)
+            assert all(np.array_equal(produced.coeffs[t], germ.coeffs[t])
+                       for t in germ.coeffs), (n, m)
 
 
 def test_chain_to_germ_drops_by_the_taylor_rule():

@@ -1,5 +1,6 @@
 """Round-trip and error-path tests for the JSON file formats."""
 
+import itertools
 import json
 
 import numpy as np
@@ -14,10 +15,23 @@ from mpsys.systems import (MultiSystem, PolyGerm, SystemShapeError, pencil_block
                            random_conservative)
 
 
-def test_matrix_round_trip_is_exact():
+@pytest.fixture
+def read_basis(monkeypatch):
+    """The subspace reader, returning the basis that ``_block_list`` decodes
+    before ``Subspace`` checks its orthonormality: read(rows, shape)."""
+    monkeypatch.setattr(ser, "Subspace", lambda ambient_dim, basis: basis)
+
+    def read(rows, shape):
+        return ser.subspace_from_dict({"schema_version": "1", "kind": "subspace",
+                                       "ambient_dim": shape[0], "dim": shape[1],
+                                       "basis": rows})
+    return read
+
+
+def test_matrix_round_trip_is_exact(read_basis):
     rng = np.random.default_rng(0)
     m = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    np.testing.assert_array_equal(ser.matrix_from_json(ser.matrix_to_json(m)), m)
+    np.testing.assert_array_equal(read_basis(ser.matrix_to_json(m), m.shape), m)
 
 
 def test_system_round_trip(tmp_path):
@@ -152,16 +166,16 @@ def codec_matrices():
     yield np.array([[True, False]])
 
 
-def test_matrix_codec_matches_the_per_entry_oracle():
+def test_matrix_codec_matches_the_per_entry_oracle(read_basis):
     for m in codec_matrices():
         rows = ser.matrix_to_json(m)
         assert json.dumps(rows) == json.dumps(per_entry_to_json(m))
         for text in (json.dumps(rows), json.dumps(rows).replace(".0,", ",")):
             loaded = json.loads(text)
-            back, oracle = ser.matrix_from_json(loaded), per_entry_from_json(loaded)
-            assert back.dtype == complex and back.shape == oracle.shape
+            back, oracle = read_basis(loaded, m.shape), per_entry_from_json(loaded, m.shape)
+            assert back.dtype == complex and back.shape == oracle.shape == m.shape
             assert back.tobytes() == oracle.tobytes()
-    assert ser.matrix_from_json([[], []]).shape == (2, 0)
+    assert read_basis([[], []], (2, 0)).shape == (2, 0)
 
 
 def per_block_system_payload(s):
@@ -252,11 +266,12 @@ def test_non_finite_blocks_in_a_file_name_the_block():
     [[[1.0, 2.0, 3.0]]], [[[1.0]]], [[1.0, 2.0]], [1.0, 2.0], 3.0,  # not pairs
     [[[[1.0, 2.0]]]], [[{"re": 1.0, "im": 2.0}]],
 ])
-def test_malformed_matrix_entries_raise_file_format_errors(rows):
+def test_malformed_matrix_entries_raise_file_format_errors(rows, read_basis):
     with pytest.raises((TypeError, ValueError)):
         per_entry_from_json(rows)
-    with pytest.raises(ser.FileFormatError, match="malformed matrix entry"):
-        ser.matrix_from_json(rows)
+    for shape in itertools.product(range(3), repeat=2):
+        with pytest.raises(ser.FileFormatError, match="malformed (matrix entry in the )?basis"):
+            read_basis(rows, shape)
 
 
 def test_missing_n_params_rejected():
