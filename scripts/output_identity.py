@@ -40,11 +40,12 @@ non-numeric report fields are equal, that every ``agler_test`` and
 within ``oracle.RESIDUAL_BOUND`` of the oracle's; it counts the
 ``agler_test`` calls whose verdict (falsified or not) differs apart from
 the other record differences, and for the ``agler_test`` and ``run_eval``
-records that differ it prints each differing field with its count and the
-largest relative gap of a float field.  Where the problem-2 digests differ it
-reports the largest entrywise difference of the witness and
-closely-connected projectors; over the report bodies it reports the
-largest difference of a float, and names each field that one body lacks.
+records that differ it prints each differing field with its count and, for
+a float field, its own largest absolute and largest relative gap.  Where
+the problem-2 digests differ it reports the largest entrywise difference
+of the witness and closely-connected projectors; over the report bodies
+it reports the largest difference of a float, and names each field that
+one body lacks.
 It exits 0 when all of that holds and both differences are at most
 ``TOL``.  Differences in the reports' ``tolerances`` fields are listed, not
 counted.
@@ -313,9 +314,11 @@ FLOAT_FIELDS = ("max_norm", "witness_norm", "oracle_gap", *EVAL_RESIDUALS)
 
 def _field_report(a: dict, b: dict, keys) -> str:
     """The fields that differ between the records ``keys`` of ``a`` and
-    ``b``, each with the number of records it differs in, and the largest
-    relative gap of a float field."""
-    counts, gap = {}, 0.0
+    ``b``, each with the number of records it differs in and, for a float
+    field, its largest absolute and its largest relative gap: a residual of
+    1e-17 that moves by 1e-17 has relative gap 1 and must not hide a
+    norm's absolute move."""
+    counts, gaps = {}, {}
     for key in keys:
         ra, rb = a[key], b.get(key, {})
         for field in sorted(ra.keys() | rb.keys()):
@@ -325,9 +328,13 @@ def _field_report(a: dict, b: dict, keys) -> str:
             counts[field] = counts.get(field, 0) + 1
             if field in FLOAT_FIELDS and x is not None and y is not None:
                 x, y = (float.fromhex(v) if isinstance(v, str) else v for v in (x, y))
-                gap = max(gap, abs(x - y) / (max(abs(x), abs(y)) or 1.0))
-    fields = ", ".join(f"{field} {count}" for field, count in sorted(counts.items()))
-    return f"differing fields: {fields}; largest relative gap {gap:.3e}"
+                gap, relative = abs(x - y), abs(x - y) / (max(abs(x), abs(y)) or 1.0)
+                largest = gaps.get(field, (0.0, 0.0))
+                gaps[field] = (max(largest[0], gap), max(largest[1], relative))
+    fields = [f"{field} {count}" + (f" (largest gap {gaps[field][0]:.3e} absolute, "
+                                    f"{gaps[field][1]:.3e} relative)" if field in gaps else "")
+              for field, count in sorted(counts.items())]
+    return f"differing fields: {', '.join(fields)}"
 
 
 def compare(a_path: Path, b_path: Path) -> int:

@@ -181,10 +181,13 @@ def sample_polydisk(n_params: int, count: int, radius: float,
 def verify_factor_tf(alpha: MultiSystem, alpha2: MultiSystem, alpha1: MultiSystem,
                      n_points: int = 20, radius: float = 0.5,
                      seed: int = 0) -> float:
-    """Max over sampled z of ||theta_alpha(z) - theta_alpha2(z) theta_alpha1(z)||."""
+    """Max over sampled z of ||theta_alpha(z) - theta_alpha2(z) theta_alpha1(z)||.
+    Raises ValueError for ``n_points < 1``: no point would reproduce vacuously."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     z = sample_polydisk(alpha.n_params, n_points, radius, seed)
     diff = transfer_eval(alpha, z) - transfer_eval(alpha2, z) @ transfer_eval(alpha1, z)
-    return float(_spectral_norms(diff).max(initial=0.0))
+    return float(_spectral_norms(diff).max())
 
 
 __all__ = [

@@ -26,8 +26,13 @@ the adjoint-closed set {A_k, A_k*}.
 
 The evaluators (``combine``, ``transfer_eval``) take one point of shape
 (N,) or a stack of P points of shape (P, N).  A stack is evaluated in one
-batch and gives a (P, rows, cols) array.  A polynomial germ is evaluated
-through its realization ``realize_germ``.  The resolvent guard of
+batch and gives a (P, rows, cols) array.  ``combine`` is one BLAS product
+of the (P, N) points by the N flattened blocks, so each entry is an N-term
+inner product with the classical rounding bound, in any summation order;
+``transfer_eval`` takes zA, zB, zC and zD as views of that one product of
+the pencil stack and solves on its narrower side (dim_y right-hand sides
+when dim_u > dim_y).  A polynomial germ is evaluated through its
+realization ``realize_germ``.  The resolvent guard of
 ``transfer_eval`` is certified in steps, for every N: a bound on ||zA||
 from max_k |z_k| and the row-Gram constants of the X rows [A_k B_k],
 computed once per system, proves the whole stack well conditioned (for a
@@ -49,7 +54,9 @@ validates this reduction independently.
 The stacked 2-norms of the two exact tests, ``is_conservative``'s defects
 and the condition-(i) residuals of ``cascade.check_condition_ii``, are SVD
 norms; every other is ``_spectral_norms``: the root of the largest Gram
-eigenvalue, after a power-of-two range scaling.
+eigenvalue, after a power-of-two range scaling.  A Gram matrix of size 1
+or 2 has that eigenvalue in closed form (the column norm's square, or
+(a + d)/2 + hypot((a - d)/2, |b|)); a larger one goes to ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -222,15 +229,19 @@ def combine(blocks, z) -> np.ndarray:
     """sum_k z_k blocks[k] for an N-tuple of equal-shaped matrices.
 
     ``z`` is one point of shape (N,), giving one matrix, or a stack of
-    shape (P, N), giving a (P, rows, cols) array.  The sum runs over k in
-    order, accumulated in place (``blocks``, say a stored pencil stack, is
-    only read), so each point's matrix is the same as a call with that point.
+    shape (P, N), giving a (P, rows, cols) array.  The sum is one BLAS
+    product, (P, N) @ (N, rows cols), of the points by the flattened blocks
+    (``blocks``, say a stored pencil stack, is only read).  Each entry is an
+    N-term complex inner product, so its real and imaginary parts each err
+    by at most (N + 3) u sum_k |z_k| |blocks[k]| entrywise, u = eps / 2,
+    whatever the order of summation and whether multiply-adds are fused
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1
+    and 3.6).  So each point's matrix is that of a call with that point up
+    to that bound.
     """
     z = _check_points(len(blocks), z)
-    out = z[..., 0, None, None] * blocks[0]
-    for k in range(1, len(blocks)):
-        out += z[..., k, None, None] * blocks[k]
-    return out
+    g = np.asarray(blocks)
+    return (z @ g.reshape(len(g), -1)).reshape(*z.shape[:-1], *g.shape[1:])
 
 
 def _scaled_to_unit(x: np.ndarray) -> tuple:
@@ -246,8 +257,21 @@ def _scaled_to_unit(x: np.ndarray) -> tuple:
 
 
 def _gram_roots(gram: np.ndarray, e: int) -> np.ndarray:
-    """2^e sqrt(max(lambda_max, 0)) for each Hermitian matrix of a stack."""
-    return np.ldexp(np.sqrt(np.linalg.eigvalsh(gram).max(-1, initial=0.0)), e)
+    """2^e sqrt(max(lambda_max, 0)) for each Hermitian matrix of a stack.
+
+    A 1 x 1 Gram matrix is its entry; a 2 x 2 one [[a, b], [conj(b), d]]
+    has lambda_max = (a + d) / 2 + hypot((a - d) / 2, |b|), two terms that
+    are not negative for a Gram matrix, so the sum does not cancel; a larger
+    one takes the largest eigenvalue from ``eigvalsh``.
+    """
+    if gram.shape[-1] == 1:
+        top = gram[..., 0, 0].real
+    elif gram.shape[-1] == 2:
+        a, d = gram[..., 0, 0].real, gram[..., 1, 1].real
+        top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(gram[..., 0, 1]))
+    else:
+        top = np.linalg.eigvalsh(gram).max(-1, initial=0.0)
+    return np.ldexp(np.sqrt(top), e)
 
 
 def _spectral_norms(x: np.ndarray) -> np.ndarray:
@@ -256,6 +280,9 @@ def _spectral_norms(x: np.ndarray) -> np.ndarray:
     The root of the largest eigenvalue of the smaller side's Gram matrix,
     the stack scaled first by ``_scaled_to_unit``: a few n eps relative
     (Golub & Van Loan, Matrix Computations, 8.6), and cheaper than an SVD.
+    When the smaller side has 1 or 2 columns that eigenvalue has a closed
+    form (``_gram_roots``): the column norm's square, or that of the 2 x 2
+    Gram matrix; a wider Gram matrix goes to ``eigvalsh``.
     """
     if x.shape[-2] < x.shape[-1]:
         x = x.swapaxes(-1, -2)
@@ -358,9 +385,13 @@ def _norm_certified(s: MultiSystem, z: np.ndarray) -> bool:
     terms add up to at most 2 n u (sum_k |z_k| ||X_k||_F)^2 <= 2 n N dim_x
     u m^2 ||S||; forming r, w and beta adds (N^2 + 8) u.  So the computed
     beta is below the exact bound by a relative 3 n^3 eps at most.  The
-    formed zA (``combine``'s sum of N complex products) errs by (N + 3) u
-    sum_k |z_k| |A_k|, at most (N + 3) sqrt(N dim_x) u beta in 2-norm, the
-    formed I - zA by a further sqrt(dim_x) u (1 + beta), and an underflow
+    formed zA is a block of ``combine``'s one BLAS product: each entry is an
+    N-term complex inner product, whose real and imaginary parts err by at
+    most (N + 3) u sum_k |z_k| |A_k| in any summation order, fused or not
+    (Higham, 3.1 and 3.6).  So zA errs by at most sqrt(2) (N + 3) u
+    sum_k |z_k| |A_k| entrywise, at most sqrt(2) (N + 3) sqrt(N dim_x) u
+    beta in 2-norm, the formed I - zA by a further sqrt(dim_x) u (1 + beta)
+    (in place or not, each entry is one subtraction), and an underflow
     (of r, of |z_k| or of a product) adds at most N^2 2^-1074 max(r, m) <
     4 N^2 eps absolutely.  So the formed I - zA is I - E with ||E|| <= b =
     beta (1 + delta) + delta, delta = 4 n^3 eps, which covers all of these
@@ -394,17 +425,23 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     ``_certified_well_conditioned`` does by one batched Cholesky; or else
     the SVD condition of every point decides.  A certified stack is one the
     SVD guard accepts, so the points rejected are those of the SVD guard
-    alone.  zG is formed once; zA, zB, zC and zD are its blocks.
+    alone.
+
+    zG is formed by one ``combine``; zA, zB, zC and zD are views of it, and
+    I - zA overwrites zA (``np.subtract(eye, zA, out=zA)``, the entries and
+    signed zeros of eye - zA).  The solve runs on the narrower side: with
+    dim_u > dim_y, zC (I - zA)^(-1) comes first, from the transposed system
+    with dim_y right-hand sides, and then meets zB; else (I - zA)^(-1) zB
+    is solved with dim_u right-hand sides.
     """
     z = _check_points(s.n_params, z)
     dx = s.dim_x
     zg = combine(pencil_blocks(s), z)
     if dx == 0:
         return zg
-    # the small blocks are copied out, so that zG is freed before the guard runs
-    zb, zc, zd = zg[..., :dx, dx:].copy(), zg[..., dx:, :dx].copy(), zg[..., dx:, dx:].copy()
-    resolvent_arg = np.eye(dx) - zg[..., :dx, :dx]
-    del zg
+    x, rest = slice(None, dx), slice(dx, None)
+    za, zb, zc, zd = zg[..., x, x], zg[..., x, rest], zg[..., rest, x], zg[..., rest, rest]
+    resolvent_arg = np.subtract(np.eye(dx), za, out=za)
     if not (_norm_certified(s, z) or _certified_well_conditioned(resolvent_arg)):
         # a non-finite matrix gets condition nan: the SVD would not converge
         stack = resolvent_arg.reshape(-1, dx, dx)
@@ -418,6 +455,9 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
                 f"I - zA is near-singular at point {i} "
                 f"(z = {np.atleast_2d(z)[i]}, condition estimate {cond[i]:.3e})"
             )
+    if s.dim_u > s.dim_y:
+        left = np.linalg.solve(resolvent_arg.swapaxes(-1, -2), zc.swapaxes(-1, -2))
+        return zd + left.swapaxes(-1, -2) @ zb
     return zd + zc @ np.linalg.solve(resolvent_arg, zb)
 
 
@@ -617,7 +657,9 @@ def sample_torus(n_params: int, count: int, seed: int = 0) -> np.ndarray:
     per row).  Point i is sum_j perm_j[digit_j(i)] w_j, where digit_j is the
     j-th base-b digit, w_0 = 1/b and each later weight is the previous one
     divided by b; the terms are added in digit order (a sequential
-    ``cumsum``, not the pairwise ``sum``), so the rounding is scipy's.
+    ``cumsum``, not the pairwise ``sum``), so the rounding is scipy's.  Only
+    the digits that an i < count can have are computed: the higher ones are
+    0, so their terms perm_j[0] w_j form one row, broadcast over the points.
     """
     rng = np.random.default_rng(seed)
     unit = np.empty((count, n_params))
@@ -625,8 +667,13 @@ def sample_torus(n_params: int, count: int, seed: int = 0) -> np.ndarray:
         n_digits = math.ceil(54 / math.log2(base)) - 1
         perms = rng.permuted(np.tile(np.arange(base), (n_digits, 1)), axis=1)
         weights = np.divide.accumulate(np.r_[1.0 / base, np.full(n_digits - 1, float(base))])
-        digits = np.arange(count)[:, None] // base ** np.arange(n_digits) % base
-        terms = perms[np.arange(n_digits), digits] * weights
+        low = 0  # i < count <= base^low: the digits from low on are all 0
+        while low < n_digits and base ** low < count:
+            low += 1
+        terms = np.empty((count, n_digits))
+        digits = np.arange(count)[:, None] // base ** np.arange(low) % base
+        terms[:, :low] = perms[np.arange(low), digits] * weights[:low]
+        terms[:, low:] = perms[low:, 0] * weights[low:]
         unit[:, k] = np.cumsum(terms, axis=1)[:, -1]
     angles = 2.0 * np.pi * unit
     return np.exp(1j * angles)
@@ -650,8 +697,11 @@ def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
     z G_1, so every sample's norm is |z| ||G_1||, from one ``_spectral_norms``.
     Otherwise the Gram matrices (zG)*(zG) = sum_jk conj(z_j) z_k G_j* G_k
     of all points are one product of (P, N^2) weights by the N^2 blocks
-    G_j* G_k, scaled as in ``_spectral_norms``.
+    G_j* G_k, scaled as in ``_spectral_norms``.  Raises ValueError for
+    ``n_samples < 1``: no sample would pass vacuously.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     points = sample_torus(s.n_params, n_samples, seed)
     g = pencil_blocks(s)
     if s.n_params == 1:
@@ -660,7 +710,7 @@ def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
         norms = _sampled_norms(g, points)
     over = np.flatnonzero(norms > 1.0 + tol)
     if over.size == 0:
-        return DissipativityVerdict(True, float(norms.max(initial=0.0)), None)
+        return DissipativityVerdict(True, float(norms.max()), None)
     i = over[0]
     return DissipativityVerdict(False, float(norms[i]), points[i])
 

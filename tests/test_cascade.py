@@ -76,6 +76,17 @@ def test_cascade_transfer_is_product():
     assert verify_factor_tf(combined, alpha2, alpha1) < 1e-12
 
 
+
+def test_verify_factor_tf_needs_a_point():
+    # no sampled point would count the split as reproduced vacuously
+    alpha2 = random_conservative(2, 2, 2, 2, seed=1)
+    alpha1 = random_conservative(2, 1, 2, 2, seed=2)
+    combined = cascade(alpha2, alpha1)
+    for n_points in (0, -2):
+        with pytest.raises(ValueError, match="n_points must be >= 1"):
+            verify_factor_tf(combined, alpha2, alpha1, n_points=n_points)
+    assert verify_factor_tf(combined, alpha2, alpha1, n_points=1) < 1e-12
+
 def test_cascade_of_conservatives_is_conservative():
     for seed in range(5):
         alpha2, alpha1 = conservative_pair(seed)

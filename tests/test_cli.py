@@ -67,6 +67,17 @@ def test_check_fails_on_broken_system(tmp_path, capsys):
         assert report_body(stdout)["verdict"] == f"not-{what}"
 
 
+
+def test_check_dissipative_needs_a_sample(tmp_path, capsys):
+    # --torus-samples 0 would pass vacuously; both counts are usage errors
+    path = tmp_path / "sys.json"
+    write_system(path, random_conservative(2, 3, 2, 2, seed=0))
+    for count in ("0", "-2"):
+        code, stdout, err = invoke(capsys, "check", str(path), "--what", "dissipative",
+                                   "--torus-samples", count)
+        assert code == 1 and stdout == ""
+        assert err == f"error: ValueError: n_samples must be >= 1, got {count}\n"
+
 def test_cascade_and_decompose_round_trip(tmp_path, capsys):
     p2, p1 = tmp_path / "b2.json", tmp_path / "b1.json"
     write_system(p2, random_conservative(2, 3, 2, 2, seed=5))

@@ -284,12 +284,15 @@ def test_transfer_raises_on_singular_resolvent():
 
 
 def reference_transfer_eval(s, z):
-    """transfer_eval guarded by the SVD condition number of every point alone."""
+    """transfer_eval guarded by the SVD condition number of every point alone:
+    zA, ..., zD sliced out of one zG, the solve on the narrower side."""
     z = np.asarray(z, dtype=complex)
-    zd = combine(s.d, z)
-    if s.dim_x == 0:
+    dx = s.dim_x
+    zg = combine(pencil_blocks(s), z)
+    za, zb, zc, zd = zg[..., :dx, :dx], zg[..., :dx, dx:], zg[..., dx:, :dx], zg[..., dx:, dx:]
+    if dx == 0:
         return zd
-    resolvent_arg = np.eye(s.dim_x) - combine(s.a, z)
+    resolvent_arg = np.eye(dx) - za
     cond = np.atleast_1d(np.linalg.cond(resolvent_arg))
     bad = np.flatnonzero(~(cond <= RESOLVENT_COND_LIMIT))
     if bad.size:
@@ -298,7 +301,10 @@ def reference_transfer_eval(s, z):
             f"I - zA is near-singular at point {i} "
             f"(z = {np.atleast_2d(z)[i]}, condition estimate {cond[i]:.3e})"
         )
-    return zd + combine(s.c, z) @ np.linalg.solve(resolvent_arg, combine(s.b, z))
+    if s.dim_u > s.dim_y:  # zC (I - zA)^(-1) first, from the transposed solve
+        left = np.linalg.solve(resolvent_arg.swapaxes(-1, -2), zc.swapaxes(-1, -2))
+        return zd + left.swapaxes(-1, -2) @ zb
+    return zd + zc @ np.linalg.solve(resolvent_arg, zb)
 
 
 def evaluation_outcome(evaluate, s, z):
@@ -544,6 +550,59 @@ def test_pencil_shape_and_linearity():
     np.testing.assert_allclose(combine(gs, z + w), combine(gs, z) + combine(gs, w))
 
 
+
+def test_combine_is_within_the_inner_product_bound():
+    # The rounding premise of _norm_certified: each entry of combine(g, z)
+    # is an N-term complex inner product, whose real and imaginary parts
+    # lie within (N + 3) u sum_k |z_k| |G_k| of the exact sum, here taken in
+    # extended precision, for one point and for a stack, at any scale.
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than float here")
+    rng = np.random.default_rng(53)
+    u = np.finfo(float).eps / 2
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    scales = (1e-150, 1.0, 1e150)
+    for n, g_scale, z_scale in itertools.product(range(1, 5), scales, scales):
+        g = g_scale * gaussian(n, 7, 5)
+        for z in (z_scale * gaussian(n), z_scale * gaussian(40, n)):
+            value = combine(g, z)
+            z_long, g_long = z.astype(np.clongdouble), g.astype(np.clongdouble)
+            exact = (z_long[..., None, None] * g_long).sum(-3)
+            bound = (n + 3) * u * (np.abs(z)[..., None, None] * np.abs(g)).sum(-3)
+            error = value.astype(np.clongdouble) - exact
+            assert value.shape == exact.shape
+            assert (np.abs(error.real) <= bound).all(), (n, g_scale, z_scale)
+            assert (np.abs(error.imag) <= bound).all(), (n, g_scale, z_scale)
+
+
+def test_transfer_eval_solves_on_the_narrow_side(monkeypatch):
+    # dim_u > dim_y: zC (I - zA)^(-1) comes first, with dim_y right-hand
+    # sides; the adjoint system has dim_u < dim_y and solves (I - zA*)^(-1)
+    # zC* with as many.  The two paths meet in theta_adj(conj z) = theta(z)*.
+    rng = np.random.default_rng(59)
+    widths = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        widths.append(b.shape[-1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    for n, dx, du, dy in ((1, 4, 3, 1), (2, 6, 18, 3), (3, 5, 4, 2)):
+        s = random_system(rng, n, dx, du, dy, scale=0.1)
+        z = 0.3 * sample_torus(n, 20, seed=n)
+        for points in (z, z[0]):
+            widths.clear()
+            value = transfer_eval(s, points)
+            mirrored = transfer_eval(adjoint(s), np.conj(points)).conj().swapaxes(-1, -2)
+            assert widths == [dy, dy]
+            assert value.shape == mirrored.shape == (*points.shape[:-1], dy, du)
+            for v, m in zip(value.reshape(-1, dy, du), mirrored.reshape(-1, dy, du)):
+                assert svd_norm(v - m) <= 1e-13 * svd_norm(m), (n, dx, du, dy)
+
 def test_taylor_agrees_with_transfer_eval():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3):
@@ -654,6 +713,17 @@ def test_sample_torus_is_scipys_scrambled_halton():
                 assert np.array_equal(sample_torus(n, count, seed), expected), (n, count, seed)
 
 
+
+def test_sample_torus_is_scipys_at_digit_boundaries():
+    # only the digits an i < count can have are computed: counts at and next
+    # to the powers b^k of the first four primes move that digit count
+    counts = sorted({b ** k + d for b in (2, 3, 5, 7) for k in (1, 2, 3) for d in (-1, 0, 1)})
+    for n in range(1, 5):
+        for count in counts:
+            for seed in (0, 1):
+                expected = np.exp(2j * np.pi * qmc.Halton(d=n, seed=seed).random(count))
+                assert np.array_equal(sample_torus(n, count, seed), expected), (n, count, seed)
+
 def test_mpsys_imports_without_scipy_stats():
     # nor any other scipy module: scipy is a test oracle only
     src = Path(__file__).resolve().parents[1] / "src"
@@ -698,6 +768,15 @@ def test_sampled_dissipativity_matches_an_early_exit_loop():
             np.testing.assert_array_equal(verdict.witness, witness)
 
 
+
+def test_sampled_dissipativity_needs_a_sample():
+    # no sample would pass vacuously with max_norm 0
+    s = random_conservative(2, 3, 2, 2, seed=3)
+    for n_samples in (0, -2):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            is_dissipative_sampled(s, n_samples)
+    assert is_dissipative_sampled(s, 1).passed
+
 def svd_norm(m):
     return np.linalg.norm(m, 2) if m.size else 0.0
 
@@ -708,7 +787,9 @@ def test_spectral_norms_match_the_svd_norm():
     def gaussian(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    for rows, cols in ((3, 7), (7, 3), (5, 5), (1, 6), (6, 1), (0, 4), (4, 0)):
+    # (2, 7) to (1, 1): a smaller side of 1 or 2 has a closed-form eigenvalue
+    for rows, cols in ((3, 7), (7, 3), (5, 5), (1, 6), (6, 1), (0, 4), (4, 0),
+                       (2, 7), (7, 2), (2, 2), (1, 1)):
         # at 1e-200 and 1e200 an unscaled Gram matrix would underflow or overflow
         for scale in (1e-200, 1e-150, 1.0, 1e150, 1e200):
             stack = gaussian(6, rows, cols)
@@ -726,6 +807,28 @@ def test_spectral_norms_match_the_svd_norm():
             assert norms[1] == 0.0
             assert systems._spectral_norms(stack[0]) == norms[0]
 
+
+
+def test_spectral_norms_closed_form_with_equal_gram_diagonals():
+    # a = d in the 2 x 2 Gram matrix [[a, b], [conj(b), d]]: lambda_max is
+    # a + |b|, the hypot term reading |b| alone (0 for orthogonal columns)
+    rng = np.random.default_rng(47)
+    u = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    w = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    w *= np.linalg.norm(u) / np.linalg.norm(w)
+    stack = np.array([
+        [[1.0, 1.0], [1.0, -1.0]],  # orthogonal columns: b = 0, norm sqrt(2)
+        [[1.0, 1.0], [0.0, 0.0]],  # equal columns: |b| = a, norm sqrt(2)
+        [[1.0, 1j], [0.0, 0.0]],
+        [[2.0, 0.0], [0.0, 2.0]],
+    ], dtype=complex)
+    for scale in (1e-200, 1e-150, 1.0, 1e150, 1e200):
+        for x in (scale * stack, scale * np.hstack([u, w]), scale * np.hstack([u, w]).T):
+            norms = systems._spectral_norms(x)
+            reference = np.array([svd_norm(m) for m in x]) if x.ndim == 3 else svd_norm(x)
+            assert np.all(np.abs(norms - reference) <= 1e-13 * reference), scale
+        expected = scale * np.array([np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0), 2.0])
+        np.testing.assert_allclose(systems._spectral_norms(scale * stack), expected, rtol=1e-15)
 
 def svd_loop_dissipativity(s, n_samples, tol, seed):
     """(passed, max_norm, witness) from one SVD per torus sample."""
