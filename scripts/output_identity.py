@@ -36,12 +36,15 @@ Usage::
 
 ``compare`` checks that verdicts, dimensions, exit codes and the
 non-numeric report fields are equal, that every ``agler_test`` and
-``run_eval`` record is bit-identical, and that every agler witness norm is
-within ``oracle.RESIDUAL_BOUND`` of the oracle's; it counts the
-``agler_test`` calls whose verdict (falsified or not) differs apart from
-the other record differences, and for the ``agler_test`` and ``run_eval``
-records that differ it prints each differing field with its count and, for
-a float field, its own largest absolute and largest relative gap.  Where
+``run_eval`` record agrees, and that every agler witness norm is within
+``oracle.RESIDUAL_BOUND`` of the oracle's.  A record disagrees when a
+verdict, witness digest, trial count or other non-float field differs, or
+a float field moves by more than ``TOL``; each such record is named.  A
+float field that moves by at most ``TOL`` does not fail: like every other
+differing field, it is summarized once, with the number of records it
+differs in and, for a float field, its largest absolute and largest
+relative gap.  ``compare`` counts the ``agler_test`` calls whose verdict
+(falsified or not) differs apart from the other record differences.  Where
 the problem-2 digests differ it reports the largest entrywise difference
 of the witness and closely-connected projectors; over the report bodies
 it reports the largest difference of a float, and names each field that
@@ -312,6 +315,22 @@ def _float_gap(a, b, where: str, mismatches: list) -> float:
 FLOAT_FIELDS = ("max_norm", "witness_norm", "oracle_gap", *EVAL_RESIDUALS)
 
 
+def _differing_fields(ra: dict, rb: dict) -> dict:
+    """{field: gap} for the fields that differ between two agler or eval
+    records: the gap is (absolute, relative) for a float field both records
+    carry and None for any other field."""
+    out = {}
+    for field in sorted(ra.keys() | rb.keys()):
+        x, y = ra.get(field), rb.get(field)
+        if x == y:
+            continue
+        out[field] = None
+        if field in FLOAT_FIELDS and x is not None and y is not None:
+            x, y = (float.fromhex(v) if isinstance(v, str) else v for v in (x, y))
+            out[field] = abs(x - y), abs(x - y) / (max(abs(x), abs(y)) or 1.0)
+    return out
+
+
 def _field_report(a: dict, b: dict, keys) -> str:
     """The fields that differ between the records ``keys`` of ``a`` and
     ``b``, each with the number of records it differs in and, for a float
@@ -320,21 +339,29 @@ def _field_report(a: dict, b: dict, keys) -> str:
     norm's absolute move."""
     counts, gaps = {}, {}
     for key in keys:
-        ra, rb = a[key], b.get(key, {})
-        for field in sorted(ra.keys() | rb.keys()):
-            x, y = ra.get(field), rb.get(field)
-            if x == y:
-                continue
+        for field, gap in _differing_fields(a[key], b.get(key, {})).items():
             counts[field] = counts.get(field, 0) + 1
-            if field in FLOAT_FIELDS and x is not None and y is not None:
-                x, y = (float.fromhex(v) if isinstance(v, str) else v for v in (x, y))
-                gap, relative = abs(x - y), abs(x - y) / (max(abs(x), abs(y)) or 1.0)
+            if gap is not None:
                 largest = gaps.get(field, (0.0, 0.0))
-                gaps[field] = (max(largest[0], gap), max(largest[1], relative))
+                gaps[field] = (max(largest[0], gap[0]), max(largest[1], gap[1]))
     fields = [f"{field} {count}" + (f" (largest gap {gaps[field][0]:.3e} absolute, "
                                     f"{gaps[field][1]:.3e} relative)" if field in gaps else "")
               for field, count in sorted(counts.items())]
     return f"differing fields: {', '.join(fields)}"
+
+
+def _faults(name: str, a: dict, b: dict, keys) -> list:
+    """One line for each record of section ``name`` among ``keys`` in which
+    a non-float field differs or a float field moves by more than TOL (or
+    to or from nan), naming those fields."""
+    lines = []
+    for key in keys:
+        fields = [field for field, gap in _differing_fields(a[name][key],
+                                                            b[name].get(key, {})).items()
+                  if gap is None or not gap[0] <= TOL]
+        if fields:
+            lines.append(f"{name} {key}: {', '.join(fields)} differ")
+    return lines
 
 
 def compare(a_path: Path, b_path: Path) -> int:
@@ -367,7 +394,7 @@ def compare(a_path: Path, b_path: Path) -> int:
           f"closely-connected projector {cc_gap:.3e}, residual {residual_gap:.3e}")
 
     changed = [key for key, ra in a["agler"].items() if b["agler"].get(key) != ra]
-    bad += [f"agler {key}: record differs" for key in changed]
+    bad += _faults("agler", a, b, changed)
     witnesses = sum(v["witness"] is not None for v in a["agler"].values())
     print(f"agler: {len(a['agler'])} agler_test calls compared, {witnesses} with a witness, "
           f"{len(changed)} not bit-identical")
@@ -386,7 +413,7 @@ def compare(a_path: Path, b_path: Path) -> int:
                    f"from the oracle's")
 
     changed = [key for key, ra in a["eval"].items() if b["eval"].get(key) != ra]
-    bad += [f"eval {key}: record differs" for key in changed]
+    bad += _faults("eval", a, b, changed)
     print(f"eval: {len(a['eval'])} run_eval items compared, {len(changed)} not bit-identical")
     if changed:
         print(f"eval: {_field_report(a['eval'], b['eval'], changed)}")

@@ -156,6 +156,8 @@ def cmd_check(ns, argv) -> dict:
                        failing_pair=list(rep.failing_pair) if rep.failing_pair else None,
                        tolerances=tolerances)
     if ns.what == "dissipative":
+        if ns.torus_samples < 1:  # no sample would pass vacuously
+            raise CliError(f"--torus-samples must be >= 1, got {ns.torus_samples}")
         sampled = is_dissipative_sampled(system, n_samples=ns.torus_samples,
                                          tol=ns.residual_tol, seed=ns.seed)
         # a pass only failed to find a point; a fail names its witness point

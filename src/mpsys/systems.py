@@ -38,9 +38,10 @@ from max_k |z_k| and the row-Gram constants of the X rows [A_k B_k],
 computed once per system, proves the whole stack well conditioned (for a
 conservative pencil, or one with scaled output rows, the bound is
 max_k |z_k| itself); else a batched Cholesky screen does; and the SVD
-condition number decides every stack that neither certifies.  For N = 1,
-zG = z G_1, so the torus samples of ``is_dissipative_sampled`` share one
-norm, ||zG|| = |z| ||G_1||.
+condition number decides every stack that neither certifies.  When the
+cross terms G_j* G_k (j != k) are within rounding of 0, as for a
+conservative pencil or any N = 1 pencil, the torus samples of
+``is_dissipative_sampled`` share one norm, from one Gram eigenproblem.
 
 Conservativity ("the pencil zG is unitary for every z on the unit torus") is
 decided by finitely many matrix identities obtained by matching Fourier
@@ -693,21 +694,19 @@ def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
 
     A fail comes with a witness point; a pass is not a proof (the sup over
     the torus is only sampled).  The witness is the first sampled point
-    above 1 + tol, whose norm is the largest up to it.  For N = 1, zG =
-    z G_1, so every sample's norm is |z| ||G_1||, from one ``_spectral_norms``.
-    Otherwise the Gram matrices (zG)*(zG) = sum_jk conj(z_j) z_k G_j* G_k
-    of all points are one product of (P, N^2) weights by the N^2 blocks
-    G_j* G_k, scaled as in ``_spectral_norms``.  Raises ValueError for
-    ``n_samples < 1``: no sample would pass vacuously.
+    above 1 + tol, whose norm is the largest up to it.  With S = sum_k
+    G_k* G_k, Weyl's inequality puts every sample's ||zG||^2 within delta =
+    sum_{j != k} ||G_j* G_k||_F of lambda_max(S).  When delta is within the
+    rounding allowance 4 (N^2 + m) eps max_i S_ii (``_sampled_norms``), as
+    for a conservative pencil or any N = 1 pencil, every norm is max_k |z_k|
+    sqrt(lambda_max(S)), one Gram eigenproblem; otherwise each sample's Gram
+    matrix is formed and solved.  Raises ValueError for ``n_samples < 1``:
+    no sample would pass vacuously.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     points = sample_torus(s.n_params, n_samples, seed)
-    g = pencil_blocks(s)
-    if s.n_params == 1:
-        norms = np.abs(points[:, 0]) * _spectral_norms(g[0])
-    else:
-        norms = _sampled_norms(g, points)
+    norms = _sampled_norms(pencil_blocks(s), points)
     over = np.flatnonzero(norms > 1.0 + tol)
     if over.size == 0:
         return DissipativityVerdict(True, float(norms.max()), None)
@@ -716,14 +715,42 @@ def is_dissipative_sampled(s: MultiSystem, n_samples: int = 100,
 
 
 def _sampled_norms(g: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """||zG|| at each point, zG = sum_k z_k g[k], from the Gram matrices."""
+    """||zG|| at each point of the torus, zG = sum_k z_k g[k], from the m x m
+    Gram blocks G_j* G_k of the smaller side, scaled as in ``_spectral_norms``.
+
+    On the torus (zG)*(zG) = S + C(z), S = sum_k G_k* G_k and C(z) =
+    sum_{j != k} conj(z_j) z_k G_j* G_k, so ||C(z)|| <= delta = sum_{j != k}
+    ||G_j* G_k||_F and by Weyl's inequality every ||zG||^2 lies within delta
+    of lambda_max(S).  When delta <= 4 (N^2 + m) eps s, s = max_i S_ii <=
+    lambda_max(S), every norm is max_k |z_k| sqrt(lambda_max(S)), one Gram
+    eigenproblem (for N = 1, delta = 0 and this is |z| ||G_1||); otherwise
+    the Gram matrices of all points are one product of the (P, N^2) weights
+    conj(z_j) z_k by the N^2 blocks, each solved.
+
+    That allowance is of the order of the per-sample path's own rounding,
+    from the same computed blocks.  A per-sample Gram entry is an N^2-term
+    complex inner product, whose parts err by up to (N^2 + 3) u
+    sum_jk |G_j* G_k| (u = eps / 2; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.1 and 3.6), a matrix at least |S|
+    entrywise, so of 2-norm at least lambda_max(S); its largest eigenvalue
+    is good to a few m eps relative, as in ``_spectral_norms``; and the
+    moduli |z_k| = 1 + O(u) move ||zG||^2 by O(u) relative.  So that path
+    fixes each ||zG||^2 only to about (N^2 + m) eps lambda_max(S), and a
+    delta within four times that (s only shrinks it) keeps the shortcut
+    within a small multiple of the per-sample bound.
+    """
     if g.shape[1] < g.shape[2]:
         g = g.swapaxes(1, 2)  # (zG)^T = sum_k z_k G_k^T has the smaller Gram matrix
     g, e = _scaled_to_unit(g)
     n, _, m = g.shape
-    blocks = (g.conj().swapaxes(1, 2)[:, None] @ g[None]).reshape(n * n, m * m)
+    blocks = g.conj().swapaxes(1, 2)[:, None] @ g[None]  # [j, k] = G_j* G_k
+    total = sum(blocks[k, k] for k in range(n))
+    cross = np.linalg.norm(blocks[~np.eye(n, dtype=bool)], axis=(1, 2)).sum()
+    s = np.diagonal(total).real.max(initial=0.0)
+    if cross <= 4 * (n * n + m) * np.finfo(float).eps * s:
+        return np.abs(points).max(-1) * _gram_roots(total, e)
     weights = (points.conj()[:, :, None] * points[:, None, :]).reshape(-1, n * n)
-    return _gram_roots((weights @ blocks).reshape(-1, m, m), e)
+    return _gram_roots((weights @ blocks.reshape(n * n, m * m)).reshape(-1, m, m), e)
 
 
 def closely_connected_subspace(s: MultiSystem, tol: float = RANK_TOL) -> Subspace:

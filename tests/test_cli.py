@@ -76,7 +76,7 @@ def test_check_dissipative_needs_a_sample(tmp_path, capsys):
         code, stdout, err = invoke(capsys, "check", str(path), "--what", "dissipative",
                                    "--torus-samples", count)
         assert code == 1 and stdout == ""
-        assert err == f"error: ValueError: n_samples must be >= 1, got {count}\n"
+        assert err == f"error: --torus-samples must be >= 1, got {count}\n"
 
 def test_cascade_and_decompose_round_trip(tmp_path, capsys):
     p2, p1 = tmp_path / "b2.json", tmp_path / "b1.json"
@@ -729,6 +729,30 @@ def test_output_identity_measures_the_floats_beside_a_field_one_report_lacks():
         mismatches = []
         assert identity._float_gap(a, b, "report", mismatches) == abs(3.89e-17 - 2.87e-17)
         assert mismatches == [f"report.body.coefficient_residual ({side} only)"]
+
+
+def test_output_identity_fails_a_record_only_beyond_a_last_bit_float_move(capsys):
+    # a float field that moves by at most TOL is summarized once per field;
+    # a verdict, witness, trial count or larger float move fails its record
+    identity = load_script("output_identity")
+    one = (1.0).hex()
+    base = {"max_norm": one, "witness_norm": one, "trials": 50, "witness": "d1",
+            "oracle_gap": 1e-16}
+    nudged = {**base, "max_norm": (1.0 + 2.0 ** -52).hex(), "oracle_gap": 2e-16}
+    section = {"agler": {"x": base, "y": base}}
+    assert identity._faults("agler", section, {"agler": {"x": nudged, "y": nudged}},
+                            ["x", "y"]) == []
+    for field, value in (("trials", 49), ("witness", "d2"), ("witness", None),
+                         ("max_norm", (1.0 + 2 * identity.TOL).hex()),
+                         ("max_norm", "nan"), ("oracle_gap", 1e-11)):
+        moved = {"agler": {"x": nudged, "y": {**base, field: value}}}
+        assert identity._faults("agler", section, moved, ["x", "y"]) == [
+            f"agler y: {field} differ"]
+    lacking = {key: value for key, value in base.items() if key != "trials"}
+    assert identity._faults("agler", section, {"agler": {"x": base, "y": lacking}},
+                            ["y"]) == ["agler y: trials differ"]
+    report = identity._field_report(section["agler"], {"x": nudged, "y": nudged}, ["x", "y"])
+    assert report.startswith("differing fields: max_norm 2 (largest gap 2.220e-16 absolute")
 
 
 # (argv, kind, verdict) for every command and mode, and for every FAILING

@@ -15,6 +15,7 @@ from scipy.linalg import block_diag
 from scipy.stats import qmc
 
 from mpsys import systems
+from mpsys.cascade import cascade
 from mpsys.subspaces import Subspace, orthonormal_basis
 from mpsys.systems import (
     ConservativityError,
@@ -830,18 +831,78 @@ def test_spectral_norms_closed_form_with_equal_gram_diagonals():
         expected = scale * np.array([np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0), 2.0])
         np.testing.assert_allclose(systems._spectral_norms(scale * stack), expected, rtol=1e-15)
 
-def svd_loop_dissipativity(s, n_samples, tol, seed):
-    """(passed, max_norm, witness) from one SVD per torus sample."""
-    points = sample_torus(s.n_params, n_samples, seed)
-    norms = np.array([svd_norm(combine(pencil_blocks(s), z)) for z in points])
+def sampled_verdict(norms, points, tol):
+    """(passed, max_norm, witness) of the sample norms, by the rule of
+    ``is_dissipative_sampled``."""
     over = np.flatnonzero(norms > 1.0 + tol)
     if over.size == 0:
         return True, norms.max(), None
     return False, norms[over[0]], points[over[0]]
 
 
-def test_sampled_dissipativity_matches_an_svd_loop_at_eval_sizes():
-    reference = svd_loop_dissipativity
+def svd_loop_dissipativity(s, n_samples, tol, seed):
+    """(passed, max_norm, witness) from one SVD per torus sample."""
+    points = sample_torus(s.n_params, n_samples, seed)
+    norms = np.array([svd_norm(combine(pencil_blocks(s), z)) for z in points])
+    return sampled_verdict(norms, points, tol)
+
+
+def per_sample_gram_norms(s, points):
+    """||zG|| at each point from its own Gram matrix: one product of the
+    (P, N^2) weights conj(z_j) z_k by the N^2 scaled blocks G_j* G_k, then
+    one stacked Gram root, the per-sample path of ``_sampled_norms``."""
+    g = pencil_blocks(s)
+    if g.shape[1] < g.shape[2]:
+        g = g.swapaxes(1, 2)
+    g, e = systems._scaled_to_unit(g)
+    n, _, m = g.shape
+    blocks = (g.conj().swapaxes(1, 2)[:, None] @ g[None]).reshape(n * n, m * m)
+    weights = (points.conj()[:, :, None] * points[:, None, :]).reshape(-1, n * n)
+    return systems._gram_roots((weights @ blocks).reshape(-1, m, m), e)
+
+
+def cross_terms_over_allowance(s):
+    """sum_{j != k} ||G_j* G_k||_F over the allowance 4 (N^2 + m) eps
+    max_i S_ii, S = sum_k G_k* G_k, on the smaller side scaled to unit."""
+    g = pencil_blocks(s)
+    if g.shape[1] < g.shape[2]:
+        g = g.swapaxes(1, 2)
+    g = g / np.abs(g).max()
+    n, _, m = g.shape
+    cross = sum(np.linalg.norm(g[j].conj().T @ g[k])
+                for j in range(n) for k in range(n) if j != k)
+    top = np.diagonal(sum(gk.conj().T @ gk for gk in g)).real.max()
+    return cross / (4 * (n * n + m) * np.finfo(float).eps * top)
+
+
+def traced_dissipativity(monkeypatch, s, seed):
+    """``is_dissipative_sampled(s, 100, tol=1e-10, seed=seed)`` and the number
+    of matrices in each ``eigvalsh`` call it makes."""
+    matrices = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(gram):
+        matrices.append(math.prod(gram.shape[:-2]))
+        return eigvalsh(gram)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    try:
+        return is_dissipative_sampled(s, 100, tol=1e-10, seed=seed), matrices
+    finally:
+        monkeypatch.undo()
+
+
+def assert_verdict(verdict, expected, rtol):
+    passed, worst, witness = expected
+    assert verdict.passed == passed
+    assert abs(verdict.max_norm - worst) <= rtol * worst
+    if passed:
+        assert verdict.witness is None
+    else:
+        np.testing.assert_array_equal(verdict.witness, witness)
+
+
+def test_sampled_dissipativity_matches_an_svd_loop_at_eval_sizes(monkeypatch):
     rng = np.random.default_rng(42)
     # (N, dim_x, dim_u, dim_y): m = dim_x + dim_u up to 24, square and not
     for n, dx, du, dy in ((1, 4, 2, 2), (2, 10, 3, 3), (3, 20, 4, 4), (2, 6, 3, 1),
@@ -854,40 +915,77 @@ def test_sampled_dissipativity_matches_an_svd_loop_at_eval_sizes():
         scaled = MultiSystem(*([c * m for m in blocks]
                                for blocks in (base.a, base.b, base.c, base.d)))
         for s in (scaled, scale_output(scaled, 1e150), scale_output(scaled, 1e200)):
-            passed, worst, witness = reference(s, 100, 1e-10, 7)
-            verdict = is_dissipative_sampled(s, 100, tol=1e-10, seed=7)
+            verdict, matrices = traced_dissipativity(monkeypatch, s, 7)
+            assert_verdict(verdict, svd_loop_dissipativity(s, 100, 1e-10, 7), 1e-13)
+            if n > 1:  # cross terms of order 1: one Gram matrix per sample
+                assert matrices == [100]
+                points = sample_torus(n, 100, 7)
+                per_sample = sampled_verdict(per_sample_gram_norms(s, points), points, 1e-10)
+                assert_verdict(verdict, per_sample, 0.0)
+
+
+def eval_shaped_pencils():
+    """Conservative pencils for N = 1-3: ``random_conservative`` ones and
+    cascades of two, shaped like the eval benchmark's (dim_x 10-20)."""
+    for n in (1, 2, 3):
+        yield random_conservative(n, 10, 3, 3, seed=8 + n)
+        yield random_conservative(n, 1, 2, 2, seed=11 + n)
+        for dx2, dx1, du in ((4, 6, 2), (8, 8, 3), (8, 12 - 4 * (n == 3), 4)):
+            yield cascade(random_conservative(n, dx2, du, du, seed=20 + dx2 + n),
+                          random_conservative(n, dx1, du, du, seed=40 + dx1 + n))
+
+
+def test_cross_term_free_dissipativity_takes_one_norm(monkeypatch):
+    # sum_{j != k} ||G_j* G_k||_F within the allowance: every torus sample has
+    # norm max_k |z_k| sqrt(lambda_max(sum_k G_k* G_k)), one Gram eigenproblem
+    for conservative in eval_shaped_pencils():
+        n = conservative.n_params
+        # the whole pencil scaled keeps the cross terms within the allowance
+        over = MultiSystem(*([(1.0 + 1e-6) * m for m in blocks] for blocks in
+                             (conservative.a, conservative.b, conservative.c, conservative.d)))
+        points = sample_torus(n, 100, 3)
+        for s, passed in ((conservative, True), (over, False), (adjoint(over), False)):
+            assert cross_terms_over_allowance(s) <= 1.0
+            verdict, matrices = traced_dissipativity(monkeypatch, s, 3)
+            assert matrices == [1]
             assert verdict.passed == passed
-            assert abs(verdict.max_norm - worst) <= 1e-13 * worst
-            if passed:
-                assert verdict.witness is None
-            else:
-                np.testing.assert_array_equal(verdict.witness, witness)
+            assert_verdict(verdict, svd_loop_dissipativity(s, 100, 1e-10, 3), 1e-13)
+            if not passed:  # above 1 + tol at every sample: the first is the witness
+                np.testing.assert_array_equal(verdict.witness, points[0])
+            if n == 1:  # exactly |z| ||G_1||
+                g1 = pencil_blocks(s)[0]
+                norms = np.abs(points[:, 0]) * systems._spectral_norms(g1)
+                assert_verdict(verdict, sampled_verdict(norms, points, 1e-10), 0.0)
 
 
-def test_one_parameter_dissipativity_takes_one_norm(monkeypatch):
-    # for N = 1 every torus sample has norm |z| ||G_1||: one Gram eigenproblem
-    matrices = []
+def test_dissipativity_with_cross_terms_solves_each_sample(monkeypatch):
+    # positive controls of the shortcut: cross terms above the allowance take
+    # one Gram matrix per sample, exactly the per-sample path
+    cases = []
+    for n in (2, 3):
+        s = random_conservative(n, 10, 3, 3, seed=60 + n)
+        cases.append(MultiSystem(a=[s.a[0] + 1e-9, *s.a[1:]], b=s.b, c=s.c, d=s.d))
+        cases.append(scale_output(s, 0.9))
+        # cross terms about 100 times the allowance, so the sample norms vary
+        direction = random_system(np.random.default_rng(n), n, 10, 3, 3)
 
-    def recording(gram):
-        matrices.append(math.prod(gram.shape[:-2]))
-        return eigvalsh(gram)
+        def nudged(size):
+            return MultiSystem(*([x + size * y for x, y in zip(getattr(s, name),
+                                                                getattr(direction, name))]
+                                 for name in "abcd"))
 
-    eigvalsh = np.linalg.eigvalsh
-    conservative = random_conservative(1, 10, 3, 3, seed=8)
-    over = scale_output(conservative, 1.0 + 1e-6)  # above 1 + tol at every sample
-    for s, passed in ((conservative, True), (over, False), (adjoint(over), False)):
-        matrices.clear()
-        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        verdict = is_dissipative_sampled(s, 100, tol=1e-10, seed=3)
-        monkeypatch.undo()
-        assert matrices == [1]
-        expected_passed, worst, witness = svd_loop_dissipativity(s, 100, 1e-10, 3)
-        assert verdict.passed == expected_passed == passed
-        assert abs(verdict.max_norm - worst) <= 1e-13 * worst
-        if passed:
-            assert verdict.witness is None
-        else:
-            np.testing.assert_array_equal(verdict.witness, witness)
+        cases.append(nudged(1e-12 * 100.0 / cross_terms_over_allowance(nudged(1e-12))))
+        assert 50 <= cross_terms_over_allowance(cases[-1]) <= 200
+        norms = [svd_norm(combine(pencil_blocks(cases[-1]), z)) for z in sample_torus(n, 100, 5)]
+        assert np.ptp(norms) > 100 * np.finfo(float).eps
+    for s in cases:
+        assert cross_terms_over_allowance(s) > 10.0
+        verdict, matrices = traced_dissipativity(monkeypatch, s, 5)
+        assert matrices == [100]
+        points = sample_torus(s.n_params, 100, 5)
+        assert_verdict(verdict, sampled_verdict(per_sample_gram_norms(s, points), points,
+                                                1e-10), 0.0)
+        assert_verdict(verdict, svd_loop_dissipativity(s, 100, 1e-10, 5), 1e-13)
 
 
 def test_conservativity_matches_the_pairwise_loop_bit_for_bit():
