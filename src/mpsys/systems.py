@@ -30,9 +30,10 @@ batch and gives a (P, rows, cols) array.  ``combine`` is one BLAS product
 of the (P, N) points by the N flattened blocks, so each entry is an N-term
 inner product with the classical rounding bound, in any summation order;
 ``transfer_eval`` takes zA, zB, zC and zD as views of that one product of
-the pencil stack and solves on its narrower side (dim_y right-hand sides
-when dim_u > dim_y).  A polynomial germ is evaluated through its
-realization ``realize_germ``.  The resolvent guard of
+the pencil stack, turns zA into zA - I by a diagonal update, and solves
+with it on the narrower side (dim_y right-hand sides when dim_u > dim_y),
+subtracting where I - zA would add.  A polynomial germ is evaluated
+through its realization ``realize_germ``.  The resolvent guard of
 ``transfer_eval`` is certified in steps, for every N: a bound on ||zA||
 from max_k |z_k| and the row-Gram constants of the X rows [A_k B_k],
 computed once per system, proves the whole stack well conditioned (for a
@@ -306,6 +307,8 @@ def _certified_well_conditioned(m: np.ndarray) -> bool:
     least tiny / eps (no underflow), so a success gives cond_2(M) <=
     1 / (tau sqrt(3/4)).  This is the classical certificate of positive
     definiteness (Rump, Verification of positive definiteness, BIT 46, 2006).
+    ``transfer_eval`` passes M = zA - I, the negated I - zA: (-M)*(-M) is
+    M*M entry for entry, so the screen decides as it would on I - zA.
     """
     n = m.shape[-1]
     eps = np.finfo(float).eps
@@ -358,7 +361,7 @@ def _kept_row_gram(s: MultiSystem) -> tuple:
 
 
 def _norm_certified(s: MultiSystem, z: np.ndarray) -> bool:
-    """True only if, at every point of ``z``, the computed I - zA provably
+    """True only if, at every point of ``z``, the computed zA - I provably
     has cond_2 < 1 / RESOLVENT_SCREEN; ``_row_gram_constants`` decide.
 
     zA is the X-column block of zR = sum_k z_k R_k, R_k = [A_k B_k], so
@@ -391,15 +394,17 @@ def _norm_certified(s: MultiSystem, z: np.ndarray) -> bool:
     most (N + 3) u sum_k |z_k| |A_k| in any summation order, fused or not
     (Higham, 3.1 and 3.6).  So zA errs by at most sqrt(2) (N + 3) u
     sum_k |z_k| |A_k| entrywise, at most sqrt(2) (N + 3) sqrt(N dim_x) u
-    beta in 2-norm, the formed I - zA by a further sqrt(dim_x) u (1 + beta)
-    (in place or not, each entry is one subtraction), and an underflow
-    (of r, of |z_k| or of a product) adds at most N^2 2^-1074 max(r, m) <
-    4 N^2 eps absolutely.  So the formed I - zA is I - E with ||E|| <= b =
-    beta (1 + delta) + delta, delta = 4 n^3 eps, which covers all of these
-    with room (the rounding of limit included), and beta <= limit gives b
-    <= 1 - 2 tau, tau = RESOLVENT_SCREEN: the singular values of I - E lie
-    in [1 - b, 1 + b] and cond_2 <= (1 + b) / (1 - b) <= (1 - tau) / tau.  A
-    non-finite point gives a nan or inf beta and fails.
+    beta in 2-norm, and the formed M = zA - I, the negated I - zA that
+    ``transfer_eval`` solves with, by a further sqrt(dim_x) u (1 + beta): its
+    off-diagonal is zA's, exactly, and each diagonal entry is one
+    subtraction.  An underflow (of r, of |z_k| or of a product) adds at
+    most N^2 2^-1074 max(r, m) < 4 N^2 eps absolutely.  So the formed M is
+    -(I - E) with ||E|| <= b = beta (1 + delta) + delta, delta = 4 n^3 eps,
+    which covers all of these with room (the rounding of limit included),
+    and beta <= limit gives b <= 1 - 2 tau, tau = RESOLVENT_SCREEN: the
+    singular values of I - E, so of M, lie in [1 - b, 1 + b] and cond_2 <=
+    (1 + b) / (1 - b) <= (1 - tau) / tau.  A non-finite point gives a nan
+    or inf beta and fails.
     """
     r, limit, *weights = _kept_row_gram(s)
     moduli = np.abs(z)
@@ -429,11 +434,24 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     alone.
 
     zG is formed by one ``combine``; zA, zB, zC and zD are views of it, and
-    I - zA overwrites zA (``np.subtract(eye, zA, out=zA)``, the entries and
-    signed zeros of eye - zA).  The solve runs on the narrower side: with
-    dim_u > dim_y, zC (I - zA)^(-1) comes first, from the transposed system
-    with dim_y right-hand sides, and then meets zB; else (I - zA)^(-1) zB
-    is solved with dim_u right-hand sides.
+    M = zA - I overwrites zA by subtracting 1 from its diagonal alone, so
+    theta(z) = zD - zC M^(-1) zB.  The solve runs on the narrower side: with
+    dim_u > dim_y, zC M^(-1) comes first, from the transposed system with
+    dim_y right-hand sides, and then meets zB; else M^(-1) zB is solved
+    with dim_u right-hand sides.
+
+    The values are those of solving with the formed I - zA, bit for bit up
+    to the sign of an exact zero.  M's off-diagonal is zA's and its diagonal
+    is fl(zA_ii - 1) = -fl(1 - zA_ii), since rounding to nearest is
+    symmetric in sign; so M is the negated I - zA but for signed zeros
+    (I - zA has +0 wherever zA has +-0).  LU with partial pivoting picks
+    the same rows of -M as of M, by modulus, with the same multipliers and
+    -U, so the solve returns the negated solution, and subtracting it adds
+    what I - zA's would.  A sign of zero can still differ where a value is
+    0, as at z = 0, since an exact cancellation rounds to +0 whatever the
+    signs of its operands.  Both guards see M as they would I - zA: the
+    screen forms M*M, which negation leaves unchanged, and the SVD
+    condition of -M is that of M.
     """
     z = _check_points(s.n_params, z)
     dx = s.dim_x
@@ -441,11 +459,11 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     if dx == 0:
         return zg
     x, rest = slice(None, dx), slice(dx, None)
-    za, zb, zc, zd = zg[..., x, x], zg[..., x, rest], zg[..., rest, x], zg[..., rest, rest]
-    resolvent_arg = np.subtract(np.eye(dx), za, out=za)
-    if not (_norm_certified(s, z) or _certified_well_conditioned(resolvent_arg)):
+    m, zb, zc, zd = zg[..., x, x], zg[..., x, rest], zg[..., rest, x], zg[..., rest, rest]
+    np.einsum("...ii->...i", m)[...] -= 1.0  # zA becomes M = zA - I, through a diagonal view
+    if not (_norm_certified(s, z) or _certified_well_conditioned(m)):
         # a non-finite matrix gets condition nan: the SVD would not converge
-        stack = resolvent_arg.reshape(-1, dx, dx)
+        stack = m.reshape(-1, dx, dx)
         finite = np.isfinite(stack).all(axis=(1, 2))
         cond = np.full(len(stack), np.nan)
         cond[finite] = np.linalg.cond(stack[finite])
@@ -457,9 +475,9 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
                 f"(z = {np.atleast_2d(z)[i]}, condition estimate {cond[i]:.3e})"
             )
     if s.dim_u > s.dim_y:
-        left = np.linalg.solve(resolvent_arg.swapaxes(-1, -2), zc.swapaxes(-1, -2))
-        return zd + left.swapaxes(-1, -2) @ zb
-    return zd + zc @ np.linalg.solve(resolvent_arg, zb)
+        left = np.linalg.solve(m.swapaxes(-1, -2), zc.swapaxes(-1, -2))
+        return zd - left.swapaxes(-1, -2) @ zb
+    return zd - zc @ np.linalg.solve(m, zb)
 
 
 @dataclass(frozen=True, eq=False)

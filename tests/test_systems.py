@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, lu_factor
 from scipy.stats import qmc
 
-from mpsys import systems
+from mpsys import factorization, systems
 from mpsys.cascade import cascade
 from mpsys.subspaces import Subspace, orthonormal_basis
 from mpsys.systems import (
@@ -399,6 +399,71 @@ def test_an_ill_conditioned_point_falls_back_to_the_svd_with_the_same_values():
     assert systems._certified_well_conditioned(np.delete(stack, 2, axis=0))
     assert not systems._certified_well_conditioned(stack)
     assert transfer_eval(s, points).tobytes() == reference_transfer_eval(s, points).tobytes()
+
+
+def structured_systems():
+    """Systems with exact zero blocks, as the eval workload builds them: a
+    cascade of two conservative systems (D = 0, A block triangular), the
+    vanishing parts of its left tail (solved with dim_u right-hand sides)
+    and right tail (dim_u > dim_y, the transposed solve), and realized
+    germs of both shapes."""
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 3):
+        c = cascade(random_conservative(n, 4, 2, 2, seed=n),
+                    random_conservative(n, 5, 2, 2, seed=10 + n))
+        m = factorization.multiplicity(c, 8)
+        yield c
+        yield factorization.factor_left(c, m)[1].vanishing_part
+        yield factorization.factor_right(c, m)[0].vanishing_part
+        for du, dy in ((1, 2), (3, 1)):
+            coeffs = {t: rng.standard_normal((dy, du)) + 1j * rng.standard_normal((dy, du))
+                      for t in itertools.product(range(4), repeat=n)
+                      if 1 <= sum(t) <= 3 and (sum(t) == 3 or rng.uniform() < 0.5)}
+            yield realize_germ(PolyGerm(n, du, dy, coeffs))
+
+
+def test_structured_systems_match_the_svd_guard_up_to_the_sign_of_zero():
+    # transfer_eval solves with zA - I, whose exact zeros are zA's; the
+    # reference solves with I - zA, whose are all +0.  On systems with exact
+    # zero blocks, at points with exact zero and negative parts, for single
+    # points and stacks and on both sides of the solve, every value must be
+    # the reference's, byte for byte once -0 is read as +0 (x + 0.0 changes
+    # no other bits).  A sign of zero does differ: at z = 0 a realized germ
+    # can give -0 where the reference gives +0, because an exact
+    # cancellation rounds to +0 whatever the signs of its operands.
+    rng = np.random.default_rng(62)
+    sides, zero_entries = set(), 0
+    for s in structured_systems():
+        n = s.n_params
+        z = 0.9 * rng.uniform(0.0, 1.0, (6, n)) * np.exp(2j * np.pi * rng.uniform(size=(6, n)))
+        z[0] = 0.0
+        z[1, 0], z[2] = -0.5, 0.4j
+        for points in (z, *z):
+            value, expected = transfer_eval(s, points), reference_transfer_eval(s, points)
+            assert value.shape == expected.shape
+            assert (value + 0.0).tobytes() == (expected + 0.0).tobytes(), (n, s.dim_x)
+        za = combine(s.a, z[1:])
+        zero_entries += np.count_nonzero(za[:, ~np.eye(s.dim_x, dtype=bool)] == 0)
+        sides.add(s.dim_u > s.dim_y)
+    assert sides == {False, True} and zero_entries > 0
+
+
+def test_the_solve_is_sign_symmetric_bit_for_bit():
+    # The property transfer_eval rests on: partial pivoting picks the same
+    # rows of -M as of M (by modulus) with the same multipliers, so
+    # solve(-M, B) = -solve(M, B) exactly.  The diagonal is scaled down so
+    # that every factorization swaps rows; the matrices are strided views,
+    # as in transfer_eval, and their transposes are the dim_u > dim_y branch.
+    rng = np.random.default_rng(63)
+    for n, p, k in ((2, 1, 1), (3, 5, 2), (8, 4, 3), (20, 6, 1), (24, 3, 4)):
+        g = rng.standard_normal((p, n + k, n + k)) + 1j * rng.standard_normal((p, n + k, n + k))
+        np.einsum("...ii->...i", g)[...] *= 1e-3
+        m, b = g[:, :n, :n], g[:, :n, n:]
+        assert all((lu_factor(x)[1] != np.arange(n)).any() for x in m)
+        for a in (m, m.swapaxes(-1, -2)):
+            assert np.linalg.solve(-a, b).tobytes() == (-np.linalg.solve(a, b)).tobytes()
+            assert np.linalg.solve(-a[0], b[0]).tobytes() == \
+                (-np.linalg.solve(a[0], b[0])).tobytes()
 
 
 def test_conservative_stacks_need_no_screen(monkeypatch):
