@@ -12,18 +12,21 @@ space V_z = (zG)*(X2 (+) Y) (-) X2 splits into two conservative subsystems
 whose cascade reproduces the original system up to a unitary state-space
 basis change.
 
-Condition (ii) is decided by an exact rank criterion rather than by
-quantifying over torus points: with M := sum_k range(G_k* on X2 (+) Y),
-every (zG)*(X2 (+) Y) is contained in M, and for a conservative system each
-has dimension dim X2 + dim Y; so the spaces coincide for every z exactly
-when dim M = dim X2 + dim Y.  A torus-sampling oracle in the test suite
-cross-checks this reduction.
+Condition (ii) is an exact reduction identity, not a quantifier over torus
+points.  A conservative pencil is G_k = P_k U, U = sum_k G_k unitary and the
+P_k = G_k U* orthogonal projections summing to I.  Every (zG)*(X2 (+) Y) has
+dimension dim X2 + dim Y and lies in M := sum_k G_k*(X2 (+) Y) =
+U* sum_k P_k (X2 (+) Y), which contains U*(X2 (+) Y), with equality exactly
+when X2 (+) Y reduces every P_k: when max_k ||(I - Pi) P_k Pi|| = 0, Pi the
+projector onto X2 (+) Y.  For N = 1, P_1 = I and (ii) always holds.  A
+torus-sampling oracle in the test suite cross-checks this reduction.
 
-Each space of the test and the split is computed from one basis:
-condition (i) is one batched residual over the stacked A_k; M is the raw
-SVD basis of the stacked G_k*(X2 (+) Y), whose rank is the test, never
-canonicalized; V is the raw SVD basis of (I - P_(X2 (+) 0)) M, which the
-split canonicalizes once; X1 is that of I - P_X2 - P_V (X2 and V are orthogonal).
+Each space of the test and the split is computed from one basis: the
+residuals of conditions (i) and (ii) are one batched SVD norm each; M is
+U*(X2 (+) Y), orthonormal as it stands; V = (I - P_(X2 (+) 0)) M, of
+dimension dim Y as condition (i) puts X2 (+) 0 in M, is its top dim Y left
+singular vectors, canonicalized once by the split; X1 is the basis of
+I - P_X2 - P_V (X2 and V are orthogonal).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .subspaces import Subspace, _range_basis, orthonormal_basis
+from .subspaces import Subspace, orthonormal_basis
 from .systems import (
     MultiSystem,
     _direct_sum,
@@ -43,7 +46,7 @@ from .systems import (
     require_conservative,
     transfer_eval,
 )
-from .tolerances import RANK_TOL, SUBSPACE_TOL
+from .tolerances import SUBSPACE_TOL
 
 
 class CascadeError(ValueError):
@@ -76,41 +79,39 @@ def cascade(alpha2: MultiSystem, alpha1: MultiSystem) -> MultiSystem:
 class ConditionIIResult:
     holds: bool
     intermediate: Optional[Subspace]  # V = M (-) X2 in C^(dim_x + dim_u), a raw SVD basis
-    dim_m: int
-    dim_expected: int
+    residual: float  # max_k ||(I - Pi) P_k Pi||, Pi the projector onto X2 (+) Y
+
+
+def _outside_norms(image: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """||(I - p) X||_2 for each matrix X of the stack ``image``, by SVD; 0 if X is empty."""
+    return np.linalg.svd(image - p @ image, compute_uv=False).max(-1, initial=0.0)
 
 
 def check_condition_ii(s: MultiSystem, x2: Subspace) -> ConditionIIResult:
     """Decide whether the defect spaces V_z coincide for all torus points z.
 
-    Rank criterion: M = sum_k G_k*(X2 (+) Y) must have dimension
-    dim X2 + dim Y and contain X2 (+) 0; V = M (-) X2 is then returned (as a
-    subspace of the pencil's domain X (+) U).  Raises CascadeError when
-    condition (i) fails, that is, unless ||(I - P_X2) A_k Q|| < SUBSPACE_TOL
-    for every k, Q the basis of X2.  Each space comes from one basis (see
-    the module docstring).  Precondition, not checked here (``decompose``
-    checks it): ``s`` is conservative.
+    Holds when the reduction residual max_k ||(I - Pi) P_k Pi|| (module
+    docstring) is below SUBSPACE_TOL; V = U*(X2 (+) Y) (-) X2 is then
+    returned, as a subspace of the pencil's domain X (+) U.  Raises
+    CascadeError when condition (i) fails, that is, unless
+    ||(I - P_X2) A_k Q|| < SUBSPACE_TOL for every k, Q the basis of X2.
+    Precondition, not checked here (``decompose`` and ``solve_problem2``
+    check it): ``s`` is conservative.
     """
     if x2.ambient_dim != s.dim_x:
         raise CascadeError("x2 ambient dimension does not match dim_x")
-    g = pencil_blocks(s)
-    q = x2.basis
-    if x2.dim:
-        image = g[:, :s.dim_x, :s.dim_x] @ q
-        residuals = image - x2.projector() @ image
-        if not (np.linalg.svd(residuals, compute_uv=False)[:, 0] < SUBSPACE_TOL).all():
-            raise CascadeError("condition (i) fails: x2 is not invariant for all A_k")
-    target = _direct_sum(q, np.eye(s.dim_y))  # X2 (+) Y
-    m = _range_basis(np.hstack(g.conj().swapaxes(1, 2) @ target), RANK_TOL)
-    dim_m, expected = m.shape[1], x2.dim + s.dim_y
-    if dim_m != expected:
-        return ConditionIIResult(False, None, dim_m, expected)
-    x2_embedded = _direct_sum(q, np.zeros((s.dim_u, 0)))  # X2 (+) 0
-    if x2.dim and np.linalg.norm(x2_embedded - m @ (m.conj().T @ x2_embedded), 2) > SUBSPACE_TOL:
-        return ConditionIIResult(False, None, dim_m, expected)
-    outside = np.eye(len(m), dtype=complex) - x2_embedded @ x2_embedded.conj().T
-    v = _range_basis(outside @ m, RANK_TOL)  # orthonormal; _split canonicalizes it
-    return ConditionIIResult(True, Subspace(len(m), v), dim_m, expected)
+    g, dx = pencil_blocks(s), s.dim_x
+    q, p = x2.basis, x2.projector()
+    if not (_outside_norms(g[:, :dx, :dx] @ q, p) < SUBSPACE_TOL).all():
+        raise CascadeError("condition (i) fails: x2 is not invariant for all A_k")
+    m = g.sum(0).conj().T @ _direct_sum(q, np.eye(s.dim_y))  # U*(X2 (+) Y)
+    # P_k Pi is G_k M on the basis of X2 (+) Y, and I - Pi keeps only its X rows
+    residual = float(_outside_norms(g[:, :dx] @ m, p).max())
+    if not residual < SUBSPACE_TOL:
+        return ConditionIIResult(False, None, residual)
+    outside = m - _direct_sum(p, np.zeros((s.dim_u,) * 2)) @ m  # (I - P_(X2 (+) 0)) M
+    v = np.linalg.svd(outside, full_matrices=False)[0][:, :s.dim_y]  # _split canonicalizes it
+    return ConditionIIResult(True, Subspace(len(m), v), residual)
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,7 @@ def decompose(s: MultiSystem, x2: Subspace) -> CascadeDecomposition:
     require_conservative(s)
     cond2 = check_condition_ii(s, x2)
     if not cond2.holds:
-        raise CascadeError(
-            f"condition (ii) fails: dim M = {cond2.dim_m}, expected {cond2.dim_expected}"
-        )
+        raise CascadeError(f"condition (ii) fails: residual {cond2.residual:.3e}")
     return _split(s, x2, cond2.intermediate)
 
 

@@ -296,7 +296,7 @@ def solve_problem2(s: MultiSystem, seed: int = 0,
     if not cond2.holds:
         raise CascadeError(
             f"condition (ii) fails at the least fixed point (dim {least.dim}): "
-            f"dim M = {cond2.dim_m}, expected {cond2.dim_expected}"
+            f"residual {cond2.residual:.3e}"
         )
     try:
         dec = _split(acc, least, cond2.intermediate)

@@ -103,14 +103,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def containment_residual(self, other: "Subspace") -> float:
-        """How far self is from being a subspace of other."""
-        if other.ambient_dim != self.ambient_dim:
-            raise SubspaceError("ambient dimension mismatch")
-        if self.dim == 0:
-            return 0.0
-        return float(np.linalg.norm(self.basis - other.projector() @ self.basis, 2))
-
 
 def _range_basis(m: np.ndarray, tol: float) -> np.ndarray:
     """Left singular vectors of m whose singular values exceed

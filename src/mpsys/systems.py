@@ -53,9 +53,9 @@ coefficients of z -> (zG)*(zG) on the torus:
 plus the adjoint versions.  The torus-sampling oracle in the test suite
 validates this reduction independently.
 
-The stacked 2-norms of the two exact tests, ``is_conservative``'s defects
-and the condition-(i) residuals of ``cascade.check_condition_ii``, are SVD
-norms; every other is ``_spectral_norms``: the root of the largest Gram
+The stacked 2-norms of the exact tests, ``is_conservative``'s defects and
+the condition-(i) and (ii) residuals of ``cascade.check_condition_ii``, are
+SVD norms; every other is ``_spectral_norms``: the root of the largest Gram
 eigenvalue, after a power-of-two range scaling.  A Gram matrix of size 1
 or 2 has that eigenvalue in closed form (the column norm's square, or
 (a + d)/2 + hypot((a - d)/2, |b|)); a larger one goes to ``eigvalsh``.
@@ -762,9 +762,11 @@ def _sampled_norms(g: np.ndarray, points: np.ndarray) -> np.ndarray:
     g, e = _scaled_to_unit(g)
     n, _, m = g.shape
     blocks = g.conj().swapaxes(1, 2)[:, None] @ g[None]  # [j, k] = G_j* G_k
-    total = sum(blocks[k, k] for k in range(n))
-    cross = np.linalg.norm(blocks[~np.eye(n, dtype=bool)], axis=(1, 2)).sum()
-    s = np.diagonal(total).real.max(initial=0.0)
+    total = blocks.reshape(-1, m, m)[::n + 1].sum(0)  # the G_k* G_k, added in order
+    # j != k: the blocks after the first, in rows of n + 1 that each end on the diagonal
+    off = blocks.reshape(-1, m, m)[1:].reshape(n - 1, n + 1, m, m)[:, :n]
+    cross = np.sqrt(np.add.reduce((off.conj() * off).real, axis=(2, 3))).sum()  # Frobenius
+    s = total.real.diagonal().max(initial=0.0)
     if cross <= 4 * (n * n + m) * np.finfo(float).eps * s:
         return np.abs(points).max(-1) * _gram_roots(total, e)
     weights = (points.conj()[:, :, None] * points[:, None, :]).reshape(-1, n * n)

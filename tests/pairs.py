@@ -1,8 +1,9 @@
-"""Test helpers: the zero and whole subspaces, the intersection of two
-subspaces and the complement of one inside another; on pairs of conservative
-systems, the closely-connected cascade and the two candidate subspaces the
-paper builds from its factors; the executable form of "a closely connected
-cascade has closely connected factors"; a grid oracle for the sup-norm of a
+"""Test helpers: the zero and whole subspaces, how far one subspace is from
+lying in another, the intersection of two subspaces and the complement of
+one inside another; on pairs of conservative systems, the closely-connected
+cascade and the two candidate subspaces the paper builds from its factors;
+the executable form of "a closely connected cascade has closely connected
+factors"; a grid oracle for the sup-norm of a
 function on the polydisk; the point evaluator of a polynomial germ, the
 coefficientwise expansion of a linear-factor chain, and the
 Kaijser-Varopoulos triple, on which a polynomial of sup-norm 1 on
@@ -74,11 +75,20 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     return orthonormal_basis(eye - comp_sum.projector())
 
 
+def containment_residual(a: Subspace, b: Subspace) -> float:
+    """How far ``a`` is from being a subspace of ``b``: ||(I - P_b) Q_a||."""
+    if a.ambient_dim != b.ambient_dim:
+        raise SubspaceError("ambient dimension mismatch")
+    if a.dim == 0:
+        return 0.0
+    return float(np.linalg.norm(a.basis - b.projector() @ a.basis, 2))
+
+
 def orthogonal_complement(a: Subspace, within: Subspace) -> Subspace:
     """Complement of ``a`` inside ``within``, i.e. b with a + b = within, a _|_ b."""
     if a.ambient_dim != within.ambient_dim:
         raise SubspaceError("ambient dimension mismatch")
-    resid = a.containment_residual(within)
+    resid = containment_residual(a, within)
     if resid > SUBSPACE_TOL:
         raise SubspaceError(
             f"subspace not contained in the enclosing space (residual {resid:.3e})"

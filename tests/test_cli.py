@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +104,24 @@ def test_cascade_and_decompose_round_trip(tmp_path, capsys):
     ser.load_system(tmp_path / "dec" / "alpha1.json")
     ser.load_subspace(tmp_path / "dec" / "intermediate.json")
     ser.load_subspace(tmp_path / "dec" / "x1.json")
+
+
+def test_decompose_quotes_the_condition_ii_residual(tmp_path, capsys):
+    # X2 plus one coordinate of V in a conservative N = 2 cascade satisfies
+    # condition (i) but not condition (ii)
+    casc, x2 = tmp_path / "casc.json", tmp_path / "x2.json"
+    combined = cascade(random_conservative(2, 3, 2, 2, seed=5),
+                       random_conservative(2, 3, 2, 2, seed=7))
+    write_system(casc, combined)
+    x2_and_v1 = Subspace(combined.dim_x, np.eye(combined.dim_x)[:, :4])
+    ser.save_json(x2, ser.subspace_to_dict(x2_and_v1))
+    code, stdout, err = invoke(capsys, "decompose", str(casc), "--x2", str(x2),
+                               "--out-dir", str(tmp_path / "dec"))
+    assert (code, stdout) == (1, "")
+    assert re.fullmatch(r"error: CascadeError: condition \(ii\) fails: residual "
+                        r"\d\.\d{3}e-0[12]\n", err), err
+    assert "dim M" not in err
+    assert not (tmp_path / "dec").exists()
 
 
 def test_factor_problem2_on_cascade(tmp_path, capsys):

@@ -500,7 +500,7 @@ def test_solve_problem2_witness_is_least_passing_candidate():
         for c in pairs.search_candidates(acc, budget=64, seed=seed):
             if passes_cascade_conditions(acc, c):
                 passing += 1
-                assert least.containment_residual(c) <= SUBSPACE_TOL
+                assert pairs.containment_residual(least, c) <= SUBSPACE_TOL
     assert passing > len(systems)
     for dx in (3, 4):
         s = irreducible_realization(dx, seed=dx)
@@ -535,8 +535,9 @@ def test_solve_problem2_raises_on_numerical_breakdown(monkeypatch):
     assert len(residuals) > 1
     # (ii) holds at X* in exact arithmetic, so a failure there is an error
     monkeypatch.setattr(factorization, "check_condition_ii",
-                        lambda acc, x2: ConditionIIResult(False, None, 0, 1))
-    with pytest.raises(CascadeError, match=r"condition \(ii\)"):
+                        lambda acc, x2: ConditionIIResult(False, None, 0.25))
+    with pytest.raises(CascadeError, match=r"^condition \(ii\) fails at the least fixed "
+                                           r"point \(dim \d+\): residual 2\.500e-01$"):
         solve_problem2(s)
 
 

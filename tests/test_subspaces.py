@@ -18,8 +18,8 @@ from mpsys.subspaces import (
     subspace_sum,
 )
 
-from pairs import (counting, orthogonal_complement, subspace_intersection, whole_space,
-                   zero_space)
+from pairs import (containment_residual, counting, orthogonal_complement,
+                   subspace_intersection, whole_space, zero_space)
 
 
 def random_subspace(rng, ambient, dim):
@@ -260,7 +260,7 @@ def test_invariant_closure_contains_seeds_and_is_invariant():
                                     (rng.standard_normal((6, 2)), 6)):
             closure = invariant_closure(ops, seeds)
             assert closure.dim == expected_dim
-            assert orthonormal_basis(seeds).containment_residual(closure) < 1e-9
+            assert containment_residual(orthonormal_basis(seeds), closure) < 1e-9
             assert all(is_invariant(op, closure) for op in ops)
         block = orthonormal_basis(q[:, :2])
         assert projector_distance(invariant_closure(ops, q[:, :1]), block) < 1e-9

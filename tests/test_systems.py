@@ -771,6 +771,22 @@ def test_random_conservative_passes_algebraic_and_sampled_checks():
         assert torus_unitarity_residual(s, 50) < 1e-9
 
 
+def test_conservative_pencils_are_projections_times_a_unitary():
+    # G_k = P_k U with U = sum_k G_k unitary and the P_k = G_k U* orthogonal
+    # projections summing to I: the form condition (ii) is decided in
+    for s in eval_shaped_pencils():
+        g = pencil_blocks(s)
+        u = g.sum(0)
+        eye = np.eye(len(u))
+        assert np.linalg.norm(u.conj().T @ u - eye, 2) < 1e-13
+        p = g @ u.conj().T
+        for p_k, g_k in zip(p, g):
+            assert np.linalg.norm(p_k @ u - g_k, 2) < 1e-13
+            assert np.linalg.norm(p_k - p_k.conj().T, 2) < 1e-13
+            assert np.linalg.norm(p_k @ p_k - p_k, 2) < 1e-13
+        assert np.linalg.norm(p.sum(0) - eye, 2) < 1e-13
+
+
 def test_sample_torus_is_scipys_scrambled_halton():
     for n in range(1, 5):
         for count in (0, 1, 7, 100):
