@@ -14,19 +14,21 @@ basis change.
 
 Condition (ii) is an exact reduction identity, not a quantifier over torus
 points.  A conservative pencil is G_k = P_k U, U = sum_k G_k unitary and the
-P_k = G_k U* orthogonal projections summing to I.  Every (zG)*(X2 (+) Y) has
-dimension dim X2 + dim Y and lies in M := sum_k G_k*(X2 (+) Y) =
-U* sum_k P_k (X2 (+) Y), which contains U*(X2 (+) Y), with equality exactly
-when X2 (+) Y reduces every P_k: when max_k ||(I - Pi) P_k Pi|| = 0, Pi the
-projector onto X2 (+) Y.  For N = 1, P_1 = I and (ii) always holds.  A
-torus-sampling oracle in the test suite cross-checks this reduction.
+P_k = G_k U* orthogonal projections summing to I (``systems`` module
+docstring).  Every (zG)*(X2 (+) Y) has dimension dim X2 + dim Y and lies in
+M := sum_k G_k*(X2 (+) Y) = U* sum_k P_k (X2 (+) Y), which contains
+U*(X2 (+) Y), with equality exactly when X2 (+) Y reduces every P_k: when
+max_k ||(I - Pi) P_k Pi|| = 0, Pi the projector onto X2 (+) Y.  For N = 1,
+P_1 = I and (ii) always holds.  A torus-sampling oracle in the test suite
+cross-checks this reduction.
 
 Each space of the test and the split is computed from one basis: the
 residuals of conditions (i) and (ii) are one batched SVD norm each; M is
 U*(X2 (+) Y), orthonormal as it stands; V = (I - P_(X2 (+) 0)) M, of
 dimension dim Y as condition (i) puts X2 (+) 0 in M, is its top dim Y left
-singular vectors, canonicalized once by the split; X1 is the basis of
-I - P_X2 - P_V (X2 and V are orthogonal).
+singular vectors, canonicalized once by the split; X1, of dimension
+dim X - dim X2 - dim Y, is the top left singular vectors of I - P_X2 - P_V
+(X2 and V are orthogonal).  The split makes no rank decision.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .subspaces import Subspace, orthonormal_basis
+from .subspaces import Subspace, _leading_subspace
 from .systems import (
     MultiSystem,
     _direct_sum,
@@ -156,8 +158,9 @@ def _split(s: MultiSystem, x2: Subspace, v_raw: Subspace) -> CascadeDecompositio
             f"intermediate space is not contained in the state space "
             f"(input-component norm {spill:.3e})"
         )
-    v = orthonormal_basis(v_raw.basis[:dx, :])
-    x1 = orthonormal_basis(np.eye(dx, dtype=complex) - x2.projector() - v.projector())
+    v = _leading_subspace(v_raw.basis[:dx, :], s.dim_y)  # dimensions known: no rank decision
+    x1 = _leading_subspace(np.eye(dx, dtype=complex) - x2.projector() - v.projector(),
+                           dx - x2.dim - s.dim_y)
 
     q2, qv, q1 = x2.basis, v.basis, x1.basis
     g = pencil_blocks(s)

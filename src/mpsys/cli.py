@@ -153,7 +153,7 @@ def cmd_check(ns, argv) -> dict:
         return _report(argv, what=ns.what, kind="exact",
                        verdict="conservative" if rep.is_conservative else "not-conservative",
                        residual=rep.worst_residual,
-                       failing_pair=list(rep.failing_pair) if rep.failing_pair else None,
+                       failing_k=rep.failing,
                        tolerances=tolerances)
     if ns.what == "dissipative":
         if ns.torus_samples < 1:  # no sample would pass vacuously
@@ -292,7 +292,7 @@ def cmd_agler(ns, argv) -> dict:
     if outcome.falsified and conservativity.is_conservative:
         raise CliError(f"internal error: a conservative input was falsified at draw "
                        f"{outcome.trials} (norm {outcome.witness_norm!r})")
-    # a conservative input is a member: sum_k G_k* G_k = I gives ||theta(rT)|| <= 1
+    # a conservative input is a member: G_k = P_k U gives ||theta(rT)|| <= 1
     kind, verdict = (("certified", "not-member") if outcome.falsified else
                      ("exact", "member") if conservativity.is_conservative else
                      ("heuristic", "not-falsified"))

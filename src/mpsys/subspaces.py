@@ -4,7 +4,8 @@ Subspaces are stored by orthonormal bases (columns of a complex matrix),
 which keeps dimensions explicit and composition cheap; orthoprojectors are
 derived on demand.  Every rank decision here is one rule, in one place
 (``_range_basis``): an SVD keeps the singular values above
-tol * (1 + the largest), with tol = ``tolerances.RANK_TOL`` by default.
+tol * (1 + the largest), with tol = ``tolerances.RANK_TOL`` by default; a
+span of known dimension keeps that many (``_leading_subspace``).
 
 Every constructor canonicalizes the returned basis (``_canonicalize``:
 the pivots of a column-pivoted QR of the orthoprojector, found by
@@ -21,6 +22,7 @@ exit.  The module needs numpy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -104,20 +106,26 @@ class Subspace:
         return self.basis @ self.basis.conj().T
 
 
-def _range_basis(m: np.ndarray, tol: float) -> np.ndarray:
-    """Left singular vectors of m whose singular values exceed
-    ``tol * (1 + leading singular value)``: the rank rule of this module."""
+def _range_basis(m: np.ndarray, tol: float, rank: Optional[int] = None) -> np.ndarray:
+    """The leading left singular vectors of m: ``rank`` of them, or, by the
+    rank rule of this module, those whose singular values exceed
+    ``tol * (1 + leading singular value)``."""
     if m.shape[1] == 0 or not np.any(m):
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :int(np.count_nonzero(s > tol * (1.0 + s[0])))]
+    return u[:, :int(np.count_nonzero(s > tol * (1.0 + s[0]))) if rank is None else rank]
+
+
+def _leading_subspace(m: np.ndarray, rank: Optional[int] = None,
+                      tol: float = RANK_TOL) -> Subspace:
+    """The canonical basis of the span of ``_range_basis(m, tol, rank)``."""
+    return Subspace(m.shape[0], _canonicalize(_range_basis(m, tol, rank)))
 
 
 def orthonormal_basis(vectors, tol: float = RANK_TOL) -> Subspace:
     """Orthonormal basis of the column span of ``vectors``, by the rank rule
     of ``_range_basis``."""
-    m = _as_complex(vectors)
-    return Subspace(m.shape[0], _canonicalize(_range_basis(m, tol)))
+    return _leading_subspace(_as_complex(vectors), tol=tol)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

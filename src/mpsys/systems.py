@@ -45,13 +45,15 @@ conservative pencil or any N = 1 pencil, the torus samples of
 ``is_dissipative_sampled`` share one norm, from one Gram eigenproblem.
 
 Conservativity ("the pencil zG is unitary for every z on the unit torus") is
-decided by finitely many matrix identities obtained by matching Fourier
-coefficients of z -> (zG)*(zG) on the torus:
-
-    sum_k G_k* G_k = I   and   G_j* G_k = 0  (j != k)
-
-plus the adjoint versions.  The torus-sampling oracle in the test suite
-validates this reduction independently.
+one exact identity: with U = sum_k G_k and P_k = G_k U*, zG is conservative
+exactly when U is unitary and every P_k is an orthogonal projection, that
+is, P_k* = P_k* P_k.  Then the P_k sum to UU* = I, so they are mutually
+orthogonal and zG = (sum_k z_k P_k) U is unitary on the torus; conversely,
+the torus Fourier coefficients of (zG)*(zG) and (zG)(zG)* make U unitary and
+P_k = G_k G_k* idempotent.  ``is_conservative`` decides by the N + 1 defects
+UU* - I and P_k* (I - P_k), ``unitary_part`` seeds its closure with their
+ranges for the A_k, and ``cascade.check_condition_ii`` decides condition
+(ii) in this form; a torus-sampling oracle in the test suite checks it.
 
 The stacked 2-norms of the exact tests, ``is_conservative``'s defects and
 the condition-(i) and (ii) residuals of ``cascade.check_condition_ii``, are
@@ -70,7 +72,7 @@ from typing import Optional
 
 import numpy as np
 
-from .subspaces import Subspace, invariant_closure, orthonormal_basis
+from .subspaces import Subspace, _leading_subspace, invariant_closure
 from .tolerances import (CONSERVATIVE_TOL, RANK_TOL, RESOLVENT_COND_LIMIT, RESOLVENT_SCREEN,
                          TAYLOR_DROP_TOL)
 
@@ -595,53 +597,37 @@ def taylor_coefficients(s: MultiSystem, max_total_degree: int) -> PolyGerm:
 
 @dataclass(frozen=True)
 class ConservativityReport:
-    is_isometric_family: bool
-    is_coisometric_family: bool
+    is_conservative: bool
     worst_residual: float
-    failing_pair: Optional[tuple] = None
-
-    @property
-    def is_conservative(self) -> bool:
-        return self.is_isometric_family and self.is_coisometric_family
+    failing: Optional[int] = None  # the k of the worst P_k defect; None when UU* - I is worst
 
 
-def _unitarity_defects(g: np.ndarray) -> tuple:
-    """The isometric and coisometric defects of the pencil sum_k z_k G_k of
-    the stack ``g``, each family a stack.
+def _conservativity_defects(g: np.ndarray) -> np.ndarray:
+    """The defects of the (U, P_k) identity (module docstring) of the pencil
+    sum_k z_k G_k of the stack ``g``: a stack of N + 1 square matrices.
 
-    Returns (iso, coiso): iso[0] = sum_k G_k* G_k - I and coiso[0] =
-    sum_k G_k G_k* - I, then G_j* G_k and G_j G_k* for the pairs j != k in
-    lexicographic order.  The pencil is unitary on the torus exactly when
-    all of them vanish (see module docstring); each family is closed under
-    adjoints.  Every product comes from one batched product per family,
-    [j, k] = G_j* G_k or G_j G_k*, and the sums add its diagonal in order.
+    Row 0 is UU* - I, U = sum_k G_k; row 1 + k is P_k* (I - P_k), P_k =
+    G_k U*.  The pencil is unitary on the torus exactly when all of them
+    vanish.  A wide stack is taken as its transpose, the pencil (zG)^T,
+    unitary exactly when zG is, so the rows are the taller side and a
+    non-square pencil has ||UU* - I|| >= 1 (UU* is singular).
     """
-    n, rows, cols = g.shape
-    gh = g.conj().swapaxes(1, 2)
-    off_diagonal = ~np.eye(n, dtype=bool)  # the pairs j != k, in lexicographic order
-    defects = []
-    for products, size in ((gh[:, None] @ g[None], cols), (g[:, None] @ gh[None], rows)):
-        total = sum(products[k, k] for k in range(n)) - np.eye(size)
-        defects.append(np.concatenate([total[None], products[off_diagonal]]))
-    return tuple(defects)
+    if g.shape[1] < g.shape[2]:
+        g = g.swapaxes(1, 2)
+    u = g.sum(0)
+    p = g @ u.conj().T
+    ph = p.conj().swapaxes(1, 2)
+    return np.concatenate([(u @ u.conj().T - np.eye(len(u)))[None], ph - ph @ p])
 
 
 def is_conservative(s: MultiSystem, tol: float = CONSERVATIVE_TOL) -> ConservativityReport:
-    """Exact algebraic conservativity test (see module docstring)."""
-    n = s.n_params
-    pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
-    # row 0: the sum minus I; row 1 + i: the cross term of pairs[i]
-    iso_r, coiso_r = (np.linalg.svd(defects, compute_uv=False)[:, 0]
-                      for defects in _unitarity_defects(pencil_blocks(s)))
-    # the first largest residual in the order: both sums, then each pair's
-    # isometric and coisometric cross terms
-    residuals = np.column_stack([iso_r, coiso_r]).ravel()
+    """Exact conservativity test: the 2-norms of the N + 1 defects of the
+    (U, P_k) identity (``_conservativity_defects``), from one batched SVD,
+    are all at most ``tol``.  The worst is the first largest, in row order."""
+    residuals = np.linalg.svd(_conservativity_defects(pencil_blocks(s)), compute_uv=False)[:, 0]
     first = int(np.argmax(residuals))
     worst = float(residuals[first])
-    failing = pairs[first // 2 - 1] if first >= 2 else None
-    iso_ok = not np.any(iso_r > tol)
-    coiso_ok = not np.any(coiso_r > tol)
-    return ConservativityReport(iso_ok, coiso_ok, worst, failing)
+    return ConservativityReport(worst <= tol, worst, first - 1 if first else None)
 
 
 def require_conservative(s: MultiSystem) -> ConservativityReport:
@@ -809,16 +795,18 @@ def restrict_to_cc(s: MultiSystem) -> MultiSystem:
 def unitary_part(s: MultiSystem) -> Subspace:
     """Maximal subspace reducing every A_k on which the pencil zA is unitary.
 
-    On a subspace W reducing every A_k the pencil is unitary exactly when W
-    lies in the kernel of every unitarity defect of the A_k, that is, W is
-    orthogonal to their ranges (the defects are closed under adjoints).  A
+    The projector Pi onto a subspace W that reduces every A_k commutes with
+    U = sum_k A_k, the P_k = A_k U* and so every defect d of the (U, P_k)
+    identity of the A_k (``_conservativity_defects``).  The pencil restricted
+    to W is unitary exactly when d Pi = Pi d = 0 for every d, that is, when
+    W is orthogonal to the range of every d.  A
     subspace reduces every A_k exactly when its complement is invariant
     under the adjoint-closed set {A_k, A_k*}, so the answer is the
     complement of the invariant closure of the defects' ranges.
     """
-    iso, coiso = _unitarity_defects(pencil_blocks(s)[:, :s.dim_x, :s.dim_x])
-    outside = invariant_closure(_with_adjoints(s.a), np.hstack([*iso, *coiso]))
-    return orthonormal_basis(np.eye(s.dim_x) - outside.projector())
+    defects = _conservativity_defects(pencil_blocks(s)[:, :s.dim_x, :s.dim_x])
+    outside = invariant_closure(_with_adjoints(s.a), np.hstack(defects))
+    return _leading_subspace(np.eye(s.dim_x) - outside.projector(), s.dim_x - outside.dim)
 
 
 def _haar_unitaries(count: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1069,44 +1069,110 @@ def test_dissipativity_with_cross_terms_solves_each_sample(monkeypatch):
         assert_verdict(verdict, svd_loop_dissipativity(s, 100, 1e-10, 5), 1e-13)
 
 
-def test_conservativity_matches_the_pairwise_loop_bit_for_bit():
-    # the per-pair 2-norms in the order the report is defined by; the
-    # batched norms must give the same report exactly
-    def reference(s, tol):
-        gs = pencil_blocks(s)
-        worst, failing, iso_ok, coiso_ok = 0.0, None, True, True
-        terms = [(sum(g.conj().T @ g for g in gs) - np.eye(s.dim_x + s.dim_u), None, 0),
-                 (sum(g @ g.conj().T for g in gs) - np.eye(s.dim_x + s.dim_y), None, 1)]
-        for j in range(s.n_params):
-            for k in range(s.n_params):
-                if j != k:
-                    terms += [(gs[j].conj().T @ gs[k], (j, k), 0),
-                              (gs[j] @ gs[k].conj().T, (j, k), 1)]
-        for m, pair, side in terms:
-            r = np.linalg.norm(m, 2)
-            if r > worst:
-                worst, failing = r, pair
-            if r > tol:
-                iso_ok, coiso_ok = (False, coiso_ok) if side == 0 else (iso_ok, False)
-        return iso_ok, coiso_ok, worst, failing
+def pairwise_conservativity_residual(s):
+    """The Fourier-coefficient identities of a unitary pencil, pair by pair:
+    the largest 2-norm of sum_k G_k* G_k - I, sum_k G_k G_k* - I and, for
+    every pair j != k, G_j* G_k and G_j G_k*."""
+    gs = pencil_blocks(s)
+    terms = [sum(g.conj().T @ g for g in gs) - np.eye(s.dim_x + s.dim_u),
+             sum(g @ g.conj().T for g in gs) - np.eye(s.dim_x + s.dim_y)]
+    for j, k in itertools.permutations(range(s.n_params), 2):
+        terms += [gs[j].conj().T @ gs[k], gs[j] @ gs[k].conj().T]
+    return max(np.linalg.norm(m, 2) for m in terms)
 
+
+def conservativity_test_pencils():
+    """Conservative, cascaded, perturbed (1e-14 to 1e-6) and random pencils
+    for N = 1-3; the random ones include both non-square orientations."""
     rng = np.random.default_rng(21)
-    for i in range(60):
-        n, dx, du, dy = 1 + i % 3, int(rng.integers(0, 5)), 1 + i % 2, 1 + i % 3
-        if i % 2:
-            s = random_system(rng, n, dx, du, dy)
+    for i in range(90):
+        n, du = 1 + i % 3, 1 + i % 2
+        if i % 3 == 0:
+            s = random_conservative(n, int(rng.integers(0, 6)), du, du, seed=i)
+        elif i % 3 == 1:
+            s = cascade(random_conservative(n, int(rng.integers(0, 4)), du, du, seed=i),
+                        random_conservative(n, int(rng.integers(0, 4)), du, du, seed=500 + i))
         else:
-            base = random_conservative(n, dx, du, du, seed=i)
-            eps = (0.0, 1e-11, 1e-6)[i % 3]
-            s = MultiSystem(a=[m + eps * rng.standard_normal(m.shape) for m in base.a],
-                            b=base.b, c=base.c, d=base.d)
-        for tol in (1e-10, 1e-8):
+            s = random_system(rng, n, int(rng.integers(0, 5)), du, 1 + i // 3 % 3)
+        yield s
+        if i % 3 < 2:
+            g = pencil_blocks(s)
+            for eps in 10.0 ** rng.uniform(-14, -6, 2):
+                noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+                yield systems._from_pencil(g + eps * noise, s.dim_x)
+
+
+def test_conservativity_is_never_looser_than_the_pairwise_identities():
+    # the pairwise identities decide conservativity too, with 2N^2 products;
+    # the (U, P_k) defects must accept none of these pencils that they refuse.
+    # The two residuals are equivalent, not ordered: for N >= 2 some
+    # perturbation directions read about 0.4 times the pairwise residual
+    accepted = {1e-10: 0, 1e-8: 0}
+    count = 0
+    for s in conservativity_test_pencils():
+        reference = pairwise_conservativity_residual(s)
+        count += 1
+        for tol in accepted:
             report = is_conservative(s, tol)
-            iso_ok, coiso_ok, worst, failing = reference(s, tol)
-            assert report.is_isometric_family == iso_ok
-            assert report.is_coisometric_family == coiso_ok
-            assert report.worst_residual == worst
-            assert report.failing_pair == failing
+            assert report.is_conservative == (report.worst_residual <= tol)
+            assert report.is_conservative <= (reference <= tol), (s.n_params, reference, tol)
+            accepted[tol] += report.is_conservative
+    assert count == 210
+    # both verdicts occur at each threshold, perturbed pencils on both sides
+    assert all(0 < a < count for a in accepted.values()), accepted
+
+
+def test_conservativity_catches_what_the_sums_miss():
+    # G_1 = G_2 = W / sqrt(2), W unitary: both sums sum_k G_k* G_k and
+    # sum_k G_k G_k* are I, but U = sqrt(2) W, so UU* - I = I
+    w = haar_unitary(4, np.random.default_rng(24))
+    half = systems._from_pencil(np.stack([w, w]) / np.sqrt(2.0), 3)
+    gs = pencil_blocks(half)
+    assert np.allclose(sum(g.conj().T @ g for g in gs), np.eye(4))
+    assert np.allclose(sum(g @ g.conj().T for g in gs), np.eye(4))
+    report = is_conservative(half)
+    assert not report.is_conservative and report.failing is None
+    assert abs(report.worst_residual - 1.0) < 1e-13
+    # G_1 = G_2 = W / 2: U = W is unitary, and only P_k = I / 2, which is not
+    # idempotent, fails: ||P_k* (I - P_k)|| = 1/4
+    quarter = is_conservative(systems._from_pencil(np.stack([w, w]) / 2.0, 3))
+    assert not quarter.is_conservative and quarter.failing == 0
+    assert abs(quarter.worst_residual - 0.25) < 1e-13
+    # G_k = E_k W with E_1 = E an oblique idempotent and E_2 = I - E: U = W,
+    # each P_k is idempotent, but not Hermitian
+    e = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    e[0, 3] = 0.5
+    oblique = is_conservative(systems._from_pencil(np.stack([e @ w, w - e @ w]), 3))
+    assert not oblique.is_conservative and oblique.failing is not None
+    assert oblique.worst_residual > 0.1
+
+
+def test_non_square_pencils_read_a_residual_of_at_least_one():
+    for n in (1, 2, 3):
+        s = random_conservative(n, 3, 3, 3, seed=30 + n)
+        g = pencil_blocks(s)
+        # drop an input column: an isometric pencil, then its coisometric adjoint
+        tall = systems._from_pencil(g[:, :, :-1], s.dim_x)
+        for pencil in (tall, adjoint(tall)):
+            report = is_conservative(pencil)
+            assert not report.is_conservative
+            assert report.worst_residual >= 1.0 - 1e-12 and report.failing is None
+
+
+def test_conservativity_names_the_failing_k():
+    # G_k scaled by 1 + eps: U = (I + eps P_k) U0, so ||UU* - I|| =
+    # (1 + eps)^2 - 1, P_k becomes (1 + eps)^2 P_k, with a defect larger by
+    # the factor (1 + eps)^2, and every other P_j is unchanged
+    eps = 1e-6
+    for n in (2, 3):
+        s = random_conservative(n, 4, 2, 2, seed=40 + n)
+        for k in range(n):
+            g = np.array(pencil_blocks(s))
+            g[k] *= 1.0 + eps
+            report = is_conservative(systems._from_pencil(g, s.dim_x))
+            assert not report.is_conservative and report.failing == k
+            expected = (1.0 + eps) ** 2 * ((1.0 + eps) ** 2 - 1.0)
+            assert abs(report.worst_residual - expected) < 1e-12
 
 
 def test_random_conservative_requires_square_pencil():
