@@ -34,15 +34,15 @@ the pencil stack, turns zA into zA - I by a diagonal update, and solves
 with it on the narrower side (dim_y right-hand sides when dim_u > dim_y),
 subtracting where I - zA would add.  A polynomial germ is evaluated
 through its realization ``realize_germ``.  The resolvent guard of
-``transfer_eval`` is certified in steps, for every N: a bound on ||zA||
-from max_k |z_k| and the row-Gram constants of the X rows [A_k B_k],
-computed once per system, proves the whole stack well conditioned (for a
-conservative pencil, or one with scaled output rows, the bound is
-max_k |z_k| itself); else a batched Cholesky screen does; and the SVD
-condition number decides every stack that neither certifies.  When the
-cross terms G_j* G_k (j != k) are within rounding of 0, as for a
-conservative pencil or any N = 1 pencil, the torus samples of
-``is_dissipative_sampled`` share one norm, from one Gram eigenproblem.
+``transfer_eval`` has two steps, for every N: a bound on ||zA|| from the
+moduli |z_k| and the row-Gram constants of the X rows [A_k B_k],
+computed once per system, proves each point it covers well conditioned
+(for a conservative pencil, or one with scaled output rows, the bound is
+max_k |z_k| itself), and the SVD condition number decides only the
+points it leaves.  When the cross terms G_j* G_k (j != k) are within
+rounding of 0, as for a conservative pencil or any N = 1 pencil, the torus
+samples of ``is_dissipative_sampled`` share one norm, from one Gram
+eigenproblem.
 
 Conservativity ("the pencil zG is unitary for every z on the unit torus") is
 one exact identity: with U = sum_k G_k and P_k = G_k U*, zG is conservative
@@ -103,8 +103,9 @@ class MultiSystem:
     keeps that layout.  The first ``transfer_eval`` keeps the stack's
     row-Gram constants (``_row_gram_constants``) in ``_row_gram``; a
     pickled or copied system computes them again.  A system built by
-    ``_from_pencil`` with ``rows_of`` (its X rows are those of that system)
-    takes that system's constants instead, through its cache.
+    ``_from_pencil`` with ``rows_of`` takes that system's constants instead,
+    through its cache: its X rows are that system's, or its A-tuple is the
+    adjoint of that system's, whose bound the same moduli give.
     """
 
     a: tuple
@@ -214,8 +215,11 @@ def pencil_blocks(s: MultiSystem) -> np.ndarray:
 def _from_pencil(g: np.ndarray, dim_x: int, rows_of: Optional[MultiSystem] = None) -> MultiSystem:
     """The system whose pencil stack is a copy of ``g``, with state
     dimension dim_x; the blocks are views into that copy.  ``rows_of`` is a
-    system whose X rows [A_k B_k] are those of ``g``: the new system takes
-    its row-Gram constants (``_kept_row_gram``)."""
+    system whose X rows [A_k B_k] are those of ``g``, or whose A-tuple is
+    the adjoint of ``g``'s: the new system takes its row-Gram constants
+    (``_kept_row_gram``).  For the adjoint, ||sum_k z_k A_k*|| =
+    ||sum_k conj(z_k) A_k||, which that system's bound at the same moduli
+    |z_k| covers."""
     s = _adopt(object.__new__(MultiSystem), np.array(g, dtype=complex), dim_x)
     object.__setattr__(s, "_rows_of", rows_of)
     return s
@@ -294,41 +298,6 @@ def _spectral_norms(x: np.ndarray) -> np.ndarray:
     return _gram_roots(x.conj().swapaxes(-1, -2) @ x, e)
 
 
-def _certified_well_conditioned(m: np.ndarray) -> bool:
-    """True only if every matrix M (n x n) of the stack ``m`` provably has
-    cond_2(M) <= 1.2 / RESOLVENT_SCREEN; one batched Cholesky decides.
-
-    With tau = RESOLVENT_SCREEN and f^2 = trace(M*M) = ||M||_F^2 it factors
-    H = M*M - tau^2 f^2 I.  A floating-point Cholesky of H that runs to the
-    end proves H + E positive definite with ||E||_2 about (n + 1) u f^2, u
-    the unit roundoff (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Thm 10.3); forming M*M and the shift add about as
-    much.  delta = 4 (n + 1)^2 eps / tau^2 bounds both with room, so
-    sigma_min(M)^2 >= tau^2 f^2 (1 - delta), while sigma_max(M) <= f.  The
-    screen runs only while delta <= 1/4 and every shift is finite and at
-    least tiny / eps (no underflow), so a success gives cond_2(M) <=
-    1 / (tau sqrt(3/4)).  This is the classical certificate of positive
-    definiteness (Rump, Verification of positive definiteness, BIT 46, 2006).
-    ``transfer_eval`` passes M = zA - I, the negated I - zA: (-M)*(-M) is
-    M*M entry for entry, so the screen decides as it would on I - zA.
-    """
-    n = m.shape[-1]
-    eps = np.finfo(float).eps
-    if 16 * (n + 1) ** 2 * eps > RESOLVENT_SCREEN ** 2:
-        return False
-    h = m.conj().swapaxes(-1, -2) @ m
-    diagonal = np.einsum("...ii->...i", h)  # a writeable view
-    shift = RESOLVENT_SCREEN ** 2 * diagonal.real.sum(-1)
-    if not ((shift >= np.finfo(float).tiny / eps) & (shift <= np.finfo(float).max)).all():
-        return False
-    diagonal -= shift[..., None]
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _row_gram_constants(s: MultiSystem) -> tuple:
     """(r, limit, w_jk for the pairs j < k in order), the constants of
     ``_norm_certified``, from the X rows R_k = [A_k B_k] of the pencil.
@@ -353,8 +322,9 @@ def _row_gram_constants(s: MultiSystem) -> tuple:
 
 def _kept_row_gram(s: MultiSystem) -> tuple:
     """``_row_gram_constants(s)``, a property of the read-only stack:
-    computed on first use and kept, or taken from ``s._rows_of``, whose X
-    rows, so constants, are the same, through that system's cache."""
+    computed on first use and kept, or taken from ``s._rows_of``, whose
+    constants bound s's zA as well (``_from_pencil``), through that
+    system's cache."""
     if s._row_gram is None:
         source = s._rows_of
         constants = _row_gram_constants(s) if source is None else _kept_row_gram(source)
@@ -362,9 +332,9 @@ def _kept_row_gram(s: MultiSystem) -> tuple:
     return s._row_gram
 
 
-def _norm_certified(s: MultiSystem, z: np.ndarray) -> bool:
-    """True only if, at every point of ``z``, the computed zA - I provably
-    has cond_2 < 1 / RESOLVENT_SCREEN; ``_row_gram_constants`` decide.
+def _norm_certified(s: MultiSystem, z: np.ndarray) -> np.ndarray:
+    """For each point of ``z``, True only if the computed zA - I provably
+    has cond_2 < 1 / RESOLVENT_SCREEN there; ``_row_gram_constants`` decide.
 
     zA is the X-column block of zR = sum_k z_k R_k, R_k = [A_k B_k], so
     ||zA|| <= ||zR||, and with m = max_k |z_k|
@@ -417,7 +387,7 @@ def _norm_certified(s: MultiSystem, z: np.ndarray) -> bool:
         pairs = zip(itertools.combinations(range(s.n_params), 2), weights)
         cross = sum(rho[..., j] * rho[..., k] * w for (j, k), w in pairs)
         beta = beta * np.sqrt(1.0 + 2.0 * cross)
-    return bool((beta <= limit).all())
+    return beta <= limit
 
 
 def transfer_eval(s: MultiSystem, z) -> np.ndarray:
@@ -426,14 +396,13 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     ``z`` is one point of shape (N,), giving one matrix, or a stack of
     shape (P, N), giving a (P, dim_y, dim_u) array from one batched solve.
     Raises ``ResolventError`` at the first point where I - zA is not finite
-    or its 2-norm condition exceeds RESOLVENT_COND_LIMIT.  The guard is
-    certified in steps, for every N: ``_norm_certified`` proves the whole
-    stack far below the limit from max_k |z_k| and the system's row-Gram
-    constants, computed on its first call and kept; else
-    ``_certified_well_conditioned`` does by one batched Cholesky; or else
-    the SVD condition of every point decides.  A certified stack is one the
-    SVD guard accepts, so the points rejected are those of the SVD guard
-    alone.
+    or its 2-norm condition exceeds RESOLVENT_COND_LIMIT.  The guard has
+    two steps, for every N: ``_norm_certified`` proves each point it covers
+    far below the limit from the moduli |z_k| and the system's row-Gram
+    constants, computed on its first call and kept; the SVD condition
+    decides only the points it leaves.  A certified point is one the SVD
+    guard accepts, so the points rejected, their indices in the stack and
+    their condition estimates are those of the SVD guard alone.
 
     zG is formed by one ``combine``; zA, zB, zC and zD are views of it, and
     M = zA - I overwrites zA by subtracting 1 from its diagonal alone, so
@@ -451,8 +420,7 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     -U, so the solve returns the negated solution, and subtracting it adds
     what I - zA's would.  A sign of zero can still differ where a value is
     0, as at z = 0, since an exact cancellation rounds to +0 whatever the
-    signs of its operands.  Both guards see M as they would I - zA: the
-    screen forms M*M, which negation leaves unchanged, and the SVD
+    signs of its operands.  The SVD guard sees M as it would I - zA: the
     condition of -M is that of M.
     """
     z = _check_points(s.n_params, z)
@@ -463,18 +431,19 @@ def transfer_eval(s: MultiSystem, z) -> np.ndarray:
     x, rest = slice(None, dx), slice(dx, None)
     m, zb, zc, zd = zg[..., x, x], zg[..., x, rest], zg[..., rest, x], zg[..., rest, rest]
     np.einsum("...ii->...i", m)[...] -= 1.0  # zA becomes M = zA - I, through a diagonal view
-    if not (_norm_certified(s, z) or _certified_well_conditioned(m)):
+    uncertified = np.flatnonzero(~_norm_certified(s, z))
+    if uncertified.size:
         # a non-finite matrix gets condition nan: the SVD would not converge
-        stack = m.reshape(-1, dx, dx)
+        stack = m.reshape(-1, dx, dx)[uncertified]
         finite = np.isfinite(stack).all(axis=(1, 2))
         cond = np.full(len(stack), np.nan)
         cond[finite] = np.linalg.cond(stack[finite])
         bad = np.flatnonzero(~(cond <= RESOLVENT_COND_LIMIT))
         if bad.size:
-            i = bad[0]
+            i = uncertified[bad[0]]
             raise ResolventError(
                 f"I - zA is near-singular at point {i} "
-                f"(z = {np.atleast_2d(z)[i]}, condition estimate {cond[i]:.3e})"
+                f"(z = {np.atleast_2d(z)[i]}, condition estimate {cond[bad[0]]:.3e})"
             )
     if s.dim_u > s.dim_y:
         left = np.linalg.solve(m.swapaxes(-1, -2), zc.swapaxes(-1, -2))
@@ -853,15 +822,18 @@ def random_conservative(n_params: int, dim_x: int, dim_u: int, dim_y: int,
 
 def adjoint(s: MultiSystem) -> MultiSystem:
     """The adjoint system (A*, C*, B*, D*), whose pencil is G_k*; its
-    transfer is theta(conj(z))*."""
-    return _from_pencil(pencil_blocks(s).conj().swapaxes(1, 2), s.dim_x)
+    transfer is theta(conj(z))*.  It takes s's row-Gram constants
+    (``_from_pencil``)."""
+    return _from_pencil(pencil_blocks(s).conj().swapaxes(1, 2), s.dim_x, rows_of=s)
 
 
 def scale_output(s: MultiSystem, factor: complex) -> MultiSystem:
     """System whose transfer function is factor * theta_s: the output rows
-    [C_k D_k] of the pencil scaled."""
+    [C_k D_k] of the pencil scaled.  Its X rows are s's, and so are its
+    row-Gram constants."""
     g = pencil_blocks(s)
-    return _from_pencil(np.concatenate([g[:, :s.dim_x], factor * g[:, s.dim_x:]], axis=1), s.dim_x)
+    scaled = np.concatenate([g[:, :s.dim_x], factor * g[:, s.dim_x:]], axis=1)
+    return _from_pencil(scaled, s.dim_x, rows_of=s)
 
 
 def realize_germ(g: PolyGerm) -> MultiSystem:

@@ -8,6 +8,6 @@ TAYLOR_DROP_TOL = 1e-12  # norm below which a Taylor coefficient is dropped
 COMMUTATOR_TOL = 1e-10  # ||T_j T_k - T_k T_j|| a commuting tuple may show
 CONTRACTION_TOL = 1e-12  # norm excess over 1 of a contraction; power-family margin
 RESOLVENT_COND_LIMIT = 1e12  # largest condition of I - zA (transfer_eval) and I - A_T (eval_at_tuple)
-RESOLVENT_SCREEN = 1e-4  # sigma_min / ||.||_F the Cholesky screen certifies (condition <= ~1e4)
+RESOLVENT_SCREEN = 1e-4  # norm-certificate margin tau: a certified point has condition <= (1 - tau) / tau
 RESIDUAL_TOL = 1e-9  # transfer-function product residual (solve_problem2, --residual-tol)
 AGLER_TOL = 1e-8  # excess over 1 of ||theta(rT)|| that falsifies (agler_test, --tol)

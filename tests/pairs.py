@@ -16,7 +16,8 @@ the system z^2 + z^9, inhomogeneous only above degree m + 2; the
 powers (z_1 + ... + z_N)^(dim_x + 1) and block-triangular realizations of
 theta = 0, which pin the exact degree caps from both sides; the
 blockwise forms of the system transformations that the library writes as
-products on the pencil stack; and a call-counting wrapper."""
+products on the pencil stack; a call-counting wrapper; and a recorder of
+the matrices that reach the SVD condition number."""
 
 import itertools
 import math
@@ -512,3 +513,19 @@ def counting(fn, counter):
         counter.append(1)
         return fn(*args, **kwargs)
     return wrapped
+
+
+def svd_guarded(monkeypatch) -> list:
+    """A list that receives, from now on, each matrix whose condition
+    ``np.linalg.cond`` computes (every matrix of a stack on its own).  In the
+    library only ``transfer_eval`` calls it, on the points that its norm
+    certificate leaves to the SVD guard."""
+    sent, cond = [], np.linalg.cond
+
+    def recording(x, *args, **kwargs):
+        x = np.asarray(x)
+        sent.extend(x.reshape(-1, *x.shape[-2:]))
+        return cond(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", recording)
+    return sent

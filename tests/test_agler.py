@@ -25,7 +25,7 @@ from mpsys.systems import (
     scale_output,
     transfer_eval,
 )
-from pairs import counting, germ_eval, kaijser_varopoulos, polydisk_sup_norm
+from pairs import counting, germ_eval, kaijser_varopoulos, polydisk_sup_norm, svd_guarded
 
 
 def test_generated_tuples_satisfy_invariants():
@@ -269,19 +269,18 @@ def test_agler_test_forms_each_pencil_sum_once(monkeypatch):
     assert len(calls) == 1  # zG inside transfer_eval; zA, zB, zC and zD are its blocks
 
 
-def test_agler_test_runs_no_screen_on_conservative_systems_and_their_scalings(monkeypatch):
+def test_agler_test_sends_no_point_to_the_svd_on_conservative_systems_and_their_scalings(
+        monkeypatch):
     # every shape of the agler benchmark (N and dim_u in 1..3, dim_x in
     # 1..4): the row-Gram bound of a conservative pencil, and of its 1.5x
-    # output scaling, is max_k |z_k| <= r, so no batch reaches the screen
-    calls = []
-    monkeypatch.setattr(systems, "_certified_well_conditioned",
-                        counting(systems._certified_well_conditioned, calls))
+    # output scaling, is max_k |z_k| <= r, so no point reaches the SVD
+    sent = svd_guarded(monkeypatch)
     shapes = itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3, 4))
     for seed, (n, du, dx) in enumerate(shapes):
         s = random_conservative(n, dx, du, du, seed=seed)
         assert not agler_test(s, trials=50, r=0.9, seed=seed).falsified
         agler_test(scale_output(s, 1.5), trials=50, r=0.9, seed=seed)
-    assert calls == []
+    assert not sent
 
 
 def test_eval_requires_r_in_unit_interval():

@@ -435,11 +435,25 @@ def process_env():
     return {**os.environ, "PYTHONPATH": str(Path(mpsys.__file__).resolve().parents[1])}
 
 
+def test_the_readme_library_tour_runs_as_written():
+    # the python block under "Library tour", run unchanged in a fresh
+    # interpreter: its asserts hold and it prints what its comment says
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"^## Library tour\n\n```python\n(.*?)^```$", readme, re.S | re.M)
+    result = subprocess.run([sys.executable, "-c", tour.group(1)], capture_output=True,
+                            text=True, env=process_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    verdict, residual = result.stdout.split()
+    assert verdict == "factored" and float(residual) < 1e-14, result.stdout
+
+
 def test_one_cascade_computes_its_row_gram_constants_once(monkeypatch):
     # the cascade is evaluated by verify_factor_tf and by both reconstruction
     # residuals of the eval benchmark; its constants, and those of every
-    # other system evaluated, are computed on the first call only, and the
-    # left tail, whose X rows are the cascade's, takes the cascade's
+    # other system evaluated, are computed on the first call only, and both
+    # tails take the cascade's: the left tail's X rows are the cascade's,
+    # and the right tail, the adjoint of the adjoint's left tail, has the
+    # cascade's A-tuple
     computed, compute = [], systems._row_gram_constants
 
     def recording(s):
@@ -453,11 +467,12 @@ def test_one_cascade_computes_its_row_gram_constants_once(monkeypatch):
     m = factorization.multiplicity(c)
     left_chain, left_tail = factorization.factor_left(c, m)
     cli._reconstruction_residual(c, left_chain, left_tail, False, 1)
-    tail, chain = factorization.factor_right(c, m)
-    cli._reconstruction_residual(c, chain, tail, True, 1)
+    right_tail, chain = factorization.factor_right(c, m)
+    cli._reconstruction_residual(c, chain, right_tail, True, 1)
     assert sum(t is c for t in computed) == 1
-    assert len({id(t) for t in computed}) == len(computed) == 4  # c, alpha2, alpha1, right tail
+    assert len({id(t) for t in computed}) == len(computed) == 3  # c, alpha2, alpha1
     assert left_tail.vanishing_part._row_gram is c._row_gram
+    assert right_tail.vanishing_part._row_gram is c._row_gram
 
 
 def test_parser_is_built_once_per_process():

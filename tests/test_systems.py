@@ -53,6 +53,7 @@ from pairs import (
     germ_eval,
     is_closely_connected,
     same_blocks,
+    svd_guarded,
     taylor_test_systems,
 )
 
@@ -308,13 +309,14 @@ def reference_transfer_eval(s, z):
     return zd + zc @ np.linalg.solve(resolvent_arg, zb)
 
 
-def evaluation_outcome(evaluate, s, z):
-    """The value's bytes, or the ResolventError message."""
+def evaluation_outcome(evaluate, s, z, signed_zeros=True):
+    """The value's bytes, with -0 read as +0 unless ``signed_zeros``, or the
+    ResolventError message."""
     try:
         value = evaluate(s, z)
     except ResolventError as exc:
         return "raised", str(exc)
-    return value.shape, value.tobytes()
+    return value.shape, (value if signed_zeros else value + 0.0).tobytes()
 
 
 def matrix_with_singular_values(rng, sv):
@@ -322,43 +324,29 @@ def matrix_with_singular_values(rng, sv):
     return (haar_unitary(n, rng) * sv) @ haar_unitary(n, rng).conj().T
 
 
-def test_resolvent_screen_certifies_only_well_conditioned_matrices():
-    # Property: a certified matrix has 2-norm condition at most about
-    # 1 / RESOLVENT_SCREEN.  Every third matrix sits on the screen's boundary
-    # sigma_min = RESOLVENT_SCREEN * ||M||_F (singular values 1, s, ..., s).
-    # Positive control: a matrix with cond * sqrt(n) <= 0.99 / RESOLVENT_SCREEN
-    # has sigma_min >= ||M||_F * RESOLVENT_SCREEN / 0.99, so it is certified.
-    rng = np.random.default_rng(29)
-    tau = RESOLVENT_SCREEN
-    certified = boundary_certified = boundary_refused = 0
-    for i in range(3000):
-        n = int(rng.integers(1, 30))
-        if i % 3 == 0:
-            s = tau / np.sqrt(1.0 - (n - 1) * tau ** 2) * (1.0 + rng.uniform(-1e-5, 1e-5))
-            sv = np.array([1.0] + [s] * (n - 1))
-        else:
-            log_kappa = rng.uniform(0.0, 17.0)
-            inner = rng.uniform(-log_kappa, 0.0, max(n - 2, 0))
-            sv = 10.0 ** np.concatenate([[0.0, -log_kappa], inner])[:n]
-        m = 10.0 ** rng.uniform(-8.0, 8.0) * matrix_with_singular_values(rng, sv)
-        cond = np.linalg.cond(m)
-        ok = systems._certified_well_conditioned(m)
-        assert not ok or cond <= (1.0 + 1e-6) / tau, (n, cond)
-        assert ok or cond * np.sqrt(n) * tau > 0.99, (n, cond)
-        certified += ok
-        if i % 3 == 0 and n > 1:
-            boundary_certified += ok
-            boundary_refused += not ok
-    assert certified > 1000 and boundary_certified > 100 and boundary_refused > 100
+def resolvent_stack(s, z):
+    """M = zA - I at each point of ``z``, as ``transfer_eval`` forms it:
+    the X block of one ``combine`` with its diagonal decreased by 1."""
+    m = combine(pencil_blocks(s), z)[..., :s.dim_x, :s.dim_x]
+    np.einsum("...ii->...i", m)[...] -= 1.0
+    return m.reshape(-1, s.dim_x, s.dim_x)
 
 
-def test_transfer_eval_matches_the_svd_guard_bit_for_bit():
+def as_bytes(matrices):
+    return [m.tobytes() for m in matrices]
+
+
+def test_transfer_eval_matches_the_svd_guard_bit_for_bit(monkeypatch):
     # Random systems and points, some placed on or next to the singular set
     # of I - zA: values and ResolventError messages must be those of the
-    # SVD guard alone.  Each path (the row-Gram norm bound, screen, SVD
-    # fallback accepting, SVD rejecting) must be taken.
+    # SVD guard alone, and exactly the points the row-Gram norm bound
+    # leaves must reach the SVD.  Each path (stateless, every point
+    # certified, some certified and the rest to the SVD, every point to the
+    # SVD, rejected) must be taken.
     rng = np.random.default_rng(41)
-    paths = {"stateless": 0, "norm-certified": 0, "screened": 0, "fallback": 0, "rejected": 0}
+    sent = svd_guarded(monkeypatch)
+    paths = dict.fromkeys(("stateless", "all certified", "partly certified", "all to the svd",
+                           "rejected"), 0)
     for trial in range(120):
         n, dx = int(rng.integers(1, 4)), int(rng.integers(0, 25))
         s = random_system(rng, n, dx, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
@@ -374,31 +362,91 @@ def test_transfer_eval_matches_the_svd_guard_bit_for_bit():
         if trial % 5 == 0:
             z = z[0]
         expected = evaluation_outcome(reference_transfer_eval, s, z)
+        sent.clear()
         assert evaluation_outcome(transfer_eval, s, z) == expected
         if dx == 0:
+            assert not sent
             paths["stateless"] += 1
-        elif systems._norm_certified(s, np.asarray(z)):
-            paths["norm-certified"] += 1
-        elif systems._certified_well_conditioned(np.eye(dx) - combine(s.a, z)):
-            paths["screened"] += 1
+            continue
+        certified = np.atleast_1d(systems._norm_certified(s, z))
+        assert as_bytes(sent) == as_bytes(resolvent_stack(s, z)[~certified])
+        if expected[0] == "raised":
+            paths["rejected"] += 1
+        elif certified.all():
+            paths["all certified"] += 1
+        elif certified.any():
+            paths["partly certified"] += 1
         else:
-            paths["rejected" if expected[0] == "raised" else "fallback"] += 1
+            paths["all to the svd"] += 1
     assert min(paths.values()) > 0, paths
 
 
-def test_an_ill_conditioned_point_falls_back_to_the_svd_with_the_same_values():
-    # I - zA at z = 1 has condition about 1e8: the screen refuses the batch,
-    # the SVD accepts it, and the values are those of the SVD guard alone.
+def test_an_ill_conditioned_point_falls_back_to_the_svd_with_the_same_values(monkeypatch):
+    # I - zA at z = 1 has condition about 1e8: the norm bound leaves that
+    # point and the others beyond it to the SVD, which accepts them, and the
+    # values are those of the SVD guard alone
     rng = np.random.default_rng(31)
     m = matrix_with_singular_values(rng, np.geomspace(1.0, 1e-8, 6))
     s = MultiSystem(a=[np.eye(6) - m], b=[rng.standard_normal((6, 2))],
                     c=[rng.standard_normal((2, 6))], d=[np.zeros((2, 2))])
     points = np.array([[0.1], [0.5j], [1.0], [-0.3]])
-    stack = np.eye(6) - combine(s.a, points)
-    assert 1e7 < np.linalg.cond(stack[2]) < 1e9
-    assert systems._certified_well_conditioned(np.delete(stack, 2, axis=0))
-    assert not systems._certified_well_conditioned(stack)
-    assert transfer_eval(s, points).tobytes() == reference_transfer_eval(s, points).tobytes()
+    assert 1e7 < np.linalg.cond(np.eye(6) - combine(s.a, points[2])) < 1e9
+    certified = systems._norm_certified(s, points)
+    assert certified[0] and not certified[2]
+    expected = reference_transfer_eval(s, points).tobytes()
+    sent = svd_guarded(monkeypatch)
+    assert transfer_eval(s, points).tobytes() == expected
+    assert as_bytes(sent) == as_bytes(resolvent_stack(s, points)[~certified])
+
+
+def test_only_the_points_the_bound_leaves_reach_the_svd(monkeypatch):
+    # Positive controls for the per-point guard on one system, A = I - W
+    # with cond(W) about 1e13: points up to 0.2 are certified, 0.95 is not
+    # (I - zA has condition about 125), and at z = 1 I - zA = W is rejected.
+    # A rejected point is named by its index in the whole stack, with its
+    # own condition estimate, also when certified points come before it and
+    # another uncertified point is accepted first; a non-finite point is
+    # rejected at its own index with condition nan; a single point of
+    # shape (N,) takes the same path.
+    rng = np.random.default_rng(37)
+    w = matrix_with_singular_values(rng, np.geomspace(1.0, 1e-13, 6))
+    s = MultiSystem(a=[np.eye(6) - w], b=[0.5 * rng.standard_normal((6, 2))],
+                    c=[rng.standard_normal((2, 6))], d=[np.zeros((2, 2))])
+    points = np.array([[0.1], [0.95], [0.2], [1.0], [-0.1]])
+    assert systems._norm_certified(s, points).tolist() == [True, False, True, False, True]
+    m = resolvent_stack(s, points)
+    cond_at_1 = np.linalg.cond(m[3])
+    assert cond_at_1 > RESOLVENT_COND_LIMIT and np.linalg.cond(m[1]) < 1e3
+    sent = svd_guarded(monkeypatch)
+
+    def guarded(z):
+        """transfer_eval's outcome at z, checked against the SVD guard's
+        where the reference's SVD converges, and the matrices it sent."""
+        expected = evaluation_outcome(reference_transfer_eval, s, z) if np.isfinite(z).all() \
+            else None
+        sent.clear()
+        outcome = evaluation_outcome(transfer_eval, s, z)
+        assert expected in (None, outcome)
+        return outcome, as_bytes(sent)
+
+    assert guarded(points[[0, 2, 4]])[1] == []
+    assert guarded(points[:3])[1] == as_bytes(m[[1]])
+    (kind, message), matrices = guarded(points)
+    assert kind == "raised" and matrices == as_bytes(m[[1, 3]])
+    own_estimate = f"condition estimate {cond_at_1:.3e})"
+    assert "at point 3 " in message and message.endswith(own_estimate), message
+    for bad in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"):  # inf * 0 in zG
+            (kind, message), matrices = guarded(np.array([[0.1], [0.95], [bad], [1.0]]))
+        assert kind == "raised" and matrices == as_bytes(m[[1, 3]])  # nan without an SVD
+        assert "at point 2 " in message and message.endswith("estimate nan)"), message
+    assert guarded(points[0])[1] == []
+    assert guarded(points[1])[1] == as_bytes(m[[1]])
+    (kind, message), matrices = guarded(points[3])
+    assert kind == "raised" and matrices == as_bytes(m[[3]])
+    assert "at point 0 " in message and message.endswith(own_estimate), message
+    (kind, message), _ = guarded(np.array([np.nan]))
+    assert kind == "raised" and "at point 0 " in message and message.endswith("estimate nan)")
 
 
 def structured_systems():
@@ -466,45 +514,45 @@ def test_the_solve_is_sign_symmetric_bit_for_bit():
                 (-np.linalg.solve(a[0], b[0])).tobytes()
 
 
-def test_conservative_stacks_need_no_screen(monkeypatch):
+def test_conservative_stacks_send_no_point_to_the_svd(monkeypatch):
     # a conservative pencil, and one whose output rows are scaled, has h = 1
     # and c = 0: max_k |z_k| <= 0.99 certifies every point, whatever N is
     rng = np.random.default_rng(43)
-    calls = []
-    monkeypatch.setattr(systems, "_certified_well_conditioned",
-                        counting(systems._certified_well_conditioned, calls))
+    sent = svd_guarded(monkeypatch)
     shapes = itertools.product((1, 2, 3), ((1, 1), (4, 2), (12, 3), (20, 4)))
     for seed, (n, (dx, du)) in enumerate(shapes):
         s = random_conservative(n, dx, du, du, seed=seed)
         z = rng.uniform(0.0, 0.99, (100, n)) * np.exp(2j * np.pi * rng.uniform(size=(100, n)))
         for t in (s, scale_output(s, 1.5)):
             for points in (z, z[0]):
-                assert transfer_eval(t, points).tobytes() == \
-                    reference_transfer_eval(t, points).tobytes()
-    assert calls == []
+                expected = reference_transfer_eval(t, points).tobytes()
+                sent.clear()
+                assert transfer_eval(t, points).tobytes() == expected
+                assert not sent
 
 
-def test_one_parameter_stacks_beyond_the_norm_bound_reach_the_screen(monkeypatch):
+def test_one_parameter_points_beyond_the_norm_bound_reach_the_svd(monkeypatch):
     # beta = r |z| above the limit 1 - 2 tau (less rounding) at one point of
-    # the stack: the bound certifies nothing, the screen decides, and the
-    # values are the SVD guard's
+    # the stack: the bound certifies the others, that point alone reaches
+    # the SVD, and the values are the SVD guard's
     s = random_conservative(1, 6, 2, 2, seed=4)
     beta_one = 1.0 / systems._row_gram_constants(s)[0]  # |z| at which beta = 1
     points = np.array([[0.2], [0.5j], [-0.3]])
-    calls = []
-    monkeypatch.setattr(systems, "_certified_well_conditioned",
-                        counting(systems._certified_well_conditioned, calls))
-    assert transfer_eval(s, points).tobytes() == reference_transfer_eval(s, points).tobytes()
-    assert calls == []
+    sent = svd_guarded(monkeypatch)
+    expected = reference_transfer_eval(s, points).tobytes()
+    sent.clear()
+    assert transfer_eval(s, points).tobytes() == expected
+    assert not sent
     for modulus in (1.0 - 1.5 * RESOLVENT_SCREEN, 1.0, 1.01):
         stack = np.vstack([points, [[modulus * beta_one * 1j]]])
-        assert not systems._norm_certified(s, stack)
-        calls.clear()
+        assert systems._norm_certified(s, stack).tolist() == [True, True, True, False]
         expected = evaluation_outcome(reference_transfer_eval, s, stack)
+        sent.clear()
         assert evaluation_outcome(transfer_eval, s, stack) == expected
-        assert len(calls) == 1
+        assert as_bytes(sent) == as_bytes(resolvent_stack(s, stack)[3:])
     for bad in (np.nan, np.inf):
-        assert not systems._norm_certified(s, np.vstack([points, [[bad]]]))
+        certified = systems._norm_certified(s, np.vstack([points, [[bad]]]))
+        assert certified.tolist() == [True, True, True, False]
 
 
 def row_gram_bound(s, z):
@@ -551,22 +599,70 @@ def test_norm_certificate_is_sound_and_exactly_the_row_gram_bound(monkeypatch):
                 worst = max(worst, cond * tau / (1.0 - tau))
             certified += ok
             refused += not ok
-        assert systems._norm_certified(s, z) == bool((eps < 0).all())
+        assert systems._norm_certified(s, z).tolist() == (eps < 0).tolist()
     assert certified > 1000 and refused > 1000 and worst < 0.1, (certified, refused, worst)
     # positive control: G_1 = G_2 = G / sqrt(2), G unitary, dim_x = 4, has
     # h = 1 and c_12 = ||I / 2||_F = 1, so at z = (0.9, 0.9) the bound is
-    # 0.9 sqrt(3) > 1: the screen runs once and the outcome is the SVD guard's
+    # 0.9 sqrt(3) > 1: the point reaches the SVD and the outcome is the SVD
+    # guard's
     w = haar_unitary(6, np.random.default_rng(5)) / np.sqrt(2.0)
     s = systems._from_pencil(np.stack([w, w]), 4)
     point = np.array([0.9, 0.9])
     assert row_gram_bound(s, point)[0] == pytest.approx(0.9 * np.sqrt(3.0))
     assert not systems._norm_certified(s, point)
-    calls = []
-    monkeypatch.setattr(systems, "_certified_well_conditioned",
-                        counting(systems._certified_well_conditioned, calls))
     expected = evaluation_outcome(reference_transfer_eval, s, point)
+    sent = svd_guarded(monkeypatch)
     assert evaluation_outcome(transfer_eval, s, point) == expected
-    assert len(calls) == 1
+    assert as_bytes(sent) == as_bytes(resolvent_stack(s, point))
+
+
+def test_derived_systems_inherit_a_sound_norm_certificate(monkeypatch):
+    # Property: the adjoint, the output scalings by 0.5 and 1.5, and the
+    # tails of factor_left and factor_right take the row-Gram constants of
+    # the system they come from and compute none of their own; wherever
+    # _norm_certified accepts a point for such a derived system, the SVD
+    # condition of its own formed I - zA is at most (1 - tau) / tau, and its
+    # values and errors are the SVD guard's bit for bit (the tails' zero
+    # blocks up to the sign of an exact zero, as in
+    # test_structured_systems_match_the_svd_guard_up_to_the_sign_of_zero;
+    # x + 0.0 changes no other bits).  Systems: random
+    # at scales 0.01-2 and conservative, N = 1-3; each point is scaled so
+    # that the source's oracle bound is (1 - 2 tau) (1 + eps), |eps| <= 1e-3.
+    tau = RESOLVENT_SCREEN
+    rng = np.random.default_rng(71)
+    computed = []
+    monkeypatch.setattr(systems, "_row_gram_constants",
+                        counting(systems._row_gram_constants, computed))
+    certified = refused = 0
+    for trial in range(60):
+        n, dx, du = int(rng.integers(1, 4)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        if trial % 2:
+            s = random_system(rng, n, dx, du, int(rng.integers(1, 4)),
+                              scale=rng.uniform(0.01, 2.0))
+        else:
+            s = random_conservative(n, dx, du, du, seed=trial)
+        m = factorization.multiplicity(s, 8)
+        constants = systems._kept_row_gram(s)
+        computed.clear()
+        derived = (adjoint(s), scale_output(s, 0.5), scale_output(s, 1.5),
+                   factorization.factor_left(s, m)[1].vanishing_part,
+                   factorization.factor_right(s, m)[0].vanishing_part)
+        direction = rng.uniform(0.0, 1.0, (6, n)) * np.exp(2j * np.pi * rng.uniform(size=(6, n)))
+        eps = rng.choice([-1.0, 1.0], 6) * 10.0 ** rng.uniform(-8, -3, 6)
+        z = direction * ((1.0 - 2.0 * tau) * (1.0 + eps) / row_gram_bound(s, direction))[:, None]
+        for t, signed_zeros in zip(derived, (True, True, True, False, False)):
+            assert systems._kept_row_gram(t) is constants
+            assert systems._norm_certified(t, z).tolist() == (eps < 0).tolist()
+            for point in z[eps < 0]:
+                cond = np.linalg.cond(np.eye(dx) - combine(pencil_blocks(t), point)[:dx, :dx])
+                assert cond <= (1.0 - tau) / tau, (trial, cond)
+            for points in (z, *z):
+                expected = evaluation_outcome(reference_transfer_eval, t, points, signed_zeros)
+                assert evaluation_outcome(transfer_eval, t, points, signed_zeros) == expected
+            certified += np.count_nonzero(eps < 0)
+            refused += np.count_nonzero(eps > 0)
+        assert computed == []
+    assert certified > 500 and refused > 500, (certified, refused)
 
 
 def test_pickled_and_copied_systems_compute_the_row_gram_constants_again():
